@@ -6,12 +6,10 @@
 // the same weights and input (bitwise-identical outputs, see
 // tests/test_infer.cpp), the autoregressive rollout cost per produced
 // snapshot, and batched multi-trajectory throughput. Variant rows cover the
-// factorized (F-FNO) parameterisation and the bf16/fp16 compressed-weight
-// engines at modes 12 and 20 — each reduced-precision row records its
-// relative L2 against the fp32 engine and the compressed spectral working
-// set next to the timing. The engine's allocation counters and arena gauge
-// ride along so the zero-steady-state contract is visible in the trajectory
-// record.
+// dense and factorized (F-FNO) parameterisations at modes 12 and 20, each
+// recording its prepacked spectral-weight bytes next to the timing. The
+// engine's allocation counters and arena gauge ride along so the
+// zero-steady-state contract is visible in the trajectory record.
 //
 // Flags (besides the shared --threads / --metrics-out):
 //   --out F            JSON output path (default BENCH_inference.json)
@@ -19,7 +17,6 @@
 //                      check_tier1.sh passes a small value for its smoke run)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -36,7 +33,6 @@
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/isa.hpp"
-#include "util/precision.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -112,16 +108,6 @@ TensorF random_tensor(Shape shape, std::uint64_t seed) {
   return x;
 }
 
-double relative_l2(const TensorF& a, const TensorF& ref) {
-  double num = 0.0, den = 0.0;
-  for (index_t i = 0; i < ref.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(ref[i]);
-    num += d * d;
-    den += static_cast<double>(ref[i]) * static_cast<double>(ref[i]);
-  }
-  return std::sqrt(num / std::max(den, 1e-300));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -164,11 +150,12 @@ int main(int argc, char** argv) {
 
   // 3. Autoregressive rollout: ns per produced snapshot (20 snapshots =
   //    4 engine invocations per call at 5 output channels).
-  const TensorF history = random_tensor({cfg.in_channels, grid, grid}, 12);
+  const TensorF history =
+      random_tensor({1, cfg.in_channels, grid, grid}, 12);
   const index_t steps = 4 * cfg.out_channels;
   TensorF rollout_out;
-  const double rollout_call_ns = time_ns(
-      [&] { engine.rollout_channels_into(history, steps, rollout_out); });
+  const double rollout_call_ns =
+      time_ns([&] { engine.rollout_into(history, steps, rollout_out); });
   results.push_back(
       {"infer/rollout_step_n64", rollout_call_ns / static_cast<double>(steps)});
 
@@ -177,9 +164,8 @@ int main(int argc, char** argv) {
   const TensorF histories =
       random_tensor({nb, cfg.in_channels, grid, grid}, 13);
   TensorF batched_out;
-  const double batched_call_ns = time_ns([&] {
-    engine.rollout_channels_batched_into(histories, steps, batched_out);
-  });
+  const double batched_call_ns =
+      time_ns([&] { engine.rollout_into(histories, steps, batched_out); });
   results.push_back({"infer/batched_rollout_step_n64",
                      batched_call_ns / static_cast<double>(nb * steps)});
   const double snapshots_per_s =
@@ -206,18 +192,18 @@ int main(int argc, char** argv) {
                              util::isa_name(isa),
                          t});
       isa_ns[static_cast<int>(isa)] = t;
-      // Same engine with line batching forced off: the per-line FFT path
-      // the batched execution replaced, so the batching win is recorded
-      // per ISA in the trajectory.
-      fft::ScopedLineBatching perline(false);
-      const double tp = time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
-      results.push_back({std::string("infer/engine_forward_n64_") +
-                             util::isa_name(isa) + "_perline",
-                         tp});
-      isa_speedups.emplace_back(
-          std::string("engine_forward_batched_vs_perline_") +
-              util::isa_name(isa),
-          tp / t);
+      if (isa == util::Isa::kAvx2) {
+        // Same engine with line batching forced off: the per-line FFT path
+        // the avx2 lane kernels replaced, so the batching win is recorded
+        // in the trajectory. The scalar tier has no lane kernels and runs
+        // the per-line path either way.
+        fft::ScopedLineBatching perline(false);
+        const double tp =
+            time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
+        results.push_back({"infer/engine_forward_n64_avx2_perline", tp});
+        isa_speedups.emplace_back("engine_forward_batched_vs_perline_avx2",
+                                  tp / t);
+      }
     }
     if (isas.size() == 2) {
       isa_speedups.emplace_back("engine_forward_avx2_vs_scalar",
@@ -225,20 +211,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 6. Parameterisation × precision variants: the factorized (F-FNO) layer
-  //    and the bf16/fp16 compressed-weight engines, at the paper's 12 modes
-  //    and at 20 modes where both the factorization and the compression pay
-  //    off harder. Each variant plans a fresh engine on its own model (same
-  //    rng seed per modes count, so dense/fact differ only in weight
-  //    parameterisation); reduced-precision rows record relative L2 against
-  //    the fp32 engine of the same model and the compressed spectral
+  // 6. Parameterisation variants: the dense and factorized (F-FNO) spectral
+  //    layers at the paper's 12 modes and at 20 modes, where the
+  //    factorization pays off harder. Each variant plans a fresh engine on
+  //    its own model (same rng seed per modes count, so dense/fact differ
+  //    only in weight parameterisation) and records the prepacked spectral
   //    working set.
   struct Variant {
     std::string name;
     double ns = 0.0;
-    double rel_l2 = 0.0;  // vs the same model's fp32 engine (0 for fp32)
     std::int64_t weight_bytes = 0;
-    std::string precision;
     bool factorized = false;
     index_t modes = 0;
   };
@@ -248,43 +230,31 @@ int main(int argc, char** argv) {
     const auto run_variants = [&](index_t modes) {
       fno::FnoConfig vc = cfg;
       vc.n_modes = {modes, modes};
-      const std::string mtag = "m" + std::to_string(modes);
-      double fp32_ns[2] = {0.0, 0.0};  // [dense, fact] for the speedup rows
+      const std::string mtag = std::string("m") + std::to_string(modes);
+      double ns[2] = {0.0, 0.0};  // [dense, fact] for the speedup rows
       for (const bool factorized : {false, true}) {
         Rng vrng(17);  // same seed: dense/fact share everything but weights
         vc.spectral_kind = factorized ? nn::SpectralKind::kFactorized
                                       : nn::SpectralKind::kDense;
         fno::Fno vmodel(vc, vrng);
-        TensorF ref;  // fp32 output of this model
-        for (const util::Precision prec :
-             {util::Precision::kFp32, util::Precision::kBf16,
-              util::Precision::kFp16}) {
-          infer::InferenceEngine eng(vmodel, {prec});
-          eng.plan({1, vc.in_channels, grid, grid});
-          TensorF yy;
-          eng.forward(x, yy);
-          Variant v;
-          v.name = std::string("infer/engine_forward_n64_") + mtag +
-                   (factorized ? "_fact_" : "_dense_") +
-                   util::precision_name(prec);
-          v.ns = time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
-          v.precision = util::precision_name(prec);
-          v.factorized = factorized;
-          v.modes = modes;
-          v.weight_bytes =
-              static_cast<std::int64_t>(eng.spectral_weight_bytes());
-          if (prec == util::Precision::kFp32) {
-            ref = yy;
-            fp32_ns[factorized ? 1 : 0] = v.ns;
-          } else {
-            v.rel_l2 = relative_l2(yy, ref);
-          }
-          results.push_back({v.name, v.ns});
-          variants.push_back(std::move(v));
-        }
+        infer::InferenceEngine eng(vmodel);
+        eng.plan({1, vc.in_channels, grid, grid});
+        TensorF yy;
+        eng.forward(x, yy);
+        Variant v;
+        v.name = std::string("infer/engine_forward_n64_") + mtag +
+                 (factorized ? "_fact_fp32" : "_dense_fp32");
+        v.ns = time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
+        v.factorized = factorized;
+        v.modes = modes;
+        v.weight_bytes =
+            static_cast<std::int64_t>(eng.spectral_weight_bytes());
+        ns[factorized ? 1 : 0] = v.ns;
+        results.push_back({v.name, v.ns});
+        variants.push_back(std::move(v));
       }
       variant_speedups.emplace_back("engine_forward_fact_vs_dense_" + mtag,
-                                    fp32_ns[0] / fp32_ns[1]);
+                                    ns[0] / ns[1]);
     };
     run_variants(12);
     run_variants(20);
@@ -325,10 +295,8 @@ int main(int argc, char** argv) {
     std::printf("%-32s %14.2fx\n", name.c_str(), value);
   }
   for (const Variant& v : variants) {
-    if (v.precision != "fp32") {
-      std::printf("%-44s rel_l2 %.3e  weights %lld B\n", v.name.c_str(),
-                  v.rel_l2, static_cast<long long>(v.weight_bytes));
-    }
+    std::printf("%-44s weights %lld B\n", v.name.c_str(),
+                static_cast<long long>(v.weight_bytes));
   }
   std::printf("%-32s %14.1f snapshots/s\n", "batched throughput",
               snapshots_per_s);
@@ -351,9 +319,7 @@ int main(int argc, char** argv) {
     row.text("name", v.name);
     row.integer("modes", v.modes);
     row.boolean("factorized", v.factorized);
-    row.text("precision", v.precision);
     row.number("ns_per_op", v.ns, "%.1f");
-    row.raw("rel_l2_vs_fp32", bench::json_number(v.rel_l2, "%.3e"));
     row.integer("spectral_weight_bytes", v.weight_bytes);
     variant_rows.push_back(std::move(row));
   }

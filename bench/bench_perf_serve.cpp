@@ -3,19 +3,15 @@
 // Drives serve::RolloutServer at increasing concurrency (1 / 64 / 512
 // sessions), recording throughput, nearest-rank p50/p99 session latency,
 // and micro-batch occupancy per level. Variant rows re-run a mid-size level
-// under each forced microkernel ISA (--isa / util::ScopedIsa) and at each
-// reduced serving precision (bf16 / fp16 engine pools), so the dispatch
-// tier and the weight-compression tier both show up in the trajectory
-// record. Ensemble rows serve 16 logical sessions at K ∈ {1, 2, 4, 8}
-// members each, recording member-snapshot throughput and the mean relative
-// spread. Four correctness exercises ride along and gate the exit code:
+// under each forced microkernel ISA (--isa / util::ScopedIsa), so the
+// dispatch tier shows up in the trajectory record. Ensemble rows serve 16
+// logical sessions at K ∈ {1, 2, 4, 8} members each, recording
+// member-snapshot throughput and the mean relative spread. Three
+// correctness exercises ride along and gate the exit code:
 //
 //   * bitwise verification — a small session set is served concurrently at
 //     thread-pool widths 1 and 4 and compared byte-for-byte against
 //     sequential core::run_rollout calls of the same seeds;
-//   * compressed-serving contract — the same session set served through a
-//     bf16 engine pool must stay within the documented per-snapshot
-//     relative-L2 bound of the fp32 results (DESIGN.md "Precision tiers");
 //   * ensemble reduction contract — identical members (eps = 0) must reduce
 //     to exactly-zero variance, perturbed members to finite positive
 //     variance, and serve/ensemble_members must account every fanned-out
@@ -27,7 +23,6 @@
 //   --out F        JSON output path (default BENCH_serving.json)
 //   --grid N       square grid extent for synthetic seeds (default 32)
 //   --steps N      snapshots per session (default 10)
-//   --bf16-bound B per-snapshot rel-L2 bound for the bf16 gate (default 0.1)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -48,7 +43,6 @@
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/isa.hpp"
-#include "util/precision.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -100,25 +94,6 @@ bool bitwise_equal(const core::RolloutResult& a,
   return true;
 }
 
-/// Max over snapshots of the relative L2 difference (u1 and u2 pooled).
-double max_snapshot_rel_l2(const core::RolloutResult& a,
-                           const core::RolloutResult& ref) {
-  double worst = 0.0;
-  for (std::size_t k = 0; k < ref.trajectory.size(); ++k) {
-    const auto& sa = a.trajectory[k];
-    const auto& sr = ref.trajectory[k];
-    double num = 0.0, den = 0.0;
-    for (index_t i = 0; i < sr.u1.size(); ++i) {
-      const double d1 = sa.u1[i] - sr.u1[i];
-      const double d2 = sa.u2[i] - sr.u2[i];
-      num += d1 * d1 + d2 * d2;
-      den += sr.u1[i] * sr.u1[i] + sr.u2[i] * sr.u2[i];
-    }
-    worst = std::max(worst, std::sqrt(num / std::max(den, 1e-300)));
-  }
-  return worst;
-}
-
 struct LevelStats {
   index_t sessions = 0;
   double wall_seconds = 0.0;
@@ -136,11 +111,9 @@ index_t g_cin = 4;
 /// Run one throughput level: submit `sessions` requests, drain, collect
 /// stats. Exits the process on a rejected submit (the queue is sized to fit
 /// the level).
-LevelStats run_level(core::FnoPropagator& fno_prop, index_t sessions,
-                     util::Precision precision) {
+LevelStats run_level(core::FnoPropagator& fno_prop, index_t sessions) {
   serve::ServeConfig sc = serve::ServeConfig::from_runtime();
   sc.queue_capacity = std::max(sc.queue_capacity, sessions);
-  sc.precision = precision;
   serve::RolloutServer server(fno_prop, nullptr, sc);
 
   // Seeds are prepared outside the timed region; the measured wall time is
@@ -266,11 +239,9 @@ EnsembleLevel run_ensemble_level(core::FnoPropagator& fno_prop,
 
 /// Serve `n` sessions and return their results in submission order.
 std::vector<core::RolloutResult> serve_batch(core::FnoPropagator& fno_prop,
-                                             index_t n,
-                                             util::Precision precision) {
+                                             index_t n) {
   serve::ServeConfig sc = serve::ServeConfig::from_runtime();
   sc.batch_window = 3;  // force a full chunk plus a tail chunk
-  sc.precision = precision;
   serve::RolloutServer server(fno_prop, nullptr, sc);
   std::vector<serve::SessionId> ids;
   for (index_t s = 0; s < n; ++s) {
@@ -300,7 +271,6 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get("out", "BENCH_serving.json");
   g_grid = static_cast<index_t>(args.get_int("grid", 32));
   g_steps = static_cast<index_t>(args.get_int("steps", 10));
-  const double bf16_bound = args.get_double("bf16-bound", 0.1);
 
   const fno::FnoConfig cfg = bench_fno_config();
   g_cin = cfg.in_channels;
@@ -312,7 +282,6 @@ int main(int argc, char** argv) {
   // --- bitwise verification at pool widths 1 and 4 -----------------------
   const index_t n_verify = 4;
   bool bitwise_ok = true;
-  std::vector<core::RolloutResult> fp32_sequential;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool::Scope scope(threads);
     std::vector<core::RolloutResult> sequential;
@@ -324,7 +293,7 @@ int main(int argc, char** argv) {
       sequential.push_back(core::run_rollout(fno_prop, request));
     }
     const std::vector<core::RolloutResult> concurrent =
-        serve_batch(fno_prop, n_verify, util::Precision::kFp32);
+        serve_batch(fno_prop, n_verify);
     for (index_t s = 0; s < n_verify; ++s) {
       if (!bitwise_equal(sequential[static_cast<std::size_t>(s)],
                          concurrent[static_cast<std::size_t>(s)])) {
@@ -333,35 +302,14 @@ int main(int argc, char** argv) {
         bitwise_ok = false;
       }
     }
-    fp32_sequential = std::move(sequential);
   }
   std::printf("bitwise concurrent == sequential (threads 1,4): %s\n",
               bitwise_ok ? "true" : "FALSE");
 
-  // --- compressed-serving contract (bf16 pool vs fp32 results) -----------
-  // Same sessions through a bf16 engine pool: deterministic (asserted by
-  // tests at fixed ISA), but only error-bounded against fp32 — the gate
-  // checks the documented per-snapshot relative-L2 bound.
-  double bf16_worst_rel_l2 = 0.0;
-  {
-    const std::vector<core::RolloutResult> compressed =
-        serve_batch(fno_prop, n_verify, util::Precision::kBf16);
-    for (index_t s = 0; s < n_verify; ++s) {
-      bf16_worst_rel_l2 = std::max(
-          bf16_worst_rel_l2,
-          max_snapshot_rel_l2(compressed[static_cast<std::size_t>(s)],
-                              fp32_sequential[static_cast<std::size_t>(s)]));
-    }
-  }
-  const bool bf16_ok = bf16_worst_rel_l2 <= bf16_bound;
-  std::printf("bf16 serving worst per-snapshot rel-L2 %.3e (bound %.1e): %s\n",
-              bf16_worst_rel_l2, bf16_bound, bf16_ok ? "ok" : "EXCEEDED");
-
-  // --- throughput levels (runtime ISA & precision) -----------------------
+  // --- throughput levels (runtime ISA) -----------------------------------
   std::vector<LevelStats> level_stats;
   for (const index_t level : {index_t{1}, index_t{64}, index_t{512}}) {
-    const LevelStats stats =
-        run_level(fno_prop, level, serve::ServeConfig::from_runtime().precision);
+    const LevelStats stats = run_level(fno_prop, level);
     level_stats.push_back(stats);
     std::printf(
         "sessions %5lld  wall %8.3f s  %10.1f snap/s  p50 %8.2f ms  "
@@ -371,14 +319,12 @@ int main(int argc, char** argv) {
         stats.batch_occupancy_mean);
   }
 
-  // --- variant rows: per-ISA and per-precision ---------------------------
-  // One mid-size level per variant. ISA rows force the microkernel tier
-  // process-wide (scalar everywhere; avx2 only where the host supports it);
-  // precision rows compress the pooled engines' weights.
+  // --- variant rows: per-ISA ----------------------------------------------
+  // One mid-size level per ISA, forcing the microkernel tier process-wide
+  // (scalar everywhere; avx2 only where the host supports it).
   const index_t variant_level = 64;
   struct VariantRow {
     std::string isa;
-    std::string precision;
     LevelStats stats;
   };
   std::vector<VariantRow> variant_rows;
@@ -389,21 +335,11 @@ int main(int argc, char** argv) {
       util::ScopedIsa forced(isa);
       VariantRow row;
       row.isa = util::isa_name(isa);
-      row.precision = "fp32";
-      row.stats = run_level(fno_prop, variant_level, util::Precision::kFp32);
-      variant_rows.push_back(std::move(row));
-    }
-    for (const util::Precision prec :
-         {util::Precision::kBf16, util::Precision::kFp16}) {
-      VariantRow row;
-      row.isa = util::isa_name(util::active_isa());
-      row.precision = util::precision_name(prec);
-      row.stats = run_level(fno_prop, variant_level, prec);
+      row.stats = run_level(fno_prop, variant_level);
       variant_rows.push_back(std::move(row));
     }
     for (const VariantRow& row : variant_rows) {
-      std::printf("variant isa=%-6s precision=%-4s  %10.1f snap/s\n",
-                  row.isa.c_str(), row.precision.c_str(),
+      std::printf("variant isa=%-6s  %10.1f snap/s\n", row.isa.c_str(),
                   row.stats.snapshots_per_s);
     }
   }
@@ -508,13 +444,6 @@ int main(int argc, char** argv) {
   doc.integer("grid", g_grid);
   doc.integer("steps", g_steps);
   doc.boolean("bitwise_identical_threads_1_4", bitwise_ok);
-  bench::JsonObject compressed;
-  compressed.text("precision", "bf16");
-  compressed.raw("worst_snapshot_rel_l2_vs_fp32",
-                 bench::json_number(bf16_worst_rel_l2, "%.3e"));
-  compressed.raw("bound", bench::json_number(bf16_bound, "%.1e"));
-  compressed.boolean("within_bound", bf16_ok);
-  doc.object("compressed_serving", std::move(compressed));
   std::vector<bench::JsonObject> level_rows;
   for (const LevelStats& s : level_stats) level_rows.push_back(level_row(s));
   doc.array("levels", std::move(level_rows));
@@ -522,7 +451,9 @@ int main(int argc, char** argv) {
   for (const VariantRow& v : variant_rows) {
     bench::JsonObject row;
     row.text("isa", v.isa);
-    row.text("precision", v.precision);
+    // Weights are always fp32; the field keeps the row's regression-gate
+    // key (scripts/bench_gate.py) stable.
+    row.text("precision", "fp32");
     bench::JsonObject stats = level_row(v.stats);
     row.object("stats", std::move(stats));
     vrows.push_back(std::move(row));
@@ -592,5 +523,5 @@ int main(int argc, char** argv) {
   if (!bench::write_bench_json(out_path, "bench_perf_serve", std::move(doc))) {
     return 1;
   }
-  return (bitwise_ok && bf16_ok && ensemble_ok) ? 0 : 1;
+  return (bitwise_ok && ensemble_ok) ? 0 : 1;
 }

@@ -122,10 +122,10 @@ std::vector<double> rollout_errors_2d(fno::Fno& model,
   for (const data::SnapshotSeries& series : heldout.samples) {
     TURB_CHECK(series.steps() >= cin + max_steps);
     for (const TensorF* field : {&series.u1, &series.u2}) {
-      TensorF history({cin, h, w});
+      TensorF history({1, cin, h, w});
       std::copy_n(field->data(), cin * frame, history.data());
       norm.apply(history);
-      engine.rollout_channels_into(history, max_steps, traj);
+      engine.rollout_into(history, max_steps, traj);
       for (index_t s = 0; s < max_steps; ++s) {
         TensorD pred({h, w}), truth({h, w});
         for (index_t i = 0; i < frame; ++i) {
@@ -157,10 +157,10 @@ std::vector<double> rollout_errors_3d(fno::Fno& model,
   TensorF traj;
   for (const data::SnapshotSeries& series : heldout.samples) {
     TURB_CHECK(series.steps() >= 2 * block);
-    TensorF seed({block, h, w});
+    TensorF seed({1, 1, block, h, w});
     std::copy_n(series.omega.data(), block * frame, seed.data());
     norm.apply(seed);
-    engine.rollout_3d_into(seed, 1, traj);
+    engine.rollout_into(seed, 1, traj);
     for (index_t s = 0; s < block; ++s) {
       TensorD pred({h, w}), truth({h, w});
       for (index_t i = 0; i < frame; ++i) {

@@ -77,12 +77,12 @@ int main(int argc, char** argv) {
   // 4. Evaluate one-shot error and a 15-step rollout on a held-out sample.
   const data::SnapshotSeries fresh = data::generate_sample(gen, 1000);
   const index_t frame = grid * grid;
-  TensorF history({10, grid, grid});
+  TensorF history({1, 10, grid, grid});
   std::copy_n(fresh.u1.data(), 10 * frame, history.data());
   norm.apply(history);
   infer::InferenceEngine engine(model);
   TensorF traj;
-  engine.rollout_channels_into(history, 15, traj);
+  engine.rollout_into(history, 15, traj);
   for (const index_t step : {index_t{1}, index_t{5}, index_t{15}}) {
     TensorD pred({grid, grid}), truth({grid, grid});
     for (index_t i = 0; i < frame; ++i) {

@@ -4,9 +4,8 @@
 //   1. save a checkpoint, corrupt it (bit flip, truncation), and verify the
 //      loader rejects each corruption with a "corrupt checkpoint" error
 //      while `robust/corrupt_rejected` increments;
-//   1b. checkpoint format matrix: a TNN3 bf16 save round-trips to exactly
-//      the RNE-quantized values, and legacy v2 (CRC) and v1 (pre-CRC)
-//      payloads still load;
+//   1b. checkpoint format matrix: v2 (CRC) and legacy v1 (pre-CRC) payloads
+//      load;
 //   2. run a hybrid rollout whose surrogate is forced to diverge
 //      (core::DivergentPropagator) and verify the guard trips, the
 //      trajectory stays finite, and PDE fallback windows appear.
@@ -27,7 +26,6 @@
 #include "core/turbfno.hpp"
 #include "nn/linear.hpp"
 #include "util/cli.hpp"
-#include "util/precision.hpp"
 
 namespace {
 
@@ -93,24 +91,9 @@ int main(int argc, char** argv) {
   nn::load_parameters(ckpt, layer.parameters());
   expect(true, "restored checkpoint loads again");
 
-  // --- checkpoint format matrix: v3 round-trip, v2 + v1 backcompat -------
+  // --- checkpoint format matrix: v2 + v1 backcompat ----------------------
   {
     nn::Linear saved(4, 4, rng), loaded(4, 4, rng);
-    nn::SaveOptions v3opts;
-    v3opts.precision = util::Precision::kBf16;
-    nn::save_parameters(ckpt, saved.parameters(), {{"dt_tc", 0.01}}, v3opts);
-    const std::string v3bytes = read_file(ckpt);
-    expect(v3bytes.compare(0, 4, "TNN3") == 0,
-           "compressed checkpoint saved in TNN3 format");
-    nn::load_parameters(ckpt, loaded.parameters());
-    bool quantized_ok = true;
-    for (index_t i = 0; i < saved.weight().value.size(); ++i) {
-      const float expected = util::bf16_to_float(
-          util::float_to_bf16(saved.weight().value[i]));
-      quantized_ok = quantized_ok && loaded.weight().value[i] == expected;
-    }
-    expect(quantized_ok, "TNN3 bf16 payload round-trips RNE-quantized");
-
     // v2 is what the plain save above wrote ("restored checkpoint loads
     // again" is the v2 leg); v1 needs a hand-rolled pre-CRC payload.
     std::string v1 = "TNN1";

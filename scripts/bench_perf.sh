@@ -15,18 +15,16 @@
 # forward at the paper shape (N=64, 12 modes) — the two are timed in
 # interleaved batches and produce bitwise-identical outputs — plus rollout
 # and batched-rollout cost per snapshot, and records the engine's
-# zero-steady-state-allocation counters and arena footprint. A variant
-# matrix ({dense, factorized} × {fp32, bf16, fp16} at 12 and 20 modes)
-# records per-variant forward cost, weight bytes, and relative-L2 error vs
-# the same model's fp32 engine.
+# zero-steady-state-allocation counters and arena footprint. Variant rows
+# ({dense, factorized} at 12 and 20 modes) record per-variant forward cost
+# and prepacked spectral-weight bytes.
 #
 # bench_perf_serve drives the concurrent serving layer at 1/64/512 sessions,
 # recording throughput, p50/p99 session latency, and micro-batch occupancy;
 # it self-verifies that concurrent sessions are bitwise identical to
-# sequential rollouts at pool widths 1 and 4, that bf16 engine-pool serving
-# stays within the documented rel-L2 bound of fp32, and that an overfilled
-# queue rejects with serve/admission_rejects. Variant rows re-run a 64-session
-# level per forced ISA and per serving precision. Ensemble rows serve 16
+# sequential rollouts at pool widths 1 and 4, and that an overfilled queue
+# rejects with serve/admission_rejects. Variant rows re-run a 64-session
+# level per forced ISA. Ensemble rows serve 16
 # logical sessions at K ∈ {1,2,4,8} members each (member-snapshot throughput
 # plus mean relative spread), and the ensemble reduction contract —
 # identical members → exactly-zero variance, perturbed members → finite
@@ -102,16 +100,8 @@ f12 = d["speedup"]["engine_forward_fact_vs_dense_m12"]
 f20 = d["speedup"]["engine_forward_fact_vs_dense_m20"]
 print(f"bench_perf: factorized vs dense engine forward — "
       f"m=12 {f12:.2f}x, m=20 {f20:.2f}x")
-for v in d["variants"]:
-    if v["precision"] != "fp32":
-        assert 0.0 < v["rel_l2_vs_fp32"] < 0.05, \
-            f"{v['name']}: rel-L2 {v['rel_l2_vs_fp32']} out of range"
-bf16 = [v for v in d["variants"] if v["precision"] == "bf16"]
-worst = max(v["rel_l2_vs_fp32"] for v in bf16)
-half = all(v["spectral_weight_bytes"] > 0 for v in d["variants"])
-assert half, "spectral_weight_bytes missing from variant rows"
-print(f"bench_perf: bf16 engine worst forward rel-L2 {worst:.2e} "
-      f"across {len(bf16)} variants")
+assert all(v["spectral_weight_bytes"] > 0 for v in d["variants"]), \
+    "spectral_weight_bytes missing from variant rows"
 EOF
 
 # shellcheck disable=SC2086
@@ -127,20 +117,14 @@ assert d["bitwise_identical_threads_1_4"] is True, \
 assert d["counters"]["infer/steady_state_allocs"] == 0, \
     "serving allocated in engine steady state"
 assert d["saturation"]["rejected"] >= 1, "admission control never rejected"
-cs = d["compressed_serving"]
-assert cs["within_bound"] is True, \
-    f"bf16 serving rel-L2 {cs['worst_snapshot_rel_l2_vs_fp32']} over bound"
 top = max(d["levels"], key=lambda lvl: lvl["sessions"])
 print(f"bench_perf: serving {top['sessions']} sessions at "
       f"{top['snapshots_per_s']:.0f} snapshots/s, "
       f"p50 {top['latency_p50_ms']:.1f} ms / p99 {top['latency_p99_ms']:.1f} ms, "
       f"batch occupancy {top['batch_occupancy_mean']:.1f}")
-print(f"bench_perf: bf16 serving worst per-snapshot rel-L2 "
-      f"{cs['worst_snapshot_rel_l2_vs_fp32']:.2e} (bound {cs['bound']})")
 for v in d["variants"]:
     s = v["stats"]
     print(f"bench_perf: serve variant isa={v['isa']:<6} "
-          f"precision={v['precision']:<4} "
           f"{s['snapshots_per_s']:.0f} snapshots/s at {s['sessions']} sessions")
 assert d["ensemble_contract"]["ok"] is True, "ensemble contract failed"
 for e in d["ensembles"]:

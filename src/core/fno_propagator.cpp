@@ -5,10 +5,9 @@
 namespace turb::core {
 
 FnoPropagator::FnoPropagator(fno::Fno& model, analysis::Normalizer normalizer,
-                             double dt_snap,
-                             infer::EngineOptions engine_options)
+                             double dt_snap)
     : model_(&model),
-      engine_(model, engine_options),
+      engine_(model),
       normalizer_(normalizer),
       dt_snap_(dt_snap) {
   TURB_CHECK(dt_snap_ > 0.0);

@@ -24,11 +24,8 @@ class FnoPropagator final : public Propagator {
   /// @param model      trained rank-2 FNO (not owned; must outlive this)
   /// @param normalizer data-set normaliser used during training
   /// @param dt_snap    snapshot spacing the model was trained at (t_c units)
-  /// @param engine_options build options (precision, …) for the propagator's
-  ///                   own engine — lets a solo propagator serve at the same
-  ///                   reduced precision a pooled deployment uses
   FnoPropagator(fno::Fno& model, analysis::Normalizer normalizer,
-                double dt_snap, infer::EngineOptions engine_options = {});
+                double dt_snap);
 
   std::vector<FieldSnapshot> advance(const History& history,
                                      index_t count) override;

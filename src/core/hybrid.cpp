@@ -125,15 +125,4 @@ RolloutResult HybridScheduler::run(const History& seed,
   return result;
 }
 
-RolloutResult run_single(Propagator& propagator, const History& seed,
-                         index_t total_snapshots) {
-  // Compat shim over the unified request API: the default RolloutRequest
-  // (window 16, max_history 64, guard off) reproduces the historical
-  // behavior of this entry point byte for byte.
-  RolloutRequest request;
-  request.seed = seed;
-  request.steps = total_snapshots;
-  return run_rollout(propagator, request);
-}
-
 }  // namespace turb::core

@@ -67,16 +67,4 @@ class HybridScheduler {
   HybridConfig config_;
 };
 
-/// Convenience: single-propagator rollout with metrics (pure PDE / pure FNO).
-/// The seed must be non-empty and at least the propagator's min_history.
-///
-/// DEPRECATED: thin compat wrapper over the unified request API — prefer
-/// core::run_rollout(propagator, RolloutRequest{...}) (core/rollout_api.hpp),
-/// which adds guard config, fallback degradation, and scheduling hints, and
-/// is what the serving layer (serve::RolloutServer) consumes. Results are
-/// bitwise identical for a default request.
-[[deprecated("use core::run_rollout(propagator, RolloutRequest{...})")]]
-RolloutResult run_single(Propagator& propagator, const History& seed,
-                         index_t total_snapshots);
-
 }  // namespace turb::core

@@ -1,11 +1,7 @@
-// Unified rollout-request API — the single entry point the serving layer,
-// the examples, and the legacy convenience wrappers all drive.
-//
-// Historically the repo grew three overlapping ways to roll a trajectory
-// forward: `fno::rollout_*` (tensor-level, engine-backed), `core::run_single`
-// (snapshot-level, unguarded), and hand-driven `FnoPropagator::advance`
-// loops. A serving layer multiplexing thousands of streams needs one
-// request/result vocabulary instead, so:
+// Unified rollout-request API — the single snapshot-level rollout entry
+// point the serving layer, the examples, and the benches drive. A serving
+// layer multiplexing thousands of streams needs one request/result
+// vocabulary, so:
 //
 //   * RolloutRequest describes a stream: seed history, horizon, guard
 //     configuration, and scheduling hints (window chunk, batch hint).
@@ -14,8 +10,7 @@
 //     at. Guard checks, fallback cool-downs, metrics, and history rolling
 //     all live here, so a request produces the same bytes whether it runs
 //     synchronously (run_rollout) or multiplexed through serve::RolloutServer.
-//   * run_rollout() drives a stream to completion synchronously; it is the
-//     implementation behind the deprecated `run_single` wrapper.
+//   * run_rollout() drives a stream to completion synchronously.
 //
 // Guard semantics (primary windows only, mirroring HybridScheduler): a
 // tripped window is discarded wholesale and the fallback propagator takes
@@ -42,8 +37,7 @@ struct RolloutRequest {
   GuardConfig guard;      ///< per-request divergence guard (default off)
   index_t max_history = 64;  ///< rolling-history truncation bound
   /// Snapshots per scheduling window — the chunk a scheduler advances a
-  /// stream by per turn. 16 matches the legacy run_single chunking, so a
-  /// default request is bitwise identical to the old entry point.
+  /// stream by per turn.
   index_t window = 16;
   /// Serving hint: how many sibling streams the scheduler may co-batch with
   /// this one (1 = no preference; capped by ServeConfig::batch_window).
@@ -141,8 +135,8 @@ class RolloutStream {
 
 /// Run `request` to completion against `primary`, with `fallback` taking
 /// over after guard trips (required iff request.guard.enabled). The unified
-/// synchronous entry point: `run_single` and the examples route through it,
-/// and serve::RolloutServer produces byte-identical results per stream.
+/// synchronous entry point: the examples route through it, and
+/// serve::RolloutServer produces byte-identical results per stream.
 RolloutResult run_rollout(Propagator& primary, const RolloutRequest& request,
                           Propagator* fallback = nullptr);
 

@@ -29,7 +29,6 @@
 #include "data/generator.hpp"
 #include "data/windows.hpp"
 #include "fno/fno.hpp"
-#include "fno/rollout.hpp"
 #include "fno/trainer.hpp"
 #include "lbm/initializer.hpp"
 #include "lbm/solver.hpp"

@@ -160,18 +160,20 @@ void c2c_axis(Tensor<std::complex<T>>& x, std::size_t axis, bool forward,
     return;
   }
 
-  // Strided lines: collect kept lines into lane-interleaved batches of up to
-  // B and run them through the lane-per-line plan path. Collection happens
-  // within each chunk, so the chunk partition — and the thread-count
-  // determinism contract — is unchanged; a line's bits do not depend on its
-  // batch occupancy (see fft/plan.hpp), so the grouping (which shifts with
-  // pruning gaps, chunk boundaries, and ragged tails) is unobservable.
-  const index_t batch =
-      line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
+  // Strided lines: when the plan has lane kernels, collect kept lines into
+  // lane-interleaved batches of up to B and run them through the
+  // lane-per-line plan path. Collection happens within each chunk, so the
+  // chunk partition — and the thread-count determinism contract — is
+  // unchanged; a line's bits do not depend on its batch occupancy (see
+  // fft/plan.hpp), so the grouping (which shifts with pruning gaps, chunk
+  // boundaries, and ragged tails) is unobservable. Plans without lane
+  // kernels (scalar tier, Bluestein lengths) take the per-line loop below.
+  const index_t batch = line_batching_enabled() && p.batch_wants_lanes()
+                            ? lane_count<T>(util::active_isa())
+                            : 1;
   if (batch > 1) {
     static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
     static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    const bool lanes_layout = p.batch_wants_lanes();
     parallel_for_chunked(0, outer * inner, [&](index_t tb, index_t te) {
       Tensor<cpx>& buf = workspace<cpx>("fft/c2c_lanes", {n * batch});
       cpx* work = buf.data();
@@ -183,33 +185,17 @@ void c2c_axis(Tensor<std::complex<T>>& x, std::size_t axis, bool forward,
       std::int64_t my_batched = 0, my_tails = 0;
       const auto flush = [&] {
         if (count == 0) return;
-        if (lanes_layout) {
-          for (index_t l = 0; l < count; ++l) {
-            const cpx* base = lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              work[j * count + l] = base[j * inner];
-            }
+        for (index_t l = 0; l < count; ++l) {
+          const cpx* base = lanes[l];
+          for (index_t j = 0; j < n; ++j) {
+            work[j * count + l] = base[j * inner];
           }
-          forward ? p.forward_batch(work, count)
-                  : p.inverse_batch(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpx* base = lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              base[j * inner] = work[j * count + l];
-            }
-          }
-        } else {
-          for (index_t l = 0; l < count; ++l) {
-            const cpx* base = lanes[l];
-            cpx* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) w[j] = base[j * inner];
-          }
-          forward ? p.forward_lines(work, count)
-                  : p.inverse_lines(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpx* base = lanes[l];
-            const cpx* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) base[j * inner] = w[j];
+        }
+        forward ? p.forward_batch(work, count) : p.inverse_batch(work, count);
+        for (index_t l = 0; l < count; ++l) {
+          cpx* base = lanes[l];
+          for (index_t j = 0; j < n; ++j) {
+            base[j * inner] = work[j * count + l];
           }
         }
         my_batched += count;

@@ -146,9 +146,8 @@ class PlanC2C {
   /// Does this plan execute batches through lane-interleaved SIMD kernels
   /// under the currently active ISA? When false, execute_batch would just
   /// transpose to line-major and run per lane — callers that control the
-  /// gather layout should instead gather line-major and use
-  /// forward_lines/inverse_lines, skipping both transposes while keeping
-  /// the batched gather's cache-line sharing on strided slabs.
+  /// gather layout (fft::c2c_axis, the inference engine's c2c stages) run
+  /// their per-line loop instead.
   [[nodiscard]] bool batch_wants_lanes() const {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
@@ -156,19 +155,6 @@ class PlanC2C {
     }
 #endif
     return false;
-  }
-
-  /// Line-major batched transforms: `nlines` contiguous lines of length n,
-  /// line l at x + l*n. Each line runs the pinned single-line path, so the
-  /// results are trivially bitwise identical to forward()/inverse() per
-  /// line; this is the no-transpose companion of forward_batch for tiers
-  /// without lane kernels (see batch_wants_lanes).
-  void forward_lines(cpx* x, index_t nlines) const {
-    for (index_t l = 0; l < nlines; ++l) execute(x + l * n_, false);
-  }
-
-  void inverse_lines(cpx* x, index_t nlines) const {
-    for (index_t l = 0; l < nlines; ++l) execute(x + l * n_, true);
   }
 
  private:
@@ -343,8 +329,7 @@ class PlanC2C {
     // Reference fallback (scalar tier, Bluestein lengths, non-SIMD types):
     // de-interleave and run the pinned single-line path per lane. The
     // copies are exact, so equality with the single-line transform is
-    // structural, and the caller still gets the batched gather's
-    // cache-line sharing on strided slabs.
+    // structural.
     thread_local std::vector<cpx> lines;
     lines.resize(static_cast<std::size_t>(n_ * nlanes));
     for (index_t j = 0; j < n_; ++j) {

@@ -53,10 +53,9 @@ void copy_linear(nn::Linear& layer, std::vector<float>& w,
 
 }  // namespace
 
-InferenceEngine::InferenceEngine(fno::Fno& model, EngineOptions options)
+InferenceEngine::InferenceEngine(fno::Fno& model)
     : model_(&model),
       cfg_(model.config()),
-      precision_(options.precision),
       forward_calls_(obs::counter("infer/forward_calls")),
       replans_(obs::counter("infer/replans")),
       steady_allocs_(obs::counter("infer/steady_state_allocs")),
@@ -70,9 +69,7 @@ InferenceEngine::InferenceEngine(fno::Fno& model, EngineOptions options)
   wskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   bskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pw_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  pw16_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pf_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  pf16_.resize(static_cast<std::size_t>(cfg_.n_layers));
   if (cfg_.spectral_kind == nn::SpectralKind::kFactorized) {
     // Per-axis kept extents and the flat kept index → per-axis index table
     // (row-major over the kept extents — the layer's enumeration order).
@@ -107,24 +104,9 @@ void InferenceEngine::refresh_weights() {
   copy_linear(model_->proj1(), wp1_, bp1_);
   copy_linear(model_->proj2(), wp2_, bp2_);
   const index_t w = cfg_.width;
-  const bool compressed = precision_ != util::Precision::kFp32;
-  if (compressed) {
-    // Linear weights stay fp32 storage (the GEMM kernels are untouched) but
-    // are round-tripped through the serving precision, so a compressed
-    // engine's outputs depend only on the compressed payload — exactly what
-    // a checkpoint-v3 load at this precision would serve.
-    for (std::vector<float>* v :
-         {&wl1_, &bl1_, &wl2_, &bl2_, &wp1_, &bp1_, &wp2_, &bp2_}) {
-      util::quantize_floats(v->data(), v->size(), precision_);
-    }
-  }
   for (index_t l = 0; l < cfg_.n_layers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
     copy_linear(model_->skip(l), wskip_[ls], bskip_[ls]);
-    if (compressed) {
-      util::quantize_floats(wskip_[ls].data(), wskip_[ls].size(), precision_);
-      util::quantize_floats(bskip_[ls].data(), bskip_[ls].size(), precision_);
-    }
     nn::SpectralLayer& conv = model_->conv(l);
     const index_t K = conv.kept_modes();
     if (conv.kind() == nn::SpectralKind::kDense) {
@@ -146,13 +128,6 @@ void InferenceEngine::refresh_weights() {
           }
         }
       }
-      if (compressed) {
-        pw16_[ls].resize(pw.size());
-        util::compress_floats(pw.data(), pw16_[ls].data(), pw.size(),
-                              precision_);
-        pw.clear();
-        pw.shrink_to_fit();
-      }
     } else {
       // Factorized: one k_d-major block per axis, same (o, i) inner order
       // as the dense pack. The contraction composes the per-mode weight in
@@ -160,7 +135,6 @@ void InferenceEngine::refresh_weights() {
       auto& fc = static_cast<nn::FactorizedSpectralConv&>(conv);
       const std::size_t r = cfg_.rank();
       pf_[ls].resize(r);
-      pf16_[ls].resize(r);
       for (std::size_t d = 0; d < r; ++d) {
         const float* src = fc.factor(d).value.data();  // (C_in, C_out, m_d, 2)
         const index_t m = fdims_[d];
@@ -176,13 +150,6 @@ void InferenceEngine::refresh_weights() {
             }
           }
         }
-        if (compressed) {
-          pf16_[ls][d].resize(pf.size());
-          util::compress_floats(pf.data(), pf16_[ls][d].data(), pf.size(),
-                                precision_);
-          pf.clear();
-          pf.shrink_to_fit();
-        }
       }
     }
   }
@@ -191,12 +158,8 @@ void InferenceEngine::refresh_weights() {
 std::size_t InferenceEngine::spectral_weight_bytes() const {
   std::size_t bytes = 0;
   for (const auto& v : pw_) bytes += v.size() * sizeof(float);
-  for (const auto& v : pw16_) bytes += v.size() * sizeof(std::uint16_t);
   for (const auto& axes : pf_) {
     for (const auto& v : axes) bytes += v.size() * sizeof(float);
-  }
-  for (const auto& axes : pf16_) {
-    for (const auto& v : axes) bytes += v.size() * sizeof(std::uint16_t);
   }
   return bytes;
 }
@@ -526,15 +489,16 @@ void InferenceEngine::c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
   // same either way, and skipped lines leave dst untouched — zero by the
   // arena-commit invariant, exactly what the in-place path would hold.
   //
-  // With line batching on, kept lines are collected into lane-interleaved
-  // batches of up to B within each chunk (mirroring fft::c2c_axis), so the
-  // chunk partition and thread-count determinism are unchanged; batch
-  // occupancy invariance (fft/plan.hpp) makes the grouping unobservable in
-  // the output bits.
-  const index_t b =
-      fft::line_batching_enabled() ? fft::lane_count<float>(isa_) : 1;
+  // With line batching on and a plan with lane kernels, kept lines are
+  // collected into lane-interleaved batches of up to B within each chunk
+  // (mirroring fft::c2c_axis), so the chunk partition and thread-count
+  // determinism are unchanged; batch occupancy invariance (fft/plan.hpp)
+  // makes the grouping unobservable in the output bits. Plans without lane
+  // kernels (scalar tier, Bluestein lengths) take the per-line loop.
+  const index_t b = fft::line_batching_enabled() && p.batch_wants_lanes()
+                        ? fft::lane_count<float>(isa_)
+                        : 1;
   if (b > 1) {
-    const bool lanes_layout = p.batch_wants_lanes();
     run_chunks(*pool_, st.outer * inner, [&](index_t tb, index_t te) {
       cpxf* work = arena_.at<cpxf>(off_lanes_[pool_->scratch_slot()]);
       const cpxf* in_lanes[fft::kMaxLanes];
@@ -543,33 +507,18 @@ void InferenceEngine::c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
       std::int64_t my_batched = 0, my_tails = 0;
       const auto flush = [&] {
         if (count == 0) return;
-        if (lanes_layout) {
-          for (index_t l = 0; l < count; ++l) {
-            const cpxf* base = in_lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              work[j * count + l] = base[j * inner];
-            }
+        for (index_t l = 0; l < count; ++l) {
+          const cpxf* base = in_lanes[l];
+          for (index_t j = 0; j < n; ++j) {
+            work[j * count + l] = base[j * inner];
           }
-          forward_dir ? p.forward_batch(work, count)
-                      : p.inverse_batch(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpxf* base = out_lanes[l];
-            for (index_t j = 0; j < n; ++j) {
-              base[j * inner] = work[j * count + l];
-            }
-          }
-        } else {
-          for (index_t l = 0; l < count; ++l) {
-            const cpxf* base = in_lanes[l];
-            cpxf* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) w[j] = base[j * inner];
-          }
-          forward_dir ? p.forward_lines(work, count)
-                      : p.inverse_lines(work, count);
-          for (index_t l = 0; l < count; ++l) {
-            cpxf* base = out_lanes[l];
-            const cpxf* w = work + l * n;
-            for (index_t j = 0; j < n; ++j) base[j * inner] = w[j];
+        }
+        forward_dir ? p.forward_batch(work, count)
+                    : p.inverse_batch(work, count);
+        for (index_t l = 0; l < count; ++l) {
+          cpxf* base = out_lanes[l];
+          for (index_t j = 0; j < n; ++j) {
+            base[j * inner] = work[j * count + l];
           }
         }
         my_batched += count;
@@ -613,49 +562,36 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
       cfg_.spectral_kind == nn::SpectralKind::kFactorized;
 
   if (!factorized) {
-    // Dense contraction over the k-major pack; `load` widens one stored
-    // weight component to fp32 (identity at fp32, bf16/fp16 widening on the
-    // compressed path — the only arithmetic difference between the tiers).
-    auto dense_contract = [&](const auto* pw, auto load) {
-      run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
-        cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
-        for (index_t t = tb; t < te; ++t) {
-          const index_t n = t / K;
-          const index_t k = t % K;
-          const index_t off = offs[k];
-          const cpxf* xn = xs + n * w * slab;
-          cpxf* yn = ys + n * w * slab;
-          // Gather the input channels of this mode once (a verbatim copy),
-          // then run the training contraction: for every output channel,
-          // accumulate over input channels in ascending order — the
-          // identical per-element expression and rounding sequence as the
-          // training forward, just with contiguous (prepacked) weight reads.
-          for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
-          const auto* pk = pw + k * w * w * 2;
-          for (index_t o = 0; o < w; ++o) {
-            const auto* po = pk + o * w * 2;
-            float ar = 0.0f, ai = 0.0f;
-            for (index_t i = 0; i < w; ++i) {
-              const cpxf xv = xg[i];
-              const float wr = load(po[2 * i]);
-              const float wi = load(po[2 * i + 1]);
-              ar += wr * xv.real() - wi * xv.imag();
-              ai += wr * xv.imag() + wi * xv.real();
-            }
-            yn[o * slab + off] = cpxf(ar, ai);
+    const float* pw = pw_[ls].data();
+    run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
+      cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
+      for (index_t t = tb; t < te; ++t) {
+        const index_t n = t / K;
+        const index_t k = t % K;
+        const index_t off = offs[k];
+        const cpxf* xn = xs + n * w * slab;
+        cpxf* yn = ys + n * w * slab;
+        // Gather the input channels of this mode once (a verbatim copy),
+        // then run the training contraction: for every output channel,
+        // accumulate over input channels in ascending order — the identical
+        // per-element expression and rounding sequence as the training
+        // forward, just with contiguous (prepacked) weight reads.
+        for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
+        const float* pk = pw + k * w * w * 2;
+        for (index_t o = 0; o < w; ++o) {
+          const float* po = pk + o * w * 2;
+          float ar = 0.0f, ai = 0.0f;
+          for (index_t i = 0; i < w; ++i) {
+            const cpxf xv = xg[i];
+            const float wr = po[2 * i];
+            const float wi = po[2 * i + 1];
+            ar += wr * xv.real() - wi * xv.imag();
+            ai += wr * xv.imag() + wi * xv.real();
           }
+          yn[o * slab + off] = cpxf(ar, ai);
         }
-      });
-    };
-    if (precision_ == util::Precision::kFp32) {
-      dense_contract(pw_[ls].data(), [](float v) { return v; });
-    } else if (precision_ == util::Precision::kBf16) {
-      dense_contract(pw16_[ls].data(),
-                     [](std::uint16_t v) { return util::bf16_to_float(v); });
-    } else {
-      dense_contract(pw16_[ls].data(),
-                     [](std::uint16_t v) { return util::fp16_to_float(v); });
-    }
+      }
+    });
     return;
   }
 
@@ -666,56 +602,46 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   // layer's materialisation order, but because that layer rounds the
   // product through memory in a separate loop, -ffp-contract=fast may fuse
   // the two contexts differently (DESIGN.md codegen caveat): the factorized
-  // fp32 tier promises bounded agreement with Fno::forward plus strict
-  // bitwise reproducibility across thread counts and repeats.
+  // engine promises bounded agreement with Fno::forward plus strict bitwise
+  // reproducibility across thread counts and repeats.
   const std::size_t r = cfg_.rank();
-  auto fact_contract = [&](const auto& packs, auto load) {
-    const index_t* fx[3] = {nullptr, nullptr, nullptr};
-    for (std::size_t d = 0; d < r; ++d) fx[d] = fidx_[d].data();
-    run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
-      cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
-      for (index_t t = tb; t < te; ++t) {
-        const index_t n = t / K;
-        const index_t k = t % K;
-        const index_t off = offs[k];
-        const cpxf* xn = xs + n * w * slab;
-        cpxf* yn = ys + n * w * slab;
-        for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
-        for (index_t o = 0; o < w; ++o) {
-          decltype(packs[0].data()) row[3] = {nullptr, nullptr, nullptr};
-          for (std::size_t d = 0; d < r; ++d) {
-            row[d] = packs[d].data() + (fx[d][k] * w + o) * w * 2;
-          }
-          float ar = 0.0f, ai = 0.0f;
-          for (index_t i = 0; i < w; ++i) {
-            float wr = load(row[0][2 * i]);
-            float wi = load(row[0][2 * i + 1]);
-            for (std::size_t d = 1; d < r; ++d) {
-              const float fr = load(row[d][2 * i]);
-              const float fi = load(row[d][2 * i + 1]);
-              const float nr = wr * fr - wi * fi;
-              const float ni = wr * fi + wi * fr;
-              wr = nr;
-              wi = ni;
-            }
-            const cpxf xv = xg[i];
-            ar += wr * xv.real() - wi * xv.imag();
-            ai += wr * xv.imag() + wi * xv.real();
-          }
-          yn[o * slab + off] = cpxf(ar, ai);
+  const std::vector<std::vector<float>>& packs = pf_[ls];
+  const index_t* fx[3] = {nullptr, nullptr, nullptr};
+  for (std::size_t d = 0; d < r; ++d) fx[d] = fidx_[d].data();
+  run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
+    cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
+    for (index_t t = tb; t < te; ++t) {
+      const index_t n = t / K;
+      const index_t k = t % K;
+      const index_t off = offs[k];
+      const cpxf* xn = xs + n * w * slab;
+      cpxf* yn = ys + n * w * slab;
+      for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
+      for (index_t o = 0; o < w; ++o) {
+        const float* row[3] = {nullptr, nullptr, nullptr};
+        for (std::size_t d = 0; d < r; ++d) {
+          row[d] = packs[d].data() + (fx[d][k] * w + o) * w * 2;
         }
+        float ar = 0.0f, ai = 0.0f;
+        for (index_t i = 0; i < w; ++i) {
+          float wr = row[0][2 * i];
+          float wi = row[0][2 * i + 1];
+          for (std::size_t d = 1; d < r; ++d) {
+            const float fr = row[d][2 * i];
+            const float fi = row[d][2 * i + 1];
+            const float nr = wr * fr - wi * fi;
+            const float ni = wr * fi + wi * fr;
+            wr = nr;
+            wi = ni;
+          }
+          const cpxf xv = xg[i];
+          ar += wr * xv.real() - wi * xv.imag();
+          ai += wr * xv.imag() + wi * xv.real();
+        }
+        yn[o * slab + off] = cpxf(ar, ai);
       }
-    });
-  };
-  if (precision_ == util::Precision::kFp32) {
-    fact_contract(pf_[ls], [](float v) { return v; });
-  } else if (precision_ == util::Precision::kBf16) {
-    fact_contract(pf16_[ls],
-                  [](std::uint16_t v) { return util::bf16_to_float(v); });
-  } else {
-    fact_contract(pf16_[ls],
-                  [](std::uint16_t v) { return util::fp16_to_float(v); });
-  }
+    }
+  });
 }
 
 void InferenceEngine::spectral_layer(index_t l, const float* h_in,
@@ -809,21 +735,34 @@ void InferenceEngine::slide_window(float* win, const float* pred,
   }
 }
 
-void InferenceEngine::rollout_channels_into(const TensorF& history,
-                                            index_t steps, TensorF& out) {
+void InferenceEngine::rollout_into(const TensorF& seed, index_t steps,
+                                   TensorF& out) {
   TURB_TRACE_SCOPE("nn/infer_rollout");
-  TURB_CHECK_MSG(cfg_.rank() == 2, "rollout_channels needs a rank-2 model");
-  TURB_CHECK_MSG(history.rank() == 3 && history.dim(0) == cfg_.in_channels,
-                 "history must be (C_in, H, W)");
+  const std::size_t rank = cfg_.rank();
+  TURB_CHECK_MSG(seed.rank() == rank + 2 && seed.dim(1) == cfg_.in_channels,
+                 "rollout seed must be (B, C_in, spatial...)");
   TURB_CHECK(steps >= 1);
-  const index_t h = history.dim(1), w = history.dim(2);
-  const index_t frame = h * w;
+  const Shape& ss = seed.shape();
+  const index_t nb = ss[0];
+  index_t frame = 1;
+  for (std::size_t d = 2; d < ss.size(); ++d) frame *= ss[d];
   const index_t cin = cfg_.in_channels, cout = cfg_.out_channels;
-  plan({1, cin, h, w});
-  if (!shape_is(out.shape(), {steps, h, w})) out = TensorF({steps, h, w});
+  plan(ss);
+  const Shape& os = out.shape();
+  if (os.size() != ss.size() || os[0] != nb || os[1] != steps ||
+      !std::equal(ss.begin() + 2, ss.end(), os.begin() + 2)) {
+    Shape want = ss;
+    want[1] = steps;
+    out = TensorF(std::move(want));
+  }
 
+  // A single trajectory with C_out >= C_in finds its next window as the tail
+  // of this prediction: point straight into the ping buffer and write the
+  // next step into the pong buffer. Otherwise slide the window in place,
+  // keeping input and output buffers disjoint.
+  const bool suffix = nb == 1 && cout >= cin;
   float* win = window_buffer();
-  std::copy_n(history.data(), cin * frame, win);
+  std::copy_n(seed.data(), nb * cin * frame, win);
   const float* cur_in = win;
   int pp = 0;
   index_t produced = 0;
@@ -831,77 +770,17 @@ void InferenceEngine::rollout_channels_into(const TensorF& history,
     float* pred = pred_buffer(pp);
     forward_raw(cur_in, pred);
     const index_t take = std::min(cout, steps - produced);
-    std::copy_n(pred, take * frame, out.data() + produced * frame);
-    produced += take;
-    if (cout >= cin) {
-      // The next window is a suffix of this prediction: point straight into
-      // the ping buffer and write the next step into the pong buffer.
-      cur_in = pred + (cout - cin) * frame;
-      pp ^= 1;
-    } else {
-      slide_window(win, pred, 1, frame);
-      cur_in = win;  // input and output buffers stay disjoint; no flip
-    }
-  }
-}
-
-void InferenceEngine::rollout_channels_batched_into(const TensorF& histories,
-                                                    index_t steps,
-                                                    TensorF& out) {
-  TURB_TRACE_SCOPE("nn/infer_rollout");
-  TURB_CHECK_MSG(cfg_.rank() == 2, "batched rollout needs a rank-2 model");
-  TURB_CHECK_MSG(histories.rank() == 4 && histories.dim(1) == cfg_.in_channels,
-                 "histories must be (B, C_in, H, W)");
-  TURB_CHECK(steps >= 1);
-  const index_t nb = histories.dim(0);
-  const index_t h = histories.dim(2), w = histories.dim(3);
-  const index_t frame = h * w;
-  const index_t cin = cfg_.in_channels, cout = cfg_.out_channels;
-  plan({nb, cin, h, w});
-  if (!shape_is(out.shape(), {nb, steps, h, w})) {
-    out = TensorF({nb, steps, h, w});
-  }
-
-  float* win = window_buffer();
-  std::copy_n(histories.data(), nb * cin * frame, win);
-  float* pred = pred_buffer(0);
-  index_t produced = 0;
-  while (produced < steps) {
-    forward_raw(win, pred);
-    const index_t take = std::min(cout, steps - produced);
     for (index_t b = 0; b < nb; ++b) {
       std::copy_n(pred + b * cout * frame, take * frame,
                   out.data() + (b * steps + produced) * frame);
     }
-    slide_window(win, pred, nb, frame);
     produced += take;
-  }
-}
-
-void InferenceEngine::rollout_3d_into(const TensorF& seed_block,
-                                      index_t blocks, TensorF& out) {
-  TURB_TRACE_SCOPE("nn/infer_rollout");
-  TURB_CHECK_MSG(cfg_.rank() == 3, "rollout_3d needs a rank-3 model");
-  TURB_CHECK_MSG(seed_block.rank() == 3, "seed block must be (T, H, W)");
-  TURB_CHECK(blocks >= 1);
-  const index_t t = seed_block.dim(0);
-  const index_t h = seed_block.dim(1), w = seed_block.dim(2);
-  const index_t block_elems = t * h * w;
-  plan({1, 1, t, h, w});
-  if (!shape_is(out.shape(), {blocks * t, h, w})) {
-    out = TensorF({blocks * t, h, w});
-  }
-
-  float* win = window_buffer();
-  std::copy_n(seed_block.data(), block_elems, win);
-  const float* cur = win;
-  int pp = 0;
-  for (index_t b = 0; b < blocks; ++b) {
-    float* pred = pred_buffer(pp);
-    forward_raw(cur, pred);
-    std::copy_n(pred, block_elems, out.data() + b * block_elems);
-    cur = pred;  // next block consumes this prediction in place
-    pp ^= 1;
+    if (suffix) {
+      cur_in = pred + (cout - cin) * frame;
+      pp ^= 1;
+    } else {
+      slide_window(win, pred, nb, frame);
+    }
   }
 }
 

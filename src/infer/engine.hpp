@@ -17,27 +17,18 @@
 //     (K, C_out, C_in) complex block, factorized (F-FNO) weights as one
 //     k_d-major block per axis, composed into the per-mode weight in
 //     registers while the input streams through;
-//   * rollout drivers ping-pong between two arena prediction buffers and
-//     shift temporal channels in place.
+//   * the rollout driver ping-pongs between two arena prediction buffers and
+//     shifts temporal channels in place.
 //
-// Bitwise equality with `Fno::forward` is a hard contract at fp32 (tests
-// enforce it at pool widths 1/2/4, for both the dense and factorized
-// parameterisations): every floating-point value is produced by the same
-// per-element operation sequence as the training path — the same gemm_nn
-// instantiation on 8-aligned column blocks, the same rfft/irfft/PlanC2C
-// kernels, the same ascending-k contraction order, and the same
-// add-bias → add-skip → GELU rounding chain. See DESIGN.md "Inference
-// engine" for the argument.
-//
-// Reduced-precision serving (EngineOptions::precision = bf16 | fp16)
-// compresses the prepacked weights to 16-bit storage at refresh time and
-// widens them to fp32 inside the contraction inner loop; linear (MLP/skip)
-// weights are round-tripped through the same format but kept as fp32
-// storage for the GEMM kernels. The compressed engine keeps Tier A
-// determinism (bitwise within a fixed ISA and thread width) but its outputs
-// are only error-bounded against the fp32 engine — the per-snapshot
-// relative-L2 contract documented in DESIGN.md "Precision tiers" and
-// property-tested in tests/test_infer.cpp.
+// Bitwise equality with `Fno::forward` is a hard contract for the dense
+// parameterisation (tests enforce it at pool widths 1/2/4): every
+// floating-point value is produced by the same per-element operation
+// sequence as the training path — the same gemm_nn instantiation on
+// 8-aligned column blocks, the same rfft/irfft/PlanC2C kernels, the same
+// ascending-k contraction order, and the same add-bias → add-skip → GELU
+// rounding chain. The factorized engine agrees with `Fno::forward` to a
+// 1e-4 bound and is bitwise reproducible across thread counts and repeats.
+// See DESIGN.md "Inference engine" for the argument.
 #pragma once
 
 #include <complex>
@@ -49,23 +40,16 @@
 #include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
 #include "util/isa.hpp"
-#include "util/precision.hpp"
 #include "util/thread_pool.hpp"
 
 namespace turb::infer {
 
-/// Build-time engine knobs (see file header for the precision contract).
-struct EngineOptions {
-  util::Precision precision = util::Precision::kFp32;
-};
-
 class InferenceEngine {
  public:
   /// @param model trained FNO (not owned; must outlive the engine). Weights
-  /// are snapshotted (prepacked, and compressed when options.precision is
-  /// not fp32) at construction — call refresh_weights() after further
-  /// training steps.
-  explicit InferenceEngine(fno::Fno& model, EngineOptions options = {});
+  /// are snapshotted (prepacked) at construction — call refresh_weights()
+  /// after further training steps.
+  explicit InferenceEngine(fno::Fno& model);
 
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
@@ -80,7 +64,7 @@ class InferenceEngine {
 
   /// Braced-dims variant (`plan({n, c, h, w})`): routes to the fast path
   /// without materialising a Shape when the dims already match the planned
-  /// layout — keeps rollout entry points allocation-free in steady state.
+  /// layout — keeps serving entry points allocation-free in steady state.
   void plan(std::initializer_list<index_t> dims);
 
   /// Forward pass, bitwise identical to model.forward(x). Re-plans
@@ -94,31 +78,24 @@ class InferenceEngine {
   /// `y` may be arena slices (window_buffer(), pred_buffer()).
   void forward_raw(const float* x, float* y);
 
-  /// Autoregressive rank-2 rollout, identical to fno::rollout_channels.
-  /// history: (C_in, H, W); out is resized to (steps, H, W) only on shape
-  /// change. Re-plans for batch 1 as needed.
-  void rollout_channels_into(const TensorF& history, index_t steps,
-                             TensorF& out);
-
-  /// Batched multi-trajectory variant: histories (B, C_in, H, W) →
-  /// out (B, steps, H, W). Each trajectory's outputs are bitwise identical
-  /// to a single-trajectory rollout of the same history (batch entries ride
-  /// independent slabs through every kernel).
-  void rollout_channels_batched_into(const TensorF& histories, index_t steps,
-                                     TensorF& out);
-
-  /// Rank-3 block rollout, identical to fno::rollout_3d. seed: (T, H, W);
-  /// out resized to (blocks·T, H, W).
-  void rollout_3d_into(const TensorF& seed_block, index_t blocks,
-                       TensorF& out);
+  /// Autoregressive rollout of B trajectories. seed has the model-input
+  /// shape (B, C_in, spatial...); out is resized to (B, steps, spatial...)
+  /// only on shape change, one step being one output-channel frame. Each
+  /// forward emits C_out frames per trajectory and the next window slides
+  /// the newest C_in frames in (a rank-3 block model is C_in = C_out = 1
+  /// with a T×H×W frame). Bitwise identical to stepping Fno::forward by
+  /// hand, and each trajectory to its own B = 1 rollout (batch entries ride
+  /// independent slabs through every kernel). Re-plans for the seed shape
+  /// as needed.
+  void rollout_into(const TensorF& seed, index_t steps, TensorF& out);
 
   /// Arena slice for staging the model input of the planned shape
   /// (N·C_in·S floats) — lets callers (FnoPropagator) marshal external data
   /// without owning a separate buffer. Valid until the next plan().
   [[nodiscard]] float* window_buffer() const;
 
-  /// Arena slice holding N·C_out·S floats (i ∈ {0, 1}; the rollout drivers
-  /// ping-pong between the two). Valid until the next plan().
+  /// Arena slice holding N·C_out·S floats (i ∈ {0, 1}; the rollout driver
+  /// ping-pongs between the two). Valid until the next plan().
   [[nodiscard]] float* pred_buffer(int i) const;
 
   /// Shift temporal channels in place after a forward: for each of `batch`
@@ -126,17 +103,15 @@ class InferenceEngine {
   /// (`win` holds batch·C_in·frame floats, `pred` batch·C_out·frame). Public
   /// because external marshalers (FnoPropagator's batched serving path)
   /// drive forward_raw window-by-window and need the identical slide the
-  /// engine's own rollout drivers use — same copy sequence, same bytes.
+  /// engine's own rollout driver uses — same copy sequence, same bytes.
   void slide_window(float* win, const float* pred, index_t batch,
                     index_t frame) const;
 
   [[nodiscard]] const fno::FnoConfig& config() const { return cfg_; }
-  [[nodiscard]] util::Precision precision() const { return precision_; }
   [[nodiscard]] std::size_t arena_bytes() const { return arena_.bytes(); }
 
-  /// Bytes of prepacked spectral-weight storage (the serving working set
-  /// the compressed path halves; linear weights are excluded — they are
-  /// identical across precisions).
+  /// Bytes of prepacked spectral-weight storage (the contraction's working
+  /// set; linear weights are excluded).
   [[nodiscard]] std::size_t spectral_weight_bytes() const;
   [[nodiscard]] bool planned() const { return planned_; }
   [[nodiscard]] const Shape& planned_shape() const { return in_shape_; }
@@ -171,7 +146,6 @@ class InferenceEngine {
 
   fno::Fno* model_;
   fno::FnoConfig cfg_;
-  util::Precision precision_ = util::Precision::kFp32;
 
   // Prepacked weights (snapshotted at construction / refresh_weights()).
   // Linear weights keep their (C_out, C_in) row-major layout — exactly the
@@ -182,15 +156,11 @@ class InferenceEngine {
   // strides by K per i). Factorized weights get one k_d-major block per
   // axis with the same (o, i) inner order,
   //   pf[d][(k_d·co + o)·ci·2 + 2i] = A_d[i, o, k_d].
-  // At bf16/fp16 the same layouts hold uint16 payloads (pw16_/pf16_) widened
-  // in the contraction inner loop.
   std::vector<float> wl1_, bl1_, wl2_, bl2_;
   std::vector<float> wp1_, bp1_, wp2_, bp2_;
   std::vector<std::vector<float>> wskip_, bskip_;
   std::vector<std::vector<float>> pw_;  // per layer, k-major dense weights
-  std::vector<std::vector<std::uint16_t>> pw16_;  // compressed dense
   std::vector<std::vector<std::vector<float>>> pf_;  // [layer][axis] factors
-  std::vector<std::vector<std::vector<std::uint16_t>>> pf16_;  // compressed
   std::vector<std::vector<index_t>> fidx_;  // [axis][flat k] → axis index
   std::vector<index_t> fdims_;              // per-axis kept extents
 

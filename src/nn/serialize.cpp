@@ -18,21 +18,6 @@ namespace {
 
 constexpr char kMagicV1[4] = {'T', 'N', 'N', '1'};
 constexpr char kMagicV2[4] = {'T', 'N', 'N', '2'};
-constexpr char kMagicV3[4] = {'T', 'N', 'N', '3'};
-
-// v3 per-parameter dtype tags (one byte between the extents and the payload).
-constexpr std::uint8_t kDtypeFp32 = 0;
-constexpr std::uint8_t kDtypeBf16 = 1;
-constexpr std::uint8_t kDtypeFp16 = 2;
-
-std::uint8_t dtype_tag(util::Precision p) {
-  switch (p) {
-    case util::Precision::kFp32: return kDtypeFp32;
-    case util::Precision::kBf16: return kDtypeBf16;
-    case util::Precision::kFp16: return kDtypeFp16;
-  }
-  return kDtypeFp32;
-}
 
 // Hard caps on header fields. Every one of these is far above anything a
 // real checkpoint holds, but small enough that a corrupt header can never
@@ -91,14 +76,9 @@ class CheckedReader {
 
 }  // namespace
 
-namespace {
-
-/// Shared v2/v3 writer. `v3` selects the TNN3 magic plus the per-parameter
-/// dtype byte and (when `precision` is not fp32) a 16-bit payload.
-void save_parameters_impl(const std::string& path,
-                          const std::vector<Parameter*>& params,
-                          const Metadata& metadata, bool v3,
-                          util::Precision precision) {
+void save_parameters(const std::string& path,
+                     const std::vector<Parameter*>& params,
+                     const Metadata& metadata) {
   util::AtomicFileWriter out(path);
   util::Crc32 crc;
   // CRC covers everything between the magic and the trailing checksum.
@@ -108,8 +88,7 @@ void save_parameters_impl(const std::string& path,
   };
   const auto put_pod = [&put](auto v) { put(&v, sizeof(v)); };
 
-  std::vector<std::uint16_t> compressed;  // scratch, reused per parameter
-  out.write(v3 ? kMagicV3 : kMagicV2, 4);
+  out.write(kMagicV2, 4);
   put_pod(static_cast<std::uint32_t>(params.size()));
   for (const Parameter* p : params) {
     TURB_CHECK(p != nullptr);
@@ -119,16 +98,8 @@ void save_parameters_impl(const std::string& path,
     for (const index_t d : p->value.shape()) {
       put_pod(static_cast<std::int64_t>(d));
     }
-    const auto elems = static_cast<std::size_t>(p->value.size());
-    if (v3) put_pod(dtype_tag(precision));
-    if (v3 && precision != util::Precision::kFp32) {
-      compressed.resize(elems);
-      util::compress_floats(p->value.data(), compressed.data(), elems,
-                            precision);
-      put(compressed.data(), elems * sizeof(std::uint16_t));
-    } else {
-      put(p->value.data(), elems * sizeof(float));
-    }
+    put(p->value.data(), static_cast<std::size_t>(p->value.size()) *
+                             sizeof(float));
   }
   put_pod(static_cast<std::uint32_t>(metadata.size()));
   for (const auto& [key, value] : metadata) {
@@ -140,21 +111,6 @@ void save_parameters_impl(const std::string& path,
   out.write(&checksum, sizeof(checksum));
   out.commit();
   obs::counter("robust/checkpoint_writes").add();
-}
-
-}  // namespace
-
-void save_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params,
-                     const Metadata& metadata) {
-  save_parameters_impl(path, params, metadata, /*v3=*/false,
-                       util::Precision::kFp32);
-}
-
-void save_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params,
-                     const Metadata& metadata, const SaveOptions& options) {
-  save_parameters_impl(path, params, metadata, /*v3=*/true, options.precision);
 }
 
 void load_parameters(const std::string& path,
@@ -169,15 +125,13 @@ void load_parameters(const std::string& path,
 
   char magic[4];
   is.read(magic, 4);
-  const bool v3 = is.good() && std::equal(magic, magic + 4, kMagicV3);
   const bool v2 = is.good() && std::equal(magic, magic + 4, kMagicV2);
   const bool v1 = is.good() && std::equal(magic, magic + 4, kMagicV1);
-  if (!v1 && !v2 && !v3) reject(path, "not a TNN1/TNN2/TNN3 parameter file");
+  if (!v1 && !v2) reject(path, "not a TNN1/TNN2 parameter file");
 
-  const bool has_crc = v2 || v3;
   util::Crc32 crc;
-  CheckedReader r(is, path, file_size - 4 - (has_crc ? 4 : 0),
-                  has_crc ? &crc : nullptr);
+  CheckedReader r(is, path, file_size - 4 - (v2 ? 4 : 0),
+                  v2 ? &crc : nullptr);
 
   std::map<std::string, Parameter*> by_name;
   for (Parameter* p : params) {
@@ -210,15 +164,8 @@ void load_parameters(const std::string& path,
       }
       elems *= d;
     }
-    std::uint8_t dtype = kDtypeFp32;
-    if (v3) {
-      dtype = r.read_pod<std::uint8_t>("parameter dtype");
-      if (dtype > kDtypeFp16) reject(path, "unknown dtype for " + name);
-    }
-    const std::uint64_t elem_bytes =
-        dtype == kDtypeFp32 ? sizeof(float) : sizeof(std::uint16_t);
-    const std::uint64_t payload = static_cast<std::uint64_t>(elems) *
-                                  elem_bytes;
+    const std::uint64_t payload =
+        static_cast<std::uint64_t>(elems) * sizeof(float);
     if (payload > r.remaining()) {
       reject(path, "truncated payload for " + name);
     }
@@ -239,18 +186,7 @@ void load_parameters(const std::string& path,
                                          << " vs file "
                                          << shape_to_string(shape));
     TensorF value(shape);
-    if (dtype == kDtypeFp32) {
-      r.read(value.data(), payload, ("payload for " + name).c_str());
-    } else {
-      // Compressed payload: read the 16-bit words, then widen to fp32 in the
-      // staging tensor (the model always holds fp32).
-      std::vector<std::uint16_t> raw(static_cast<std::size_t>(elems));
-      r.read(raw.data(), payload, ("payload for " + name).c_str());
-      util::decompress_floats(raw.data(), value.data(),
-                              static_cast<std::size_t>(elems),
-                              dtype == kDtypeBf16 ? util::Precision::kBf16
-                                                  : util::Precision::kFp16);
-    }
+    r.read(value.data(), payload, ("payload for " + name).c_str());
     staged.emplace_back(&p, std::move(value));
   }
   TURB_CHECK_MSG(seen.size() == params.size(),
@@ -269,7 +205,7 @@ void load_parameters(const std::string& path,
     parsed_meta[std::move(key)] = r.read_pod<double>("metadata value");
   }
   if (r.remaining() != 0) reject(path, "trailing bytes after metadata");
-  if (has_crc) {
+  if (v2) {
     std::uint32_t stored = 0;
     is.read(reinterpret_cast<char*>(&stored), sizeof(stored));
     if (!is.good()) reject(path, "truncated (checksum)");

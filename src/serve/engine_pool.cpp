@@ -5,8 +5,7 @@
 
 namespace turb::serve {
 
-EnginePool::EnginePool(fno::Fno& model, infer::EngineOptions options)
-    : model_(&model), options_(options) {}
+EnginePool::EnginePool(fno::Fno& model) : model_(&model) {}
 
 infer::InferenceEngine& EnginePool::acquire(index_t batch, index_t cin,
                                             index_t h, index_t w) {
@@ -28,7 +27,7 @@ infer::InferenceEngine& EnginePool::acquire(index_t batch, index_t cin,
     return *it->second;
   }
   obs::counter("serve/engine_pool_misses").add();
-  auto engine = std::make_unique<infer::InferenceEngine>(*model_, options_);
+  auto engine = std::make_unique<infer::InferenceEngine>(*model_);
   engine->plan({batch, cin, h, w});
   it = engines_.emplace(key, std::move(engine)).first;
   obs::gauge("serve/engine_pool_buckets")

@@ -31,11 +31,9 @@ struct EngineKey {
 
 class EnginePool {
  public:
-  /// @param model   trained FNO all pooled engines execute (not owned; must
-  ///                 outlive the pool).
-  /// @param options build options (precision, …) applied to every engine the
-  ///                pool creates — all buckets serve at one precision.
-  explicit EnginePool(fno::Fno& model, infer::EngineOptions options = {});
+  /// @param model trained FNO all pooled engines execute (not owned; must
+  ///              outlive the pool).
+  explicit EnginePool(fno::Fno& model);
 
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
@@ -52,16 +50,12 @@ class EnginePool {
   void refresh_weights();
 
   [[nodiscard]] std::size_t size() const { return engines_.size(); }
-  [[nodiscard]] util::Precision precision() const {
-    return options_.precision;
-  }
 
   /// Sum of the pooled engines' arena footprints.
   [[nodiscard]] std::size_t total_arena_bytes() const;
 
  private:
   fno::Fno* model_;
-  infer::EngineOptions options_;
   std::map<EngineKey, std::unique_ptr<infer::InferenceEngine>> engines_;
 };
 

@@ -28,7 +28,6 @@ ServeConfig ServeConfig::from_runtime() {
   cfg.queue_capacity = opts.queue_capacity;
   cfg.batch_window = opts.batch_window;
   cfg.ensemble_k = opts.ensemble_k;
-  cfg.precision = util::parse_precision(opts.precision);
   return cfg;
 }
 
@@ -37,7 +36,7 @@ RolloutServer::RolloutServer(core::FnoPropagator& primary,
     : primary_(&primary),
       fallback_(fallback),
       config_(config),
-      pool_(primary.model(), infer::EngineOptions{config.precision}) {
+      pool_(primary.model()) {
   TURB_CHECK(config_.max_sessions >= 1);
   TURB_CHECK(config_.queue_capacity >= 1);
   TURB_CHECK(config_.batch_window >= 1);

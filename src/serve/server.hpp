@@ -47,7 +47,6 @@
 #include "core/rollout_api.hpp"
 #include "serve/engine_pool.hpp"
 #include "serve/ensemble_session.hpp"
-#include "util/precision.hpp"
 
 namespace turb::serve {
 
@@ -60,13 +59,8 @@ struct ServeConfig {
   /// session into K member streams reduced to mean + per-snapshot spread.
   /// Advisory for request construction — submit() honours the request field.
   index_t ensemble_k = 1;
-  /// Weight precision for every pooled engine (fp32 = bitwise-vs-training;
-  /// bf16/fp16 = error-bounded, see DESIGN.md "Precision tiers").
-  util::Precision precision = util::Precision::kFp32;
   /// Populated from the --serve-max-sessions / --serve-queue-cap /
-  /// --serve-batch-window / --serve-ensemble-k / --serve-precision runtime
-  /// flags (util/cli.hpp; the precision spec string is parsed — and
-  /// validated — here).
+  /// --serve-batch-window / --serve-ensemble-k runtime flags (util/cli.hpp).
   static ServeConfig from_runtime();
 };
 

@@ -87,15 +87,6 @@ void apply_runtime_flags(const CliArgs& args) {
   serve_knob("serve-queue-cap", &g_serve_options.queue_capacity);
   serve_knob("serve-batch-window", &g_serve_options.batch_window);
   serve_knob("serve-ensemble-k", &g_serve_options.ensemble_k);
-
-  // Precision: flag wins, TURBFNO_PRECISION env is the fallback. Validation
-  // (the fp32|bf16|fp16 vocabulary) happens at parse time in ServeConfig so
-  // a typo fails loudly where the engine is built, not silently here.
-  if (args.has("serve-precision")) {
-    g_serve_options.precision = args.get("serve-precision", "fp32");
-  } else if (const char* env = std::getenv("TURBFNO_PRECISION")) {
-    if (env[0] != '\0') g_serve_options.precision = env;
-  }
 }
 
 bool CliArgs::get_flag(const std::string& key, bool fallback) const {

@@ -45,11 +45,6 @@ struct ServeRuntimeOptions {
   /// --serve-ensemble-k: members per logical session drivers should request
   /// (1 = plain rollouts, K >= 2 = ensemble UQ fan-out with mean + spread).
   long ensemble_k = 1;
-  /// --serve-precision fp32|bf16|fp16 (TURBFNO_PRECISION env as fallback):
-  /// weight precision for every pooled serving engine. Stored as the spec
-  /// string so util/cli.hpp stays free of the precision header; ServeConfig
-  /// parses it.
-  std::string precision = "fp32";
 };
 
 /// Process-wide snapshot of the --serve-* flags (defaults until
@@ -68,9 +63,6 @@ struct ServeRuntimeOptions {
 ///   --serve-batch-window N  serving: max streams per micro-batched forward
 ///   --serve-ensemble-k K    serving: ensemble members per logical session
 ///                           (1 = plain rollouts)
-///   --serve-precision P     serving: engine weight precision
-///                           (fp32 | bf16 | fp16; TURBFNO_PRECISION env is
-///                           the fallback when the flag is absent)
 void apply_runtime_flags(const CliArgs& args);
 
 }  // namespace turb

@@ -6,6 +6,7 @@
 #include "core/hybrid.hpp"
 #include "core/metrics.hpp"
 #include "core/pde_propagator.hpp"
+#include "core/rollout_api.hpp"
 #include "lbm/initializer.hpp"
 #include "ns/spectral_ops.hpp"
 #include "util/rng.hpp"
@@ -277,11 +278,10 @@ TEST(Hybrid, RunSingleMatchesPropagatorDirectly) {
   PdePropagator pde_prop(make_solver(), kDtSnap);
   History seed;
   seed.push_back(make_seed_snapshot(0.0, 83));
-  // Pins the deprecated shim's behavior until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RolloutResult result = run_single(pde_prop, seed, 5);
-#pragma GCC diagnostic pop
+  RolloutRequest request;
+  request.seed = seed;
+  request.steps = 5;
+  const RolloutResult result = run_rollout(pde_prop, request);
   ASSERT_EQ(result.trajectory.size(), 5u);
   ASSERT_EQ(result.metrics.size(), 5u);
   EXPECT_EQ(result.producer.front(), "pde");

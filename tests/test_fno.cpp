@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "fno/fno.hpp"
-#include "fno/rollout.hpp"
 #include "fno/trainer.hpp"
+#include "infer/engine.hpp"
 #include "nn/dataloader.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/loss.hpp"
@@ -109,6 +109,11 @@ struct TableRow {
   index_t m1, m2, m3;  // m3 == 0 → rank-2 model
   index_t expected;
 };
+
+// Name each row by its label. gtest's default printer dumps the struct's
+// bytes, label pointer included, so the discovered ctest names would change
+// with every build's address layout.
+void PrintTo(const TableRow& row, std::ostream* os) { *os << row.label; }
 
 class TableIParams : public ::testing::TestWithParam<TableRow> {};
 
@@ -236,29 +241,32 @@ TEST(Trainer, EvaluateMatchesManualError) {
 
 // --- rollout -------------------------------------------------------------------
 
-// These tests deliberately pin the deprecated tensor-level rollout helpers
-// (the engine _into methods they wrap are covered by tests/test_infer.cpp).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// Shape and determinism checks for the engine's autoregressive driver (its
+// bitwise agreement with hand-stepped Fno::forward is covered by
+// tests/test_infer.cpp).
 
 TEST(Rollout, ChannelsShapeAndWindowSlide) {
   Rng rng(17);
   FnoConfig cfg = small2d();  // in 3, out 2
   Fno model(cfg, rng);
-  TensorF history({3, 8, 8});
-  history.fill_normal(rng, 0.0, 1.0);
-  const TensorF traj = rollout_channels(model, history, 7);
-  EXPECT_EQ(traj.shape(), (Shape{7, 8, 8}));
+  TensorF seed({1, 3, 8, 8});
+  seed.fill_normal(rng, 0.0, 1.0);
+  infer::InferenceEngine engine(model);
+  TensorF traj;
+  engine.rollout_into(seed, 7, traj);
+  EXPECT_EQ(traj.shape(), (Shape{1, 7, 8, 8}));
 }
 
 TEST(Rollout, ChannelsExactMultiple) {
   Rng rng(18);
   FnoConfig cfg = small2d();
   Fno model(cfg, rng);
-  TensorF history({3, 8, 8});
-  history.fill_normal(rng, 0.0, 1.0);
-  const TensorF traj = rollout_channels(model, history, 4);
-  EXPECT_EQ(traj.dim(0), 4);
+  TensorF seed({1, 3, 8, 8});
+  seed.fill_normal(rng, 0.0, 1.0);
+  infer::InferenceEngine engine(model);
+  TensorF traj;
+  engine.rollout_into(seed, 4, traj);
+  EXPECT_EQ(traj.dim(1), 4);
 }
 
 TEST(Rollout, SingleOutputChannelIterates) {
@@ -266,10 +274,12 @@ TEST(Rollout, SingleOutputChannelIterates) {
   FnoConfig cfg = small2d();
   cfg.out_channels = 1;
   Fno model(cfg, rng);
-  TensorF history({3, 8, 8});
-  history.fill_normal(rng, 0.0, 1.0);
-  const TensorF traj = rollout_channels(model, history, 5);
-  EXPECT_EQ(traj.shape(), (Shape{5, 8, 8}));
+  TensorF seed({1, 3, 8, 8});
+  seed.fill_normal(rng, 0.0, 1.0);
+  infer::InferenceEngine engine(model);
+  TensorF traj;
+  engine.rollout_into(seed, 5, traj);
+  EXPECT_EQ(traj.shape(), (Shape{1, 5, 8, 8}));
 }
 
 TEST(Rollout, OutputsExceedWindow) {
@@ -278,10 +288,12 @@ TEST(Rollout, OutputsExceedWindow) {
   cfg.in_channels = 2;
   cfg.out_channels = 4;  // C_out > C_in exercises the replace branch
   Fno model(cfg, rng);
-  TensorF history({2, 8, 8});
-  history.fill_normal(rng, 0.0, 1.0);
-  const TensorF traj = rollout_channels(model, history, 9);
-  EXPECT_EQ(traj.dim(0), 9);
+  TensorF seed({1, 2, 8, 8});
+  seed.fill_normal(rng, 0.0, 1.0);
+  infer::InferenceEngine engine(model);
+  TensorF traj;
+  engine.rollout_into(seed, 9, traj);
+  EXPECT_EQ(traj.dim(1), 9);
 }
 
 TEST(Rollout, ThreeDBlocks) {
@@ -295,23 +307,25 @@ TEST(Rollout, ThreeDBlocks) {
   cfg.lifting_channels = 4;
   cfg.projection_channels = 4;
   Fno model(cfg, rng);
-  TensorF seed({6, 8, 8});
+  TensorF seed({1, 1, 6, 8, 8});
   seed.fill_normal(rng, 0.0, 1.0);
-  const TensorF traj = rollout_3d(model, seed, 3);
-  EXPECT_EQ(traj.shape(), (Shape{18, 8, 8}));
+  infer::InferenceEngine engine(model);
+  TensorF traj;
+  engine.rollout_into(seed, 3, traj);
+  EXPECT_EQ(traj.shape(), (Shape{1, 3, 6, 8, 8}));
 }
 
 TEST(Rollout, DeterministicGivenSameSeed) {
   Rng rng(22);
   Fno model(small2d(), rng);
-  TensorF history({3, 8, 8});
-  history.fill_normal(rng, 0.0, 1.0);
-  const TensorF a = rollout_channels(model, history, 4);
-  const TensorF b = rollout_channels(model, history, 4);
+  TensorF seed({1, 3, 8, 8});
+  seed.fill_normal(rng, 0.0, 1.0);
+  infer::InferenceEngine engine(model);
+  TensorF a, b;
+  engine.rollout_into(seed, 4, a);
+  engine.rollout_into(seed, 4, b);
   for (index_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace turb::fno

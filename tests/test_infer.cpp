@@ -25,12 +25,10 @@
 #include "analysis/stats.hpp"
 #include "core/fno_propagator.hpp"
 #include "fno/fno.hpp"
-#include "fno/rollout.hpp"
 #include "infer/arena.hpp"
 #include "infer/engine.hpp"
 #include "nn/spectral_conv.hpp"
 #include "obs/obs.hpp"
-#include "util/precision.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -152,8 +150,8 @@ void expect_bitwise_equal(const TensorF& a, const TensorF& b,
 
 // --- Pre-engine reference implementations (the exact old algorithms) --------
 
-TensorF ref_rollout_channels(fno::Fno& model, const TensorF& history,
-                             index_t steps) {
+TensorF ref_channel_rollout(fno::Fno& model, const TensorF& history,
+                            index_t steps) {
   const fno::FnoConfig& cfg = model.config();
   const index_t h = history.dim(1), w = history.dim(2);
   const index_t frame = h * w;
@@ -180,7 +178,7 @@ TensorF ref_rollout_channels(fno::Fno& model, const TensorF& history,
   return out;
 }
 
-TensorF ref_rollout_3d(fno::Fno& model, const TensorF& seed, index_t blocks) {
+TensorF ref_block_rollout(fno::Fno& model, const TensorF& seed, index_t blocks) {
   const index_t t = seed.dim(0), h = seed.dim(1), w = seed.dim(2);
   const index_t block_elems = t * h * w;
   TensorF out({blocks * t, h, w});
@@ -530,84 +528,25 @@ TEST(InferEngine, FactorizedRefreshWeightsTracksFactors) {
                                     1e-4f);
 }
 
-// --- Reduced-precision (weight-compressed) serving ---------------------------
-
-double rel_l2(const TensorF& a, const TensorF& ref) {
-  double num = 0.0, den = 0.0;
-  for (index_t i = 0; i < ref.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(ref[i]);
-    num += d * d;
-    den += static_cast<double>(ref[i]) * static_cast<double>(ref[i]);
-  }
-  return std::sqrt(num / std::max(den, 1e-300));
-}
-
-// Documented serving bounds (DESIGN.md "Precision tiers") for a single
-// forward on O(1)-normalised inputs. Property-style: several seeds, both
-// spectral parameterisations.
-TEST(InferPrecision, CompressedForwardWithinRelL2Bound) {
-  for (const bool factorized : {false, true}) {
-    fno::FnoConfig cfg = small2d();
-    if (factorized) cfg.spectral_kind = nn::SpectralKind::kFactorized;
-    for (const std::uint64_t seed : {41, 42, 43}) {
-      Rng rng(seed);
-      fno::Fno model(cfg, rng);
-      const TensorF x = random_tensor({2, 3, 16, 16}, seed + 100);
-      infer::InferenceEngine fp32(model);
-      TensorF ref;
-      fp32.forward(x, ref);
-      infer::InferenceEngine bf16(model, {util::Precision::kBf16});
-      infer::InferenceEngine fp16(model, {util::Precision::kFp16});
-      TensorF yb, yh;
-      bf16.forward(x, yb);
-      fp16.forward(x, yh);
-      const double eb = rel_l2(yb, ref);
-      const double eh = rel_l2(yh, ref);
-      EXPECT_GT(eb, 0.0) << "bf16 output should differ from fp32";
-      EXPECT_LT(eb, 2e-2) << "bf16 seed " << seed << " fact " << factorized;
-      EXPECT_LT(eh, 5e-3) << "fp16 seed " << seed << " fact " << factorized;
-      // fp16 keeps more mantissa than bf16 at these weight magnitudes.
-      EXPECT_LT(eh, eb);
-    }
-  }
-}
-
-TEST(InferPrecision, CompressedForwardDeterministicAcrossThreads) {
-  // Reduced precision stays inside the per-ISA determinism contract: the
-  // compressed weights are fixed bytes, so thread count must not change
-  // the output bits.
-  fno::FnoConfig cfg = small2d();
-  const auto run_at = [&cfg](std::size_t width) {
-    ThreadPool::Scope scope(width);
-    Rng rng(45);
-    fno::Fno model(cfg, rng);
-    infer::InferenceEngine engine(model, {util::Precision::kBf16});
-    const TensorF x = random_tensor({2, 3, 16, 16}, 46);
-    TensorF y;
-    engine.forward(x, y);
-    return y;
-  };
-  const TensorF y1 = run_at(1);
-  for (const std::size_t width : {std::size_t{2}, std::size_t{4}}) {
-    const TensorF y = run_at(width);
-    expect_bitwise_equal(y1, y, "bf16 forward across thread counts");
-  }
-}
-
-TEST(InferPrecision, SpectralWeightBytesHalved) {
-  Rng rng(47);
-  fno::Fno model(small2d(), rng);
-  infer::InferenceEngine fp32(model);
-  infer::InferenceEngine bf16(model, {util::Precision::kBf16});
-  EXPECT_EQ(bf16.spectral_weight_bytes() * 2, fp32.spectral_weight_bytes());
-}
-
 // --- Rollout equality -------------------------------------------------------
 
-// These tests pin the deprecated fno::rollout_* convenience wrappers against
-// the hand-stepped reference — they must keep matching until removal.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// One-trajectory engine rollout in the reference replicas' layout: the
+// history (C_in, H, W) — or a 3-D seed block (T, H, W) — is rolled out as a
+// batch-1 model input, and the (1, steps, spatial...) result is returned as
+// (frames, H, W).
+TensorF engine_rollout(infer::InferenceEngine& engine, const TensorF& history,
+                       index_t steps) {
+  Shape in = history.shape();
+  while (in.size() < engine.config().rank() + 2) in.insert(in.begin(), 1);
+  TensorF seed = history;
+  seed.reshape(in);
+  TensorF out;
+  engine.rollout_into(seed, steps, out);
+  const index_t h = history.dim(history.rank() - 2);
+  const index_t w = history.dim(history.rank() - 1);
+  out.reshape({out.size() / (h * w), h, w});
+  return out;
+}
 
 TEST(InferEngine, RolloutChannelsMatchesReference) {
   for (const bool wide : {false, true}) {
@@ -616,8 +555,9 @@ TEST(InferEngine, RolloutChannelsMatchesReference) {
     fno::Fno model(cfg, rng);
     const TensorF history =
         random_tensor({cfg.in_channels, 16, 16}, 32);
-    const TensorF ref = ref_rollout_channels(model, history, 7);
-    const TensorF got = fno::rollout_channels(model, history, 7);
+    const TensorF ref = ref_channel_rollout(model, history, 7);
+    infer::InferenceEngine engine(model);
+    const TensorF got = engine_rollout(engine, history, 7);
     expect_bitwise_equal(ref, got, wide ? "rollout wide" : "rollout narrow");
   }
 }
@@ -630,7 +570,8 @@ TEST(InferEngine, RolloutChannelsThreadInvariant) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     ThreadPool::Scope scope(threads);
-    const TensorF got = fno::rollout_channels(model, history, 5);
+    infer::InferenceEngine engine(model);
+    const TensorF got = engine_rollout(engine, history, 5);
     if (base.empty()) {
       base = got;
     } else {
@@ -643,11 +584,12 @@ TEST(InferEngine, Rollout3dMatchesReference) {
   Rng rng(41);
   fno::Fno model(cfg3d(), rng);
   const TensorF seed = random_tensor({10, 8, 8}, 42);
-  const TensorF ref = ref_rollout_3d(model, seed, 3);
-  const TensorF got = fno::rollout_3d(model, seed, 3);
+  const TensorF ref = ref_block_rollout(model, seed, 3);
+  infer::InferenceEngine engine(model);
+  const TensorF got = engine_rollout(engine, seed, 3);
   // The window slide feeds each step's last-bit drift back into the next
   // input, so a slightly wider bound than the single-forward case.
-  if (!expect_close_report_bitwise(ref, got, "rollout_3d", 5e-3f)) {
+  if (!expect_close_report_bitwise(ref, got, "3-D block rollout", 5e-3f)) {
     GTEST_SKIP() << kContractSkip3d;
   }
 }
@@ -658,22 +600,21 @@ TEST(InferEngine, BatchedRolloutMatchesSingle) {
   infer::InferenceEngine engine(model);
   const index_t trajectories = 3;
   const TensorF histories = random_tensor({trajectories, 3, 16, 16}, 52);
-  const TensorF batched =
-      fno::rollout_channels_batched(engine, histories, 6);
+  TensorF batched;
+  engine.rollout_into(histories, 6, batched);
   ASSERT_EQ(batched.shape(), (Shape{trajectories, 6, 16, 16}));
   const index_t frame = 16 * 16;
+  infer::InferenceEngine solo(model);
   for (index_t b = 0; b < trajectories; ++b) {
     TensorF hist({3, 16, 16});
     std::copy_n(histories.data() + b * 3 * frame, 3 * frame, hist.data());
-    const TensorF single = fno::rollout_channels(model, hist, 6);
+    const TensorF single = engine_rollout(solo, hist, 6);
     ASSERT_EQ(0, std::memcmp(single.data(), batched.data() + b * 6 * frame,
                              static_cast<std::size_t>(6 * frame) *
                                  sizeof(float)))
         << "trajectory " << b;
   }
 }
-
-#pragma GCC diagnostic pop
 
 // --- FnoPropagator ----------------------------------------------------------
 
@@ -746,21 +687,6 @@ TEST(InferZeroAlloc, ForwardSteadyState) {
   EXPECT_EQ(n, 0) << "forward steady state allocated";
 }
 
-TEST(InferZeroAlloc, CompressedForwardSteadyState) {
-  // The bf16 serving path must honour the same zero-steady-state-alloc
-  // contract as fp32 — widening happens inside preallocated pack reads.
-  ThreadPool::Scope scope(1);
-  Rng rng(181);
-  fno::Fno model(small2d(), rng);
-  infer::InferenceEngine engine(model, {util::Precision::kBf16});
-  engine.plan({1, 3, 16, 16});
-  const TensorF x = random_tensor({1, 3, 16, 16}, 182);
-  TensorF y;
-  engine.forward(x, y);
-  const std::int64_t n = count_allocs([&] { engine.forward(x, y); });
-  EXPECT_EQ(n, 0) << "bf16 forward steady state allocated";
-}
-
 TEST(InferZeroAlloc, FactorizedForwardSteadyState) {
   ThreadPool::Scope scope(1);
   fno::FnoConfig cfg = small2d();
@@ -796,11 +722,11 @@ TEST(InferZeroAlloc, RolloutSteadyState) {
   Rng rng(85);
   fno::Fno model(small2d(), rng);
   infer::InferenceEngine engine(model);
-  const TensorF history = random_tensor({3, 16, 16}, 86);
+  const TensorF seed = random_tensor({1, 3, 16, 16}, 86);
   TensorF out;
-  engine.rollout_channels_into(history, 6, out);  // warm-up
+  engine.rollout_into(seed, 6, out);  // warm-up
   const std::int64_t n =
-      count_allocs([&] { engine.rollout_channels_into(history, 6, out); });
+      count_allocs([&] { engine.rollout_into(seed, 6, out); });
   EXPECT_EQ(n, 0) << "rollout steady state allocated";
 }
 

@@ -102,12 +102,12 @@ TEST_P(RolloutSweep, ProducesExactlyRequestedSteps) {
   cfg.lifting_channels = 4;
   cfg.projection_channels = 4;
   fno::Fno model(cfg, rng);
-  TensorF history({cin, 8, 8});
-  history.fill_normal(rng, 0.0, 1.0);
+  TensorF seed({1, cin, 8, 8});
+  seed.fill_normal(rng, 0.0, 1.0);
   infer::InferenceEngine engine(model);
   TensorF traj;
-  engine.rollout_channels_into(history, steps, traj);
-  EXPECT_EQ(traj.shape(), (Shape{steps, 8, 8}));
+  engine.rollout_into(seed, steps, traj);
+  EXPECT_EQ(traj.shape(), (Shape{1, steps, 8, 8}));
   EXPECT_TRUE(std::isfinite(static_cast<double>(traj.max_abs())));
 }
 

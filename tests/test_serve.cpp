@@ -3,7 +3,7 @@
 //
 // The load-bearing contract is bitwise reproducibility: N sessions
 // multiplexed through serve::RolloutServer must produce exactly the bytes N
-// sequential core::run_single calls produce, at thread-pool widths 1 and 4,
+// sequential core::run_rollout calls produce, at thread-pool widths 1 and 4,
 // and a session tripping its guard must not perturb its batchmates by a
 // single bit.
 #include <gtest/gtest.h>
@@ -114,7 +114,7 @@ TEST(RolloutApi, RunRolloutMatchesLegacyWindowedLoop) {
   const core::History seed = make_seed_history(4, 11);
   const index_t steps = 20;  // spans two window-16 chunks
 
-  // Replica of the historical run_single loop: advance in chunks of 16 with
+  // Replica of the historical windowed loop: advance in chunks of 16 with
   // max_history 64 — the unified API's defaults must reproduce it exactly.
   core::History history = seed;
   core::RolloutResult legacy;
@@ -136,13 +136,6 @@ TEST(RolloutApi, RunRolloutMatchesLegacyWindowedLoop) {
   request.steps = steps;
   const core::RolloutResult unified = core::run_rollout(fno_prop, request);
   expect_bitwise_equal(legacy, unified);
-
-  // This test pins the deprecated shim's bytes until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const core::RolloutResult shim = core::run_single(fno_prop, seed, steps);
-#pragma GCC diagnostic pop
-  expect_bitwise_equal(legacy, shim);
 }
 
 TEST(RolloutApi, GuardedRequestNeedsFallback) {
@@ -514,65 +507,6 @@ TEST_F(ServeFixture, EnginePoolAlternatingBucketsCountedOnce) {
   EXPECT_EQ(obs::counter("serve/engine_pool_misses").value(),
             misses_before + 2);
   EXPECT_GE(obs::counter("serve/engine_pool_hits").value() - hits_before, 3);
-}
-
-// --- reduced-precision serving --------------------------------------------
-
-TEST_F(ServeFixture, Bf16ServingWithinBoundAndDeterministic) {
-  const std::vector<std::uint64_t> seeds = {131, 137, 139};
-  const index_t steps = 12;
-
-  std::vector<core::RolloutResult> fp32;
-  for (const std::uint64_t seed : seeds) {
-    fp32.push_back(core::run_rollout(fno_prop_, request_for(seed, steps)));
-  }
-
-  const auto serve_bf16 = [&] {
-    serve::ServeConfig cfg;
-    cfg.precision = util::Precision::kBf16;
-    serve::RolloutServer server(fno_prop_, &pde_prop_, cfg);
-    std::vector<serve::SessionId> ids;
-    for (const std::uint64_t seed : seeds) {
-      const serve::Admission a = server.submit(request_for(seed, steps));
-      EXPECT_TRUE(a.admitted) << a.reason;
-      ids.push_back(a.id);
-    }
-    server.drain();
-    std::vector<core::RolloutResult> out;
-    for (const serve::SessionId id : ids) out.push_back(server.take(id));
-    return out;
-  };
-
-  const std::vector<core::RolloutResult> bf16 = serve_bf16();
-  for (std::size_t s = 0; s < seeds.size(); ++s) {
-    ASSERT_EQ(bf16[s].trajectory.size(), fp32[s].trajectory.size());
-    EXPECT_TRUE(all_finite(bf16[s]));
-    bool any_diff = false;
-    for (std::size_t k = 0; k < fp32[s].trajectory.size(); ++k) {
-      const auto& cb = bf16[s].trajectory[k];
-      const auto& cf = fp32[s].trajectory[k];
-      double num = 0.0, den = 0.0;
-      for (index_t i = 0; i < cf.u1.size(); ++i) {
-        const double d1 = cb.u1[i] - cf.u1[i];
-        const double d2 = cb.u2[i] - cf.u2[i];
-        num += d1 * d1 + d2 * d2;
-        den += cf.u1[i] * cf.u1[i] + cf.u2[i] * cf.u2[i];
-        any_diff = any_diff || d1 != 0.0 || d2 != 0.0;
-      }
-      const double rel = std::sqrt(num / std::max(den, 1e-300));
-      // The documented per-snapshot bound for compressed serving
-      // (DESIGN.md "Precision tiers").
-      EXPECT_LE(rel, 0.1) << "seed " << seeds[s] << " snapshot " << k;
-    }
-    EXPECT_TRUE(any_diff) << "bf16 output should differ from fp32";
-  }
-
-  // Error-bounded does not mean nondeterministic: a second bf16 serve of
-  // the same requests reproduces the same bytes (fixed ISA, same packs).
-  const std::vector<core::RolloutResult> again = serve_bf16();
-  for (std::size_t s = 0; s < seeds.size(); ++s) {
-    expect_bitwise_equal(bf16[s], again[s]);
-  }
 }
 
 // --- percentile edge cases ------------------------------------------------
