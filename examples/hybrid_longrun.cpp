@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
   // (K = 1 skips the leg): the members co-batch through the same pool, the
   // guard bands are calibrated from the rolling across-member spread, and
   // the result is the mean prediction with a per-snapshot uncertainty band.
-  const index_t ensemble_k = serve::ServeConfig::from_runtime().ensemble_k;
+  const index_t ensemble_k = serve_runtime_options().ensemble_k;
   if (ensemble_k > 1) {
     core::RolloutRequest request;
     request.seed = seed;

@@ -42,7 +42,7 @@
 #     checkpoint format matrix (TNN2 and legacy TNN1 still load), and forces
 #     a divergent hybrid rollout (guard must trip, trajectory must stay
 #     finite, PDE fallback windows must appear); the exported robust/*
-#     counters are asserted.
+#     counters are asserted, fallback windows and fallback snapshots both.
 #  7. Optionally (TURBFNO_TIER1_SANITIZE=1), an AddressSanitizer + UBSan
 #     build of the test suite in a sibling build dir, with ctest run once.
 #
@@ -246,6 +246,7 @@ c = json.load(open(sys.argv[1]))["counters"]
 assert c["robust/corrupt_rejected"] >= 2, "corrupt checkpoints were not rejected"
 assert c["robust/guard_trips"] >= 1, "rollout guard never tripped"
 assert c["robust/fallback_windows"] >= 1, "no PDE fallback windows recorded"
+assert c["robust/fallback_snapshots"] >= 1, "no PDE fallback snapshots recorded"
 assert c["robust/checkpoint_writes"] >= 1, "no atomic checkpoint writes recorded"
 EOF
 

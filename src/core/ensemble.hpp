@@ -24,7 +24,6 @@
 
 #include <vector>
 
-#include "core/hybrid.hpp"
 #include "core/metrics.hpp"
 #include "core/rollout_api.hpp"
 

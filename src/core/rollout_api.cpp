@@ -1,55 +1,99 @@
 #include "core/rollout_api.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "obs/obs.hpp"
 
 namespace turb::core {
 
-namespace detail {
-
-std::vector<FieldSnapshot> advance_timed(Propagator& propagator,
-                                         const History& history,
-                                         index_t count) {
-  obs::ScopedTimer span(
-      obs::timer("hybrid/" + propagator.name() + "_window"));
-  obs::counter("hybrid/" + propagator.name() + "_snapshots").add(count);
-  return propagator.advance(history, count);
+std::string spacing_mismatch(const Propagator& primary,
+                             const Propagator& fallback) {
+  if (std::abs(primary.dt_snap() - fallback.dt_snap()) <
+      1e-12 * primary.dt_snap()) {
+    return {};
+  }
+  std::ostringstream os;
+  os << "propagators disagree on snapshot spacing: " << primary.name() << " "
+     << primary.dt_snap() << " vs " << fallback.name() << " "
+     << fallback.dt_snap();
+  return os.str();
 }
 
-}  // namespace detail
+std::string validate_request(const RolloutRequest& request,
+                             const Propagator& primary,
+                             const Propagator* fallback) {
+  if (request.steps < 1) return "request.steps must be >= 1";
+  if (request.window < 1) return "request.window must be >= 1";
+  if (request.seed.empty()) return "empty seed history";
+  const index_t need = primary.min_history();
+  if (static_cast<index_t>(request.seed.size()) < need) {
+    return "seed holds " + std::to_string(request.seed.size()) +
+           " snapshots but " + primary.name() + " needs " +
+           std::to_string(need);
+  }
+  if (need > kMaxHistory) {
+    return primary.name() + " needs " + std::to_string(need) +
+           " history snapshots, more than the rollout keeps (" +
+           std::to_string(kMaxHistory) + ")";
+  }
+  if (request.guard.enabled && fallback == nullptr) {
+    return "guarded request without a fallback propagator";
+  }
+  return fallback != nullptr ? spacing_mismatch(primary, *fallback)
+                             : std::string();
+}
+
+RolloutStream::Side RolloutStream::make_side(Propagator* propagator) {
+  Side side;
+  side.propagator = propagator;
+  side.name = propagator->name();
+  side.window = &obs::timer("hybrid/" + side.name + "_window");
+  side.snapshots = &obs::counter("hybrid/" + side.name + "_snapshots");
+  return side;
+}
 
 RolloutStream::RolloutStream(RolloutRequest request, Propagator* primary,
-                             Propagator* fallback)
+                             Propagator* fallback, index_t scheduled_window)
     : request_(std::move(request)),
-      primary_(primary),
-      fallback_(fallback),
+      scheduled_window_(scheduled_window),
       guard_(request_.guard) {
-  TURB_CHECK(primary_ != nullptr);
-  TURB_CHECK(request_.steps >= 1);
-  TURB_CHECK(request_.window >= 1);
-  TURB_CHECK(request_.batch_hint >= 1);
-  TURB_CHECK_MSG(!request_.seed.empty(), "empty seed history");
-  TURB_CHECK_MSG(
-      static_cast<index_t>(request_.seed.size()) >= primary_->min_history(),
-      "seed holds " << request_.seed.size() << " snapshots but "
-                    << primary_->name() << " needs "
-                    << primary_->min_history());
-  TURB_CHECK(request_.max_history >= primary_->min_history());
-  TURB_CHECK_MSG(!request_.guard.enabled || fallback_ != nullptr,
-                 "guarded rollout requests need a fallback propagator");
+  TURB_CHECK(primary != nullptr);
+  const std::string invalid = validate_request(request_, *primary, fallback);
+  TURB_CHECK_MSG(invalid.empty(), invalid);
   TURB_CHECK_MSG(request_.ensemble_k == 1,
                  "a RolloutStream executes one member; K-member ensembles "
                  "are fanned out by serve::RolloutServer");
+  TURB_CHECK_MSG(scheduled_window_ >= 0 &&
+                     (scheduled_window_ == 0 || fallback != nullptr),
+                 "a scheduled window needs a fallback propagator");
+  primary_ = make_side(primary);
+  if (fallback != nullptr) {
+    fallback_ = make_side(fallback);
+    fallback_label_ = fallback_.name + "_fallback";
+  }
   history_ = request_.seed;
   result_.trajectory.reserve(static_cast<std::size_t>(request_.steps));
 }
 
 index_t RolloutStream::next_window() const {
-  index_t w = std::min(request_.window, request_.steps - produced_);
-  if (cooldown_left_ > 0) w = std::min(w, cooldown_left_);
-  return std::max<index_t>(w, 0);
+  index_t w = request_.window;
+  if (scheduled_due_) {
+    w = scheduled_window_;
+  } else if (degraded()) {
+    w = std::max(request_.window, scheduled_window_);
+    if (cooldown_left_ > 0) w = std::min(w, cooldown_left_);
+  }
+  return std::max<index_t>(std::min(w, request_.steps - produced_), 0);
+}
+
+std::vector<FieldSnapshot> RolloutStream::advance(const Side& side,
+                                                  index_t count) {
+  obs::ScopedTimer span(*side.window);
+  side.snapshots->add(count);
+  return side.propagator->advance(history_, count);
 }
 
 void RolloutStream::append_window(std::vector<FieldSnapshot>&& snaps,
@@ -61,7 +105,7 @@ void RolloutStream::append_window(std::vector<FieldSnapshot>&& snaps,
     result_.producer.push_back(producer);
     history_.push_back(snaps[i]);
     result_.trajectory.push_back(std::move(snaps[i]));
-    while (static_cast<index_t>(history_.size()) > request_.max_history) {
+    while (static_cast<index_t>(history_.size()) > kMaxHistory) {
       history_.pop_front();
     }
   }
@@ -77,7 +121,8 @@ void RolloutStream::accept_primary_window(
 void RolloutStream::accept_primary_window(
     std::vector<FieldSnapshot>&& snaps,
     std::vector<SnapshotMetrics>&& metrics) {
-  TURB_CHECK_MSG(!degraded(), "primary window fed to a degraded stream");
+  TURB_CHECK_MSG(!fallback_due(),
+                 "primary window fed to a stream whose fallback is due");
   TURB_CHECK_MSG(static_cast<index_t>(snaps.size()) == next_window(),
                  "window holds " << snaps.size() << " snapshots, expected "
                                  << next_window());
@@ -99,41 +144,47 @@ void RolloutStream::accept_primary_window(
     if (trip != GuardTrip::none) {
       // Discard the whole window (the model was already leaving the
       // attractor before the offending snapshot) and hand the stream to the
-      // fallback: for a cool-down when configured, else for good.
-      obs::counter("robust/guard_trips").add();
+      // fallback.
+      static obs::Counter& trips = obs::counter("robust/guard_trips");
+      trips.add();
       result_.guard_events.push_back(
           {static_cast<index_t>(result_.trajectory.size()), snaps[bad].t,
            trip, value});
-      if (request_.guard.cooldown_snapshots > 0) {
-        cooldown_left_ = request_.guard.cooldown_snapshots;
-      } else {
-        degraded_for_good_ = true;
-      }
+      force_degrade(request_.guard.cooldown_snapshots);
       return;
     }
   }
-  append_window(std::move(snaps), std::move(metrics), primary_->name());
+  append_window(std::move(snaps), std::move(metrics), primary_.name);
+  scheduled_due_ = scheduled_window_ > 0;
 }
 
 void RolloutStream::advance_fallback_window() {
-  TURB_CHECK_MSG(fallback_ != nullptr, "stream has no fallback propagator");
+  TURB_CHECK_MSG(fallback_due(), "no fallback window is due");
   const index_t count = next_window();
-  TURB_CHECK(count >= 1);
-  std::vector<FieldSnapshot> snaps =
-      detail::advance_timed(*fallback_, history_, count);
+  std::vector<FieldSnapshot> snaps = advance(fallback_, count);
   std::vector<SnapshotMetrics> metrics = compute_metrics(snaps);
-  append_window(std::move(snaps), std::move(metrics),
-                fallback_->name() + "_fallback");
-  obs::counter("robust/fallback_windows").add();
-  obs::counter("robust/fallback_snapshots").add(count);
+  if (scheduled_due_) {
+    append_window(std::move(snaps), std::move(metrics), fallback_.name);
+    scheduled_due_ = false;
+    return;
+  }
+  append_window(std::move(snaps), std::move(metrics), fallback_label_);
+  static obs::Counter& windows = obs::counter("robust/fallback_windows");
+  static obs::Counter& snapshots = obs::counter("robust/fallback_snapshots");
+  windows.add();
+  snapshots.add(count);
   if (cooldown_left_ > 0) cooldown_left_ -= count;
 }
 
 void RolloutStream::force_degrade(index_t cooldown_snapshots) {
-  TURB_CHECK_MSG(fallback_ != nullptr,
+  TURB_CHECK_MSG(fallback_.propagator != nullptr,
                  "force_degrade needs a fallback propagator");
-  if (cooldown_snapshots > 0) {
-    cooldown_left_ = cooldown_snapshots;
+  // One rule for every driver: the cool-down, else one scheduled window,
+  // else the rest of the request.
+  const index_t cooldown =
+      cooldown_snapshots > 0 ? cooldown_snapshots : scheduled_window_;
+  if (cooldown > 0) {
+    cooldown_left_ = cooldown;
   } else {
     degraded_for_good_ = true;
   }
@@ -141,11 +192,10 @@ void RolloutStream::force_degrade(index_t cooldown_snapshots) {
 
 void RolloutStream::step() {
   TURB_CHECK(!done());
-  if (degraded()) {
+  if (fallback_due()) {
     advance_fallback_window();
   } else {
-    accept_primary_window(
-        detail::advance_timed(*primary_, history_, next_window()));
+    accept_primary_window(advance(primary_, next_window()));
   }
 }
 

@@ -1,33 +1,62 @@
-// Unified rollout-request API — the single snapshot-level rollout entry
-// point the serving layer, the examples, and the benches drive. A serving
-// layer multiplexing thousands of streams needs one request/result
-// vocabulary, so:
+// Unified rollout-request API — the one snapshot-level rollout state
+// machine, stepped by three drivers: run_rollout() (examples, benches),
+// core::HybridScheduler (the paper's FNO/PDE alternation) and
+// serve::RolloutServer (micro-batched sessions and ensembles).
 //
 //   * RolloutRequest describes a stream: seed history, horizon, guard
-//     configuration, and scheduling hints (window chunk, batch hint).
-//   * RolloutStream executes one request incrementally — window by window —
-//     which is exactly the granularity the serving scheduler micro-batches
-//     at. Guard checks, fallback cool-downs, metrics, and history rolling
-//     all live here, so a request produces the same bytes whether it runs
-//     synchronously (run_rollout) or multiplexed through serve::RolloutServer.
-//   * run_rollout() drives a stream to completion synchronously.
+//     configuration, and the window chunk a scheduler advances it by.
+//   * validate_request() lists what a runnable request needs: RolloutStream
+//     throws its reason, the server rejects with it.
+//   * RolloutStream executes one request window by window — the granularity
+//     the server micro-batches at. Guard checks, fallback cool-downs,
+//     scheduled fallback windows, metrics and history rolling live here
+//     only, so a request produces the same bytes whichever driver runs it.
 //
-// Guard semantics (primary windows only, mirroring HybridScheduler): a
-// tripped window is discarded wholesale and the fallback propagator takes
-// over for `guard.cooldown_snapshots` snapshots — or, when that is 0, for
-// the remainder of the request (the serving degrade-for-good policy: a bad
-// surrogate stream finishes on physics alone).
+// Guard semantics (primary windows only): a tripped window is discarded
+// wholesale and the fallback takes over for `guard.cooldown_snapshots`
+// snapshots; when that is 0, for one scheduled window (the hybrid's PDE
+// window); with no scheduled window, for the rest of the request. The
+// cool-down runs in fallback windows of at most max(window, scheduled
+// window) snapshots, and the primary resumes after it.
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "core/hybrid.hpp"
 #include "core/metrics.hpp"
 #include "core/propagator.hpp"
 #include "core/rollout_guard.hpp"
 
+namespace turb::obs {
+class Counter;
+class TimerStat;
+}  // namespace turb::obs
+
 namespace turb::core {
+
+/// Rolling-history bound of every rollout: the newest kMaxHistory snapshots
+/// are kept, so a primary needing a longer input window is rejected.
+inline constexpr index_t kMaxHistory = 64;
+
+struct RolloutResult {
+  std::vector<FieldSnapshot> trajectory;  ///< produced snapshots, in order
+  std::vector<SnapshotMetrics> metrics;   ///< diagnostics per snapshot
+  std::vector<std::string> producer;      ///< which propagator made each one
+  std::vector<GuardEvent> guard_events;   ///< discarded-window trips, in order
+
+  /// Ensemble UQ (serve::RolloutServer with RolloutRequest::ensemble_k > 1):
+  /// how many member rollouts this result reduces over (1 = plain rollout),
+  /// the per-snapshot spread diagnostics (one entry per trajectory snapshot;
+  /// empty for plain rollouts), and — when the request asked to keep them —
+  /// the individual member results (each bitwise identical to a solo rollout
+  /// of that member's perturbed seed).
+  index_t ensemble_members = 1;
+  std::vector<EnsembleSnapshotSpread> spread;
+  std::vector<RolloutResult> member_results;
+
+  [[nodiscard]] index_t guard_trips() const {
+    return static_cast<index_t>(guard_events.size());
+  }
+};
 
 /// One trajectory-extension request. Consumed by run_rollout() and by
 /// serve::RolloutServer::submit().
@@ -35,13 +64,9 @@ struct RolloutRequest {
   History seed;           ///< initial history, oldest first (>= min_history)
   index_t steps = 0;      ///< snapshots to produce (>= 1)
   GuardConfig guard;      ///< per-request divergence guard (default off)
-  index_t max_history = 64;  ///< rolling-history truncation bound
   /// Snapshots per scheduling window — the chunk a scheduler advances a
   /// stream by per turn.
   index_t window = 16;
-  /// Serving hint: how many sibling streams the scheduler may co-batch with
-  /// this one (1 = no preference; capped by ServeConfig::batch_window).
-  index_t batch_hint = 1;
   std::string tag;        ///< client label echoed through serving results
 
   /// Ensemble UQ (serve::RolloutServer): fan this request out into
@@ -60,23 +85,44 @@ struct RolloutRequest {
   bool ensemble_keep_members = false;
 };
 
-/// Incremental executor for one request: the scheduler-facing state machine
-/// behind both run_rollout() and the serving layer's sessions. The caller
-/// either lets step() drive the propagators directly, or produces primary
-/// windows externally (micro-batched through a shared engine) and feeds them
-/// to accept_primary_window() — the two paths run the identical metric /
-/// guard / append code, which is what makes concurrent serving bitwise
-/// identical to sequential rollouts.
+/// Empty when `primary` and `fallback` space their snapshots equally
+/// (dt_snap), else why not: a fallback window must continue the primary's
+/// time axis.
+[[nodiscard]] std::string spacing_mismatch(const Propagator& primary,
+                                           const Propagator& fallback);
+
+/// The first reason `request` cannot run on `primary` with `fallback`
+/// (empty when it can): horizon and window >= 1, a seed at least as long as
+/// the primary's input window, an input window within kMaxHistory, a
+/// fallback for guarded requests, and spacing_mismatch. RolloutStream throws
+/// the reason; serve::RolloutServer rejects the submission with it.
+[[nodiscard]] std::string validate_request(const RolloutRequest& request,
+                                           const Propagator& primary,
+                                           const Propagator* fallback);
+
+/// Incremental executor for one request. The caller either lets step()
+/// drive the propagators directly, or produces primary windows externally
+/// (micro-batched through a shared engine) and feeds them to
+/// accept_primary_window() — the two paths run the identical metric / guard
+/// / append code, which is what makes concurrent serving bitwise identical
+/// to sequential rollouts.
 class RolloutStream {
  public:
-  /// @param primary   propagator producing normal windows (not owned)
-  /// @param fallback  guard fallback (not owned; may be null iff guard off)
+  /// @param primary           propagator producing normal windows (not
+  ///                          owned)
+  /// @param fallback          guard fallback and scheduled-window propagator
+  ///                          (not owned; may be null iff the guard is off
+  ///                          and scheduled_window is 0)
+  /// @param scheduled_window  snapshots the fallback produces after every
+  ///                          accepted primary window, under its plain name
+  ///                          — the hybrid's PDE window (only
+  ///                          HybridScheduler sets it); 0 = none
   RolloutStream(RolloutRequest request, Propagator* primary,
-                Propagator* fallback);
+                Propagator* fallback, index_t scheduled_window = 0);
 
   [[nodiscard]] bool done() const { return produced_ >= request_.steps; }
-  /// True when the next window must come from the fallback propagator
-  /// (guard cool-down in progress, or the stream degraded for good).
+  /// True while the guard keeps the stream on the fallback propagator
+  /// (cool-down in progress, or degraded for good).
   [[nodiscard]] bool degraded() const {
     return !done() && (degraded_for_good_ || cooldown_left_ > 0);
   }
@@ -84,8 +130,9 @@ class RolloutStream {
   [[nodiscard]] index_t next_window() const;
 
   /// Feed one primary-produced window of exactly next_window() snapshots
-  /// (only valid while !degraded()). Computes metrics, runs the guard, and
-  /// either appends the window or discards it and arms the fallback.
+  /// (only valid while the fallback is not due). Computes metrics, runs the
+  /// guard, and either appends the window or discards it and arms the
+  /// fallback.
   void accept_primary_window(std::vector<FieldSnapshot>&& snaps);
 
   /// Same, with per-snapshot metrics the caller already computed (one per
@@ -95,14 +142,14 @@ class RolloutStream {
   void accept_primary_window(std::vector<FieldSnapshot>&& snaps,
                              std::vector<SnapshotMetrics>&& metrics);
 
-  /// Produce one window from the fallback propagator (cool-down / degraded).
+  /// Produce the next window from the fallback propagator: the scheduled
+  /// window after a primary window, or a cool-down / degraded window.
   void advance_fallback_window();
 
   /// Externally-decided degradation (serve::EnsembleSession: a group-level
   /// spread-calibrated guard trips on one member and hands the whole group
-  /// to the fallback). cooldown_snapshots > 0 arms a cool-down; 0 degrades
-  /// for the remainder, mirroring the per-stream guard policy. Requires a
-  /// fallback propagator.
+  /// to the fallback), under the same cool-down rule as a guard trip.
+  /// Requires a fallback propagator.
   void force_degrade(index_t cooldown_snapshots);
 
   /// Advance one window through whichever side is due, driving the
@@ -113,24 +160,39 @@ class RolloutStream {
   [[nodiscard]] index_t produced() const { return produced_; }
   [[nodiscard]] const RolloutRequest& request() const { return request_; }
   [[nodiscard]] const RolloutResult& result() const { return result_; }
-  [[nodiscard]] const RolloutGuard& guard() const { return guard_; }
   /// Move the accumulated result out (the stream must be done()).
   [[nodiscard]] RolloutResult take_result();
 
  private:
+  /// A propagator with its window accounting ("hybrid/<name>_window" span,
+  /// "hybrid/<name>_snapshots" counter), resolved once at construction.
+  struct Side {
+    Propagator* propagator = nullptr;
+    std::string name;
+    obs::TimerStat* window = nullptr;
+    obs::Counter* snapshots = nullptr;
+  };
+  static Side make_side(Propagator* propagator);
+  std::vector<FieldSnapshot> advance(const Side& side, index_t count);
+  [[nodiscard]] bool fallback_due() const {
+    return (scheduled_due_ && !done()) || degraded();
+  }
   void append_window(std::vector<FieldSnapshot>&& snaps,
                      std::vector<SnapshotMetrics>&& metrics,
                      const std::string& producer);
 
   RolloutRequest request_;
-  Propagator* primary_;
-  Propagator* fallback_;
+  Side primary_;
+  Side fallback_;
+  std::string fallback_label_;  ///< "<fallback>_fallback"
+  index_t scheduled_window_;
   RolloutGuard guard_;
   History history_;
   RolloutResult result_;
   index_t produced_ = 0;
   index_t cooldown_left_ = 0;
   bool degraded_for_good_ = false;
+  bool scheduled_due_ = false;  ///< the scheduled fallback window is next
 };
 
 /// Run `request` to completion against `primary`, with `fallback` taking
@@ -139,13 +201,5 @@ class RolloutStream {
 /// serve::RolloutServer produces byte-identical results per stream.
 RolloutResult run_rollout(Propagator& primary, const RolloutRequest& request,
                           Propagator* fallback = nullptr);
-
-namespace detail {
-/// Advance with the per-window obs accounting every scheduler shares
-/// ("hybrid/<name>_window" span + "hybrid/<name>_snapshots" counter).
-std::vector<FieldSnapshot> advance_timed(Propagator& propagator,
-                                         const History& history,
-                                         index_t count);
-}  // namespace detail
 
 }  // namespace turb::core

@@ -6,10 +6,11 @@
 // handoff: each produced snapshot is scanned for non-finite values and
 // physics violations (kinetic energy / enstrophy outside configurable bands,
 // energy pile-up in the high-wavenumber tail of the spectrum — the aliasing
-// signature of a diverging surrogate). When an FNO window trips, the
-// HybridScheduler discards it and degrades to the PDE propagator for a
-// cool-down, so divergence becomes a detected, recoverable event instead of
-// a silently corrupted trajectory.
+// signature of a diverging surrogate). When an FNO window trips,
+// core::RolloutStream (core/rollout_api.hpp), which every rollout driver
+// steps, discards it and degrades to the PDE propagator for a cool-down, so
+// divergence becomes a detected, recoverable event instead of a silently
+// corrupted trajectory.
 #pragma once
 
 #include <limits>
@@ -39,8 +40,10 @@ struct GuardConfig {
   /// Maximum fraction of kinetic energy allowed in shells k ≥ ⅔·k_max.
   /// 1.0 disables the check (it costs an FFT per snapshot).
   double tail_fraction_max = 1.0;
-  /// PDE snapshots produced after a trip before the FNO gets another turn;
-  /// 0 falls back to the scheduler's pde_snapshots window length.
+  /// Fallback snapshots produced after a trip before the primary gets
+  /// another turn. 0 means one scheduled PDE window (the hybrid's
+  /// pde_snapshots), or — with no scheduled PDE window — the rest of the
+  /// request. The same rule holds for every driver.
   index_t cooldown_snapshots = 0;
 
   /// Ensemble-spread calibration (serve::EnsembleSession, K >= 2): when set,

@@ -10,16 +10,17 @@ EnginePool::EnginePool(fno::Fno& model) : model_(&model) {}
 infer::InferenceEngine& EnginePool::acquire(index_t batch, index_t cin,
                                             index_t h, index_t w) {
   TURB_CHECK(batch >= 1 && cin >= 1 && h >= 1 && w >= 1);
+  static obs::Gauge& isa = obs::gauge("isa/active");
+  static obs::Counter& hits = obs::counter("serve/engine_pool_hits");
   // Serving attribution: keep isa/active live in every --metrics-out
   // snapshot the serving path produces (resolution publishes the gauge;
   // re-publishing here covers snapshots taken after a ScopedIsa restored
   // an unresolved state).
-  obs::gauge("isa/active")
-      .set(static_cast<double>(static_cast<int>(util::active_isa())));
+  isa.set(static_cast<double>(static_cast<int>(util::active_isa())));
   const EngineKey key{batch, cin, h, w};
   auto it = engines_.find(key);
   if (it != engines_.end()) {
-    obs::counter("serve/engine_pool_hits").add();
+    hits.add();
     // plan() on a matching shape is the allocation-free fast path; it only
     // refreshes the captured thread pool (the pool may have been resized
     // between scheduling rounds).

@@ -37,6 +37,15 @@ void EnsembleSession::stage_window(index_t m,
 }
 
 void EnsembleSession::commit_round() {
+  static obs::Gauge& energy_halfwidth =
+      obs::gauge("serve/ensemble_energy_halfwidth");
+  static obs::Gauge& enstrophy_halfwidth =
+      obs::gauge("serve/ensemble_enstrophy_halfwidth");
+  static obs::Gauge& energy_rel_spread =
+      obs::gauge("serve/ensemble_energy_rel_spread");
+  static obs::Counter& group_trips = obs::counter("serve/ensemble_guard_trips");
+  static obs::Counter& guard_trips = obs::counter("robust/guard_trips");
+  static obs::Counter& rounds = obs::counter("serve/ensemble_rounds");
   const index_t k = members();
   TURB_CHECK_MSG(staged_count_ == k,
                  "commit_round with " << staged_count_ << " of " << k
@@ -77,10 +86,8 @@ void EnsembleSession::commit_round() {
             calibrator_.calibrate(energies.data(), enstrophies.data(), k);
         guard_.set_energy_band(bands.energy_min, bands.energy_max);
         guard_.set_enstrophy_max(bands.enstrophy_max);
-        obs::gauge("serve/ensemble_energy_halfwidth")
-            .set(bands.energy_halfwidth);
-        obs::gauge("serve/ensemble_enstrophy_halfwidth")
-            .set(bands.enstrophy_halfwidth);
+        energy_halfwidth.set(bands.energy_halfwidth);
+        enstrophy_halfwidth.set(bands.enstrophy_halfwidth);
       }
       for (index_t m = 0; m < k; ++m) {
         trip = guard_.check(staged_[static_cast<std::size_t>(m)][j],
@@ -105,8 +112,8 @@ void EnsembleSession::commit_round() {
       member(m).force_degrade(base_.guard.cooldown_snapshots);
       staged_[static_cast<std::size_t>(m)].clear();
     }
-    obs::counter("serve/ensemble_guard_trips").add();
-    obs::counter("robust/guard_trips").add();
+    group_trips.add();
+    guard_trips.add();
   } else {
     calibrator_.commit_round();
     double energy_mean = 0.0, energy_spread = 0.0;
@@ -119,8 +126,7 @@ void EnsembleSession::commit_round() {
                                &energy_spread);
     last_energy_rel_spread_ =
         energy_mean != 0.0 ? energy_spread / std::abs(energy_mean) : 0.0;
-    obs::gauge("serve/ensemble_energy_rel_spread")
-        .set(last_energy_rel_spread_);
+    energy_rel_spread.set(last_energy_rel_spread_);
     for (index_t m = 0; m < k; ++m) {
       // Hand over the metrics judged above — the member stream must not
       // recompute (spectral diagnostics included) what the round already
@@ -132,7 +138,7 @@ void EnsembleSession::commit_round() {
     }
   }
   staged_count_ = 0;
-  obs::counter("serve/ensemble_rounds").add();
+  rounds.add();
 }
 
 core::RolloutResult EnsembleSession::take_result() {

@@ -27,7 +27,6 @@ ServeConfig ServeConfig::from_runtime() {
   cfg.max_sessions = opts.max_sessions;
   cfg.queue_capacity = opts.queue_capacity;
   cfg.batch_window = opts.batch_window;
-  cfg.ensemble_k = opts.ensemble_k;
   return cfg;
 }
 
@@ -40,10 +39,15 @@ RolloutServer::RolloutServer(core::FnoPropagator& primary,
   TURB_CHECK(config_.max_sessions >= 1);
   TURB_CHECK(config_.queue_capacity >= 1);
   TURB_CHECK(config_.batch_window >= 1);
+  if (fallback_ != nullptr) {
+    const std::string spacing = core::spacing_mismatch(primary, *fallback_);
+    TURB_CHECK_MSG(spacing.empty(), spacing);
+  }
 }
 
 Admission RolloutServer::reject_locked(const std::string& reason) {
-  obs::counter("serve/admission_rejects").add();
+  static obs::Counter& rejects = obs::counter("serve/admission_rejects");
+  rejects.add();
   Admission a;
   a.admitted = false;
   a.reason = reason;
@@ -53,32 +57,17 @@ Admission RolloutServer::reject_locked(const std::string& reason) {
 Admission RolloutServer::admit_locked(core::RolloutRequest&& request,
                                       core::Propagator* primary,
                                       core::Propagator* fallback, bool solo) {
-  // Admission control validates instead of letting RolloutStream's TURB_CHECK
-  // fire: overload and bad requests are expected server inputs, and a
+  // Admission control rejects with the reason RolloutStream's constructor
+  // would throw: overload and bad requests are expected server inputs, and a
   // rejected stream must not take the process down.
   if (static_cast<index_t>(pending_.size()) >= config_.queue_capacity) {
     return reject_locked("queue saturated: " +
                          std::to_string(pending_.size()) + " pending >= cap " +
                          std::to_string(config_.queue_capacity));
   }
-  if (request.steps < 1) return reject_locked("request.steps must be >= 1");
-  if (request.window < 1) return reject_locked("request.window must be >= 1");
-  if (request.batch_hint < 1) {
-    return reject_locked("request.batch_hint must be >= 1");
-  }
-  if (request.seed.empty()) return reject_locked("empty seed history");
-  if (static_cast<index_t>(request.seed.size()) < primary->min_history()) {
-    return reject_locked(
-        "seed holds " + std::to_string(request.seed.size()) +
-        " snapshots but " + primary->name() + " needs " +
-        std::to_string(primary->min_history()));
-  }
-  if (request.max_history < primary->min_history()) {
-    return reject_locked("request.max_history below the primary's window");
-  }
-  if (request.guard.enabled && fallback == nullptr) {
-    return reject_locked("guarded request without a fallback propagator");
-  }
+  const std::string invalid =
+      core::validate_request(request, *primary, fallback);
+  if (!invalid.empty()) return reject_locked(invalid);
   if (request.ensemble_k < 1) {
     return reject_locked("request.ensemble_k must be >= 1");
   }
@@ -107,7 +96,8 @@ Admission RolloutServer::admit_locked(core::RolloutRequest&& request,
   const SessionId id = session.id;
   pending_.push_back(id);
   sessions_.emplace(id, std::move(session));
-  obs::counter("serve/admitted").add();
+  static obs::Counter& admitted = obs::counter("serve/admitted");
+  admitted.add();
   update_gauges_locked();
   Admission a;
   a.admitted = true;
@@ -130,6 +120,12 @@ Admission RolloutServer::submit_with_propagator(core::RolloutRequest request,
 
 bool RolloutServer::step() {
   TURB_TRACE_SCOPE("serve/round");
+  static obs::Counter& batches = obs::counter("serve/batches");
+  static obs::Counter& batched_streams = obs::counter("serve/batched_streams");
+  static obs::Counter& served_snapshots = obs::counter("serve/snapshots");
+  static obs::Gauge& occupancy = obs::gauge("serve/batch_occupancy");
+  static obs::Counter& completed = obs::counter("serve/completed");
+  static obs::TimerStat& session_latency = obs::timer("serve/session_latency");
   std::lock_guard<std::mutex> lock(mu_);
 
   while (static_cast<index_t>(active_.size()) < config_.max_sessions &&
@@ -215,10 +211,10 @@ bool RolloutServer::step() {
       }
       batches_ += 1;
       batched_streams_ += k;
-      obs::counter("serve/batches").add();
-      obs::counter("serve/batched_streams").add(k);
-      obs::counter("serve/snapshots").add(snapshots);
-      obs::gauge("serve/batch_occupancy").set(static_cast<double>(k));
+      batches.add();
+      batched_streams.add(k);
+      served_snapshots.add(snapshots);
+      occupancy.set(static_cast<double>(k));
       for (index_t i = 0; i < k; ++i) {
         const ReadyEntry& entry = entries[base + i];
         if (entry.group != nullptr) {
@@ -234,7 +230,7 @@ bool RolloutServer::step() {
   for (core::RolloutStream* stream : alone) {
     const index_t count = stream->next_window();
     stream->step();
-    obs::counter("serve/snapshots").add(count);
+    served_snapshots.add(count);
   }
 
   // All batches of this round are in: commit each staged ensemble round
@@ -257,8 +253,8 @@ bool RolloutServer::step() {
     session.latency_seconds =
         std::chrono::duration<double>(now - session.admitted_at).count();
     completed_latencies_.push_back(session.latency_seconds);
-    obs::counter("serve/completed").add();
-    obs::timer("serve/session_latency").record(session.latency_seconds);
+    completed.add();
+    session_latency.record(session.latency_seconds);
   }
   active_ = std::move(still_active);
   update_gauges_locked();
@@ -271,15 +267,17 @@ void RolloutServer::drain() {
 }
 
 void RolloutServer::update_gauges_locked() {
-  obs::gauge("serve/queue_depth")
-      .set(static_cast<double>(pending_.size()));
-  obs::gauge("serve/active_sessions")
-      .set(static_cast<double>(active_.size()));
+  static obs::Gauge& queue_depth = obs::gauge("serve/queue_depth");
+  static obs::Gauge& active = obs::gauge("serve/active_sessions");
+  static obs::Gauge& p50 = obs::gauge("serve/latency_p50_ms");
+  static obs::Gauge& p99 = obs::gauge("serve/latency_p99_ms");
+  queue_depth.set(static_cast<double>(pending_.size()));
+  active.set(static_cast<double>(active_.size()));
   if (!completed_latencies_.empty()) {
     std::vector<double> sorted = completed_latencies_;
     std::sort(sorted.begin(), sorted.end());
-    obs::gauge("serve/latency_p50_ms").set(nearest_rank_percentile(sorted, 0.50) * 1e3);
-    obs::gauge("serve/latency_p99_ms").set(nearest_rank_percentile(sorted, 0.99) * 1e3);
+    p50.set(nearest_rank_percentile(sorted, 0.50) * 1e3);
+    p99.set(nearest_rank_percentile(sorted, 0.99) * 1e3);
   }
 }
 

@@ -54,13 +54,8 @@ struct ServeConfig {
   index_t max_sessions = 256;     ///< sessions advanced concurrently
   index_t queue_capacity = 1024;  ///< admitted-but-not-active bound
   index_t batch_window = 16;      ///< max streams per micro-batched forward
-  /// Ensemble members per logical session drivers should request
-  /// (RolloutRequest::ensemble_k): 1 = plain rollouts; K >= 2 fans each
-  /// session into K member streams reduced to mean + per-snapshot spread.
-  /// Advisory for request construction — submit() honours the request field.
-  index_t ensemble_k = 1;
   /// Populated from the --serve-max-sessions / --serve-queue-cap /
-  /// --serve-batch-window / --serve-ensemble-k runtime flags (util/cli.hpp).
+  /// --serve-batch-window runtime flags (util/cli.hpp).
   static ServeConfig from_runtime();
 };
 
@@ -103,7 +98,8 @@ class RolloutServer {
   /// @param fallback guard fallback shared by server-primary sessions (not
   ///                 owned; may be null — then guarded submits are rejected).
   ///                 Its advance() re-seeds from each stream's own history,
-  ///                 so one instance serves every degraded stream.
+  ///                 so one instance serves every degraded stream. Its
+  ///                 snapshot spacing must match the primary's (checked).
   RolloutServer(core::FnoPropagator& primary, core::Propagator* fallback,
                 ServeConfig config);
 

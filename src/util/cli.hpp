@@ -37,12 +37,12 @@ class CliArgs {
 };
 
 /// Serving-layer knobs shared by every driver that builds a
-/// serve::RolloutServer (ServeConfig::from_runtime() reads them).
+/// serve::RolloutServer (ServeConfig::from_runtime() reads the first three).
 struct ServeRuntimeOptions {
   long max_sessions = 256;     ///< --serve-max-sessions
   long queue_capacity = 1024;  ///< --serve-queue-cap
   long batch_window = 16;      ///< --serve-batch-window
-  /// --serve-ensemble-k: members per logical session drivers should request
+  /// --serve-ensemble-k: RolloutRequest::ensemble_k a driver should request
   /// (1 = plain rollouts, K >= 2 = ensemble UQ fan-out with mean + spread).
   long ensemble_k = 1;
 };

@@ -546,8 +546,8 @@ std::unique_ptr<ns::NsSolver> make_solver() {
   return std::make_unique<ns::SpectralNsSolver>(cfg);
 }
 
-core::History make_seed(index_t n) {
-  Rng rng(7);
+core::History make_seed(index_t n, std::uint64_t rng_seed = 7) {
+  Rng rng(rng_seed);
   const auto field = lbm::random_vortex_velocity(kGrid, kGrid, 4.0, 1.0, rng);
   core::History history;
   core::FieldSnapshot snap;
@@ -733,17 +733,127 @@ TEST(RolloutGuardTest, ResetRestoresConfiguredBandsAfterCalibration) {
   EXPECT_EQ(guard.stats().trips, 0);
 }
 
-TEST(RolloutGuardTest, GuardedPureFnoRequiresCooldown) {
-  core::PdePropagator fno_stub(make_solver(), kDtSnap);
-  core::PdePropagator pde(make_solver(), kDtSnap);
-  core::HybridConfig cfg;
-  cfg.fno_snapshots = 4;
-  cfg.pde_snapshots = 0;  // pure FNO: no window for the guard to degrade to
-  cfg.guard.enabled = true;
-  EXPECT_THROW(core::HybridScheduler(fno_stub, pde, cfg), CheckError);
-  cfg.guard.cooldown_snapshots = 2;
-  EXPECT_NO_THROW(core::HybridScheduler(fno_stub, pde, cfg));
+TEST(RolloutGuardTest, GuardedPureFnoWithoutCooldownDegradesForGood) {
+  // Pure FNO has no scheduled PDE window to fall back for, so cool-down 0
+  // means the rest of the run — the rule run_rollout follows too, with the
+  // same bytes.
+  const auto run = [](bool hybrid) {
+    core::PdePropagator inner(make_solver(), kDtSnap);
+    core::DivergentPropagator divergent(inner, /*healthy_snapshots=*/4,
+                                        core::DivergentPropagator::Mode::nan);
+    core::PdePropagator pde(make_solver(), kDtSnap);
+    core::GuardConfig guard;
+    guard.enabled = true;  // cooldown_snapshots = 0
+    if (hybrid) {
+      core::HybridConfig cfg;
+      cfg.fno_snapshots = 4;
+      cfg.pde_snapshots = 0;
+      cfg.guard = guard;
+      return core::HybridScheduler(divergent, pde, cfg).run(make_seed(1), 12);
+    }
+    core::RolloutRequest request;
+    request.seed = make_seed(1);
+    request.steps = 12;
+    request.window = 4;
+    request.guard = guard;
+    return core::run_rollout(divergent, request, &pde);
+  };
+  const core::RolloutResult hybrid = run(true);
+  ASSERT_EQ(hybrid.trajectory.size(), 12u);
+  ASSERT_EQ(hybrid.guard_trips(), 1);
+  EXPECT_EQ(hybrid.guard_events.front().trajectory_index, 4);
+  for (std::size_t s = 0; s < hybrid.producer.size(); ++s) {
+    EXPECT_EQ(hybrid.producer[s], s < 4 ? "divergent" : "pde_fallback") << s;
+  }
+  const core::RolloutResult solo = run(false);
+  ASSERT_EQ(solo.producer, hybrid.producer);
+  for (std::size_t k = 0; k < solo.trajectory.size(); ++k) {
+    for (index_t i = 0; i < solo.trajectory[k].u1.size(); ++i) {
+      ASSERT_EQ(solo.trajectory[k].u1[i], hybrid.trajectory[k].u1[i]);
+      ASSERT_EQ(solo.trajectory[k].u2[i], hybrid.trajectory[k].u2[i]);
+    }
+  }
 }
+
+// --- guard detection power, through both rollout drivers ------------------
+
+enum class GuardDriver { hybrid, run_rollout };
+
+void PrintTo(GuardDriver driver, std::ostream* os) {
+  *os << (driver == GuardDriver::hybrid ? "hybrid" : "run_rollout");
+}
+
+/// One guarded rollout whose primary is the PDE with its velocities scaled by
+/// `factor` (energy by factor²) from its snapshot `healthy` + 1 on, against an
+/// energy band of 10× the seed's kinetic energy. Driven by a 4/4
+/// HybridScheduler or by run_rollout in windows of 4.
+core::RolloutResult guarded_blowup_run(GuardDriver driver,
+                                       std::uint64_t seed_id, index_t healthy,
+                                       double factor, index_t steps) {
+  const core::History seed = make_seed(1, seed_id);
+  core::PdePropagator inner(make_solver(), kDtSnap);
+  // Fresh per run: it counts the snapshots it has produced.
+  core::DivergentPropagator primary(
+      inner, healthy, core::DivergentPropagator::Mode::blowup, factor);
+  core::PdePropagator pde(make_solver(), kDtSnap);
+  core::GuardConfig guard;
+  guard.enabled = true;
+  guard.energy_max = 10.0 * core::compute_metrics(seed.front()).kinetic_energy;
+  if (driver == GuardDriver::hybrid) {
+    core::HybridConfig cfg;
+    cfg.fno_snapshots = 4;
+    cfg.pde_snapshots = 4;
+    cfg.guard = guard;
+    return core::HybridScheduler(primary, pde, cfg).run(seed, steps);
+  }
+  core::RolloutRequest request;
+  request.seed = seed;
+  request.steps = steps;
+  request.window = 4;
+  request.guard = guard;
+  return core::run_rollout(primary, request, &pde);
+}
+
+class GuardDetection : public ::testing::TestWithParam<GuardDriver> {};
+
+TEST_P(GuardDetection, TripsWithinOneWindowOfAFourfoldBlowupOnly) {
+  // The primary turns bad at its 9th snapshot, the first of its third
+  // window: trajectory index 16 in the 4/4 hybrid, 8 on its own.
+  const index_t healthy = 8;
+  const index_t bad_window = GetParam() == GuardDriver::hybrid ? 16 : 8;
+
+  const core::RolloutResult strong =
+      guarded_blowup_run(GetParam(), 7, healthy, /*factor=*/4.0, 32);
+  ASSERT_EQ(strong.trajectory.size(), 32u);
+  ASSERT_GE(strong.guard_trips(), 1);
+  EXPECT_EQ(strong.guard_events.front().trajectory_index, bad_window);
+  EXPECT_EQ(strong.guard_events.front().reason, core::GuardTrip::energy_high);
+  EXPECT_EQ(strong.producer[static_cast<std::size_t>(bad_window)],
+            "pde_fallback");
+
+  // A ×2 primary compounds: its next window re-seeds from its own last ×2
+  // snapshot. The weak run therefore ends with the first bad window, so
+  // the guard judges energy ×4 — inside the ×10 band — and must not trip.
+  const core::RolloutResult weak = guarded_blowup_run(
+      GetParam(), 7, healthy, /*factor=*/2.0, bad_window + 4);
+  ASSERT_EQ(weak.trajectory.size(), static_cast<std::size_t>(bad_window + 4));
+  EXPECT_EQ(weak.guard_trips(), 0);
+  EXPECT_EQ(weak.producer.back(), "divergent");  // the ×4 window was kept
+}
+
+TEST_P(GuardDetection, CleanLongRunsNeverTrip) {
+  const index_t steps = 120;
+  for (const std::uint64_t seed_id : {7u, 11u, 13u}) {
+    const core::RolloutResult clean =
+        guarded_blowup_run(GetParam(), seed_id, /*healthy=*/steps, 4.0, steps);
+    ASSERT_EQ(clean.trajectory.size(), static_cast<std::size_t>(steps));
+    EXPECT_EQ(clean.guard_trips(), 0) << "seed " << seed_id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, GuardDetection,
+    ::testing::Values(GuardDriver::hybrid, GuardDriver::run_rollout));
 
 TEST(RunSingle, EmptySeedRejected) {
   core::PdePropagator pde(make_solver(), kDtSnap);

@@ -114,8 +114,9 @@ TEST(RolloutApi, RunRolloutMatchesLegacyWindowedLoop) {
   const core::History seed = make_seed_history(4, 11);
   const index_t steps = 20;  // spans two window-16 chunks
 
-  // Replica of the historical windowed loop: advance in chunks of 16 with
-  // max_history 64 — the unified API's defaults must reproduce it exactly.
+  // Replica of the historical windowed loop: advance in chunks of 16 with a
+  // 64-snapshot history — the unified API's defaults must reproduce it
+  // exactly.
   core::History history = seed;
   core::RolloutResult legacy;
   index_t produced = 0;
@@ -368,22 +369,62 @@ TEST_F(ServeFixture, AdmissionRejectsAtQueueCapAndRecovers) {
 }
 
 TEST_F(ServeFixture, InvalidRequestsRejectWithReasonInsteadOfThrowing) {
+  // One validator: every invalid request is rejected by submit() and throws
+  // from run_rollout() with the same reason.
+  struct Case {
+    const char* fragment;  ///< expected in the reason
+    core::RolloutRequest request;
+    core::Propagator* fallback;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"steps", request_for(401, 4), &pde_prop_});
+  cases.back().request.steps = 0;
+  cases.push_back({"window", request_for(402, 4), &pde_prop_});
+  cases.back().request.window = 0;
+  cases.push_back({"empty seed", request_for(403, 4), &pde_prop_});
+  cases.back().request.seed.clear();
+  cases.push_back({"seed holds 2", request_for(404, 4), &pde_prop_});
+  cases.back().request.seed.resize(2);  // below the FNO's 4-snapshot window
+  cases.push_back({"fallback", request_for(405, 4), nullptr});
+  cases.back().request.guard.enabled = true;
+
+  for (const Case& c : cases) {
+    serve::RolloutServer server(fno_prop_, c.fallback, serve::ServeConfig{});
+    const serve::Admission a = server.submit(c.request);
+    EXPECT_FALSE(a.admitted) << c.fragment;
+    EXPECT_NE(a.reason.find(c.fragment), std::string::npos) << a.reason;
+    try {
+      (void)core::run_rollout(fno_prop_, c.request, c.fallback);
+      ADD_FAILURE() << "run_rollout accepted: " << c.fragment;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(a.reason), std::string::npos)
+          << e.what() << " vs " << a.reason;
+    }
+  }
+}
+
+TEST_F(ServeFixture, FallbackWithOtherSnapshotSpacingRejected) {
+  // A fallback window must continue the primary's time axis: a 0.02-spaced
+  // PDE behind a 0.01-spaced FNO is refused by the stream, by admission and
+  // by the server constructor alike.
+  core::PdePropagator coarse(make_solver(), 2 * kDtSnap);
+  core::RolloutRequest request = request_for(431, 6);
+  request.guard.enabled = true;
+  EXPECT_THROW(serve::RolloutServer(fno_prop_, &coarse, serve::ServeConfig{}),
+               CheckError);
+
   serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
-
-  core::RolloutRequest no_steps = request_for(401, 4);
-  no_steps.steps = 0;
-  EXPECT_FALSE(server.submit(std::move(no_steps)).admitted);
-
-  core::RolloutRequest short_seed = request_for(403, 4);
-  short_seed.seed.resize(2);  // below the FNO's 4-snapshot window
-  const serve::Admission a = server.submit(std::move(short_seed));
+  const serve::Admission a =
+      server.submit_with_propagator(request, fno_prop_, &coarse);
   EXPECT_FALSE(a.admitted);
-  EXPECT_NE(a.reason.find("seed"), std::string::npos) << a.reason;
-
-  serve::RolloutServer no_fallback(fno_prop_, nullptr, serve::ServeConfig{});
-  core::RolloutRequest guarded = request_for(405, 4);
-  guarded.guard.enabled = true;
-  EXPECT_FALSE(no_fallback.submit(std::move(guarded)).admitted);
+  EXPECT_NE(a.reason.find("spacing"), std::string::npos) << a.reason;
+  try {
+    (void)core::run_rollout(fno_prop_, request, &coarse);
+    ADD_FAILURE() << "run_rollout accepted a 0.02-spaced fallback";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(a.reason), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ServeFixture, EnginePoolReusesBucketsAndStaysAllocationFree) {
