@@ -13,7 +13,10 @@
 #     ISA. Dumps are only comparable within a fixed ISA (Tier A); across
 #     ISAs the contract is the bounded Tier B agreement tested by
 #     tests/test_isa.cpp. The avx2 leg is skipped with a notice on hosts
-#     whose /proc/cpuinfo lacks avx2+fma.
+#     whose /proc/cpuinfo lacks avx2+fma. Within each ISA the suite also
+#     runs with lane batching off (TURBFNO_FFT_BATCH=0, the line drivers'
+#     per-line reference arm) at width 4, and its dumps must equal the
+#     batched width-1 dumps byte-for-byte.
 #  2. One bench with --metrics-out, asserting the exported JSON contains the
 #     fft/*, nn/*, and train/* spans plus the mode-pruning coverage counters.
 #  3. A perf-harness smoke: bench_perf_train at a tiny measurement budget,
@@ -111,8 +114,17 @@ for isa in "${ISA_LEGS[@]}"; do
       exit 1
     }
   done
-  echo "check_tier1: determinism dumps identical across widths under" \
-       "TURBFNO_ISA=$isa"
+  (cd "$DUMP_DIR" && TURBFNO_ISA="$isa" TURBFNO_THREADS=4 TURBFNO_FFT_BATCH=0 \
+      ./test_determinism --gtest_brief=1 > /dev/null)
+  for dump in "${DUMPS[@]}"; do
+    cmp "$ISA_SAVE_DIR/$dump" "$DUMP_DIR/$dump" || {
+      echo "check_tier1: $dump differs between batched and per-line" \
+           "(TURBFNO_FFT_BATCH=0) line FFTs under TURBFNO_ISA=$isa" >&2
+      exit 1
+    }
+  done
+  echo "check_tier1: determinism dumps identical across widths and line" \
+       "batching under TURBFNO_ISA=$isa"
 done
 
 METRICS="$BUILD_DIR/check_tier1_metrics.json"
@@ -259,4 +271,4 @@ if [[ "${TURBFNO_TIER1_SANITIZE:-0}" == "1" ]]; then
       -j "$(nproc)"
 fi
 
-echo "check_tier1: OK (tests passed at 1 and 4 threads, determinism dumps identical incl. forced-ISA legs [${ISA_LEGS[*]}], metrics JSON valid: $METRICS, perf smoke JSON valid: $PERF_JSON, inference smoke JSON valid: $INFER_JSON, serving smoke JSON valid: $SERVE_JSON, fault-injection smoke valid: $ROBUST_METRICS)"
+echo "check_tier1: OK (tests passed at 1 and 4 threads, determinism dumps identical incl. forced-ISA and batching-off legs [${ISA_LEGS[*]}], metrics JSON valid: $METRICS, perf smoke JSON valid: $PERF_JSON, inference smoke JSON valid: $INFER_JSON, serving smoke JSON valid: $SERVE_JSON, fault-injection smoke valid: $ROBUST_METRICS)"

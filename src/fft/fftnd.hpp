@@ -1,10 +1,21 @@
-// Batched N-dimensional transforms over the trailing axes of a Tensor.
+// Batched N-dimensional transforms over the trailing axes of a Tensor, and
+// the 1-D line drivers behind every N-D transform in the library.
 //
 // rfftn/irfftn transform the trailing `ndim` axes (real last axis, complex
 // for the rest), which is exactly the layout the FNO spectral convolutions
 // need: (batch, channels, spatial...) with the transform applied per
-// batch/channel slab. Lines are processed in parallel on the global thread
-// pool.
+// batch/channel slab. Lines are processed in parallel on the current pool.
+//
+// Line drivers: rfft_rows / irfft_rows (the real stage, over contiguous
+// rows) and c2c_stage (one complex axis, its geometry from c2c_stages) are
+// the only code that walks FFT lines. They own the line partition, the lane
+// batching (lane count from the live util::active_isa(); the per-line
+// reference arm under TURBFNO_FFT_BATCH=0), the mode pruning and the fft/*
+// line counters. Callers supply only a pool and memory: the Tensor entry
+// points below pass thread-local workspace and a per-call twiddle table,
+// the inference engine (infer/engine.hpp) its plan-time arena slices. Both
+// therefore run one implementation — the only way two paths stay bitwise
+// equal (DESIGN.md, codegen caveat under "Spectral path performance").
 //
 // Mode-pruned transforms: callers that only consume (forward) or only
 // populate (inverse) a subset of spectrum coordinates — the FNO spectral
@@ -33,6 +44,7 @@
 #include <algorithm>
 #include <complex>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "fft/plan_cache.hpp"
@@ -51,6 +63,29 @@ namespace turb::fft {
 /// full extent for c2c axes, n/2+1 for the last — nonzero meaning "kept".
 /// An empty per-axis vector keeps every coordinate of that axis.
 using ModeMask = std::vector<std::vector<std::uint8_t>>;
+
+/// Per-worker scratch a line driver takes from its caller's provider, once
+/// per chunk on the thread running the chunk. `z` holds at least
+/// len·kMaxLanes elements (len = n/2 for the row drivers, the line length
+/// for c2c_stage); `u` holds (n/2+1)·kMaxLanes and only the row drivers
+/// read it. Sized by kMaxLanes, a provider fits whatever lane count the
+/// live ISA selects.
+template <typename T>
+struct LineScratch {
+  std::complex<T>* z = nullptr;
+  std::complex<T>* u = nullptr;
+};
+
+/// One complex-to-complex stage of an N-D transform: outer·inner lines of
+/// length n, line (o, i) starting at element o·n·inner + i with stride
+/// inner. `keep` holds one flag per inner coordinate (empty = all kept);
+/// lines at a pruned inner coordinate are skipped.
+struct C2cStage {
+  index_t n = 0;
+  index_t outer = 0;
+  index_t inner = 0;
+  std::vector<std::uint8_t> keep;
+};
 
 namespace detail {
 
@@ -105,6 +140,225 @@ inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
   }
 }
 
+/// Lanes per batched row sweep: one per the live ISA, or 1 — the per-line
+/// reference arm — with line batching off.
+template <typename T>
+index_t row_lanes() {
+  return line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
+}
+
+/// Publish one chunk's batching deltas. Drivers accumulate locally and
+/// publish once per chunk — a relaxed add per flush is still a shared cache
+/// line bouncing between every worker thread.
+inline void add_batch_counts(std::int64_t batched, std::int64_t tails) {
+  static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
+  static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
+  batched_lines.add(batched);
+  if (tails != 0) tail_lines.add(tails);
+}
+
+}  // namespace detail
+
+/// Geometry of the c2c stages of a transform over the trailing `ndim` axes
+/// of a spectrum shaped `spec_shape`: element j is transformed axis j in
+/// ModeMask order (0 = outermost; the rfft axis has no c2c stage). Each
+/// stage prunes by the mask of the axes after it, which are in spectral
+/// coordinates whenever it runs. Forward transforms run the stages last to
+/// first, inverse transforms first to last.
+inline std::vector<C2cStage> c2c_stages(const Shape& spec_shape, int ndim,
+                                        const ModeMask* mask) {
+  const std::size_t rank = spec_shape.size();
+  const auto nd = static_cast<std::size_t>(ndim);
+  std::vector<C2cStage> stages(nd - 1);
+  for (std::size_t j = 0; j + 1 < nd; ++j) {
+    const std::size_t axis = rank - nd + j;
+    C2cStage& st = stages[j];
+    st.n = spec_shape[axis];
+    st.outer = 1;
+    st.inner = 1;
+    for (std::size_t a = 0; a < axis; ++a) st.outer *= spec_shape[a];
+    for (std::size_t a = axis + 1; a < rank; ++a) st.inner *= spec_shape[a];
+    if (mask != nullptr) {
+      st.keep = detail::inner_keep_flags(*mask, j + 1, spec_shape, nd);
+    }
+  }
+  return stages;
+}
+
+/// Real stage of a forward transform: rfft of `rows` contiguous length-n
+/// rows of `in` into rows of n/2+1 bins of `out`, chunked over `pool`.
+/// Bins not flagged in `keep_bins` (nullptr = all) are skipped and their
+/// slots left untouched. `tw` is the fill_rfft_twiddles table; `scratch()`
+/// returns the running worker's LineScratch.
+template <typename T, typename Scratch>
+void rfft_rows(ThreadPool& pool, const T* in, std::complex<T>* out,
+               index_t rows, index_t n, const std::uint8_t* keep_bins,
+               const std::complex<T>* tw, const Scratch& scratch) {
+  static obs::Counter& r2c_lines = obs::counter("fft/r2c_lines");
+  static obs::Counter& lines_total = obs::counter("fft/lines_total");
+  r2c_lines.add(rows);
+  lines_total.add(rows);
+  util::fft_dispatch_counter(util::active_isa()).add(1);
+  const index_t out_row = n / 2 + 1;
+  // Consecutive rows go through the lane-batched kernel B at a time within
+  // each chunk; a batch of one (the per-line arm) is the single-line kernel.
+  const index_t batch = detail::row_lanes<T>();
+  pool.run_chunks(0, rows, [&](index_t rb, index_t re) {
+    const LineScratch<T> s = scratch();
+    std::int64_t batched = 0, tails = 0;
+    for (index_t r = rb; r < re; r += batch) {
+      const index_t nl = std::min(batch, re - r);
+      rfft_batch_scratch(in + r * n, n, out + r * out_row, out_row, n, nl,
+                         keep_bins, s.z, s.u, tw);
+      batched += nl;
+      if (nl < batch) tails += nl;
+    }
+    if (batch > 1) detail::add_batch_counts(batched, tails);
+  });
+}
+
+/// Real stage of an inverse transform: irfft of `rows` contiguous rows of
+/// n/2+1 bins of `in` into length-n rows of `out`. `tw` is the
+/// fill_irfft_twiddles table; otherwise as rfft_rows.
+template <typename T, typename Scratch>
+void irfft_rows(ThreadPool& pool, const std::complex<T>* in, T* out,
+                index_t rows, index_t n, const std::complex<T>* tw,
+                const Scratch& scratch) {
+  static obs::Counter& c2r_lines = obs::counter("fft/c2r_lines");
+  static obs::Counter& lines_total = obs::counter("fft/lines_total");
+  c2r_lines.add(rows);
+  lines_total.add(rows);
+  util::fft_dispatch_counter(util::active_isa()).add(1);
+  const index_t in_row = n / 2 + 1;
+  const index_t batch = detail::row_lanes<T>();
+  pool.run_chunks(0, rows, [&](index_t rb, index_t re) {
+    const LineScratch<T> s = scratch();
+    std::int64_t batched = 0, tails = 0;
+    for (index_t r = rb; r < re; r += batch) {
+      const index_t nl = std::min(batch, re - r);
+      irfft_batch_scratch(in + r * in_row, in_row, out + r * n, n, n, nl,
+                          s.z, s.u, tw);
+      batched += nl;
+      if (nl < batch) tails += nl;
+    }
+    if (batch > 1) detail::add_batch_counts(batched, tails);
+  });
+}
+
+/// One complex stage: transforms the kept lines of `st` read from `src`
+/// into `dst` (forward unscaled, inverse scaled by 1/n), chunked over
+/// `pool`. `src` may differ from `dst`; lines skipped by `st.keep` then
+/// leave `dst` untouched. `scratch()` returns the running worker's
+/// LineScratch (only `z` is used).
+template <typename T, typename Scratch>
+void c2c_stage(ThreadPool& pool, const std::complex<T>* src,
+               std::complex<T>* dst, const C2cStage& st, bool forward,
+               const Scratch& scratch) {
+  using cpx = std::complex<T>;
+  const index_t n = st.n, inner = st.inner;
+  if (n == 1) return;
+  // Pruning coverage counters (exported via --metrics-out): every candidate
+  // line counts toward lines_total, masked-out lines toward
+  // pruned_lines_skipped.
+  static obs::Counter& lines_total = obs::counter("fft/lines_total");
+  static obs::Counter& lines_skipped = obs::counter("fft/pruned_lines_skipped");
+  lines_total.add(st.outer * inner);
+  util::fft_dispatch_counter(util::active_isa()).add(1);
+  const std::uint8_t* keep = nullptr;
+  if (!st.keep.empty()) {
+    keep = st.keep.data();
+    const auto kept = std::count_if(st.keep.begin(), st.keep.end(),
+                                    [](std::uint8_t f) { return f != 0; });
+    lines_skipped.add(st.outer * (inner - kept));
+  }
+  const PlanC2C<T>& p = plan<T>(n);
+
+  // Lines are independent (disjoint read/write slices), so each chunk
+  // transforms a contiguous run of them. Skip tests sit inside the chunk
+  // bodies and never move chunk boundaries, so the partition — and with it
+  // the thread-count determinism contract — does not depend on pruning.
+  // Contiguous lines transformed in place need no gather.
+  if (inner == 1 && src == dst) {
+    if (keep != nullptr && keep[0] == 0) return;
+    pool.run_chunks(0, st.outer, [&](index_t ob, index_t oe) {
+      for (index_t o = ob; o < oe; ++o) {
+        cpx* line = dst + o * n;
+        forward ? p.forward(line) : p.inverse(line);
+      }
+    });
+    return;
+  }
+
+  // Strided lines: gather → transform → scatter. When the plan has lane
+  // kernels, kept lines are collected within each chunk into
+  // lane-interleaved batches of up to B; a line's bits do not depend on its
+  // batch occupancy (see fft/plan.hpp), so the grouping — which shifts with
+  // pruning gaps, chunk boundaries and ragged tails — is unobservable.
+  // Plans without lane kernels (scalar tier, Bluestein lengths) and the
+  // per-line reference arm run batches of one: exactly the single-line
+  // layout and kernel.
+  const index_t batch = line_batching_enabled() && p.batch_wants_lanes()
+                            ? lane_count<T>(util::active_isa())
+                            : 1;
+  pool.run_chunks(0, st.outer * inner, [&](index_t tb, index_t te) {
+    cpx* work = scratch().z;
+    const cpx* in_lanes[kMaxLanes];
+    cpx* out_lanes[kMaxLanes];
+    index_t count = 0;
+    std::int64_t batched = 0, tails = 0;
+    const auto flush = [&] {
+      if (count == 0) return;
+      for (index_t l = 0; l < count; ++l) {
+        for (index_t j = 0; j < n; ++j) {
+          work[j * count + l] = in_lanes[l][j * inner];
+        }
+      }
+      forward ? p.forward_batch(work, count) : p.inverse_batch(work, count);
+      for (index_t l = 0; l < count; ++l) {
+        for (index_t j = 0; j < n; ++j) {
+          out_lanes[l][j * inner] = work[j * count + l];
+        }
+      }
+      batched += count;
+      if (count < batch) tails += count;
+      count = 0;
+    };
+    for (index_t t = tb; t < te; ++t) {
+      const index_t i = t % inner;
+      if (keep != nullptr && keep[i] == 0) continue;
+      const index_t offset = (t / inner) * n * inner + i;
+      in_lanes[count] = src + offset;
+      out_lanes[count] = dst + offset;
+      if (++count == batch) flush();
+    }
+    flush();
+    if (batch > 1) detail::add_batch_counts(batched, tails);
+  });
+}
+
+namespace detail {
+
+/// Thread-local row-driver scratch of the Tensor entry points: `z` and `u`
+/// back to back in one workspace slot.
+template <typename T>
+LineScratch<T> row_workspace(std::string_view slot, index_t n) {
+  const index_t h = n / 2;
+  std::complex<T>* buf =
+      workspace<std::complex<T>>(slot, {(2 * h + 1) * kMaxLanes}).data();
+  return {buf, buf + h * kMaxLanes};
+}
+
+/// One in-place c2c stage of a Tensor entry point, on the current pool with
+/// thread-local scratch, timed as an fft/c2c span.
+template <typename T>
+void c2c_in_place(std::complex<T>* data, const C2cStage& st, bool forward) {
+  TURB_TRACE_SCOPE("fft/c2c");
+  c2c_stage(ThreadPool::current(), data, data, st, forward, [n = st.n] {
+    return LineScratch<T>{
+        workspace<std::complex<T>>("fft/c2c_lanes", {n * kMaxLanes}).data()};
+  });
+}
+
 }  // namespace detail
 
 /// In-place complex FFT along `axis` over every line of the tensor. With
@@ -113,122 +367,18 @@ inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
 template <typename T>
 void c2c_axis(Tensor<std::complex<T>>& x, std::size_t axis, bool forward,
               const std::vector<std::uint8_t>* inner_keep = nullptr) {
-  using cpx = std::complex<T>;
-  TURB_TRACE_SCOPE("fft/c2c");
   TURB_CHECK(axis < x.rank());
   const Shape& shape = x.shape();
-  const index_t n = shape[axis];
-  if (n == 1) return;
-  index_t outer = 1, inner = 1;
-  for (std::size_t i = 0; i < axis; ++i) outer *= shape[i];
-  for (std::size_t i = axis + 1; i < shape.size(); ++i) inner *= shape[i];
-
-  // Pruning coverage counters (exported via --metrics-out): every candidate
-  // line counts toward lines_total, masked-out lines toward
-  // pruned_lines_skipped.
-  static obs::Counter& lines_total = obs::counter("fft/lines_total");
-  static obs::Counter& lines_skipped = obs::counter("fft/pruned_lines_skipped");
-  lines_total.add(outer * inner);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const std::uint8_t* keep = nullptr;
+  C2cStage st{shape[axis], 1, 1, {}};
+  for (std::size_t i = 0; i < axis; ++i) st.outer *= shape[i];
+  for (std::size_t i = axis + 1; i < shape.size(); ++i) st.inner *= shape[i];
   if (inner_keep != nullptr && !inner_keep->empty()) {
-    TURB_CHECK_MSG(static_cast<index_t>(inner_keep->size()) == inner,
+    TURB_CHECK_MSG(static_cast<index_t>(inner_keep->size()) == st.inner,
                    "inner_keep has " << inner_keep->size()
-                                     << " flags for inner extent " << inner);
-    keep = inner_keep->data();
-    index_t kept = 0;
-    for (const std::uint8_t flag : *inner_keep) kept += (flag != 0);
-    lines_skipped.add(outer * (inner - kept));
+                                     << " flags for inner extent " << st.inner);
+    st.keep = *inner_keep;
   }
-
-  const PlanC2C<T>& p = plan<T>(n);
-  cpx* data = x.data();
-
-  // Lines are independent (disjoint read/write slices), so batch dispatch is
-  // chunked over the pool: each task transforms a contiguous run of lines,
-  // amortising the dispatch cost over many transforms. The skip test inside
-  // the body does not move chunk boundaries, so the partition — and with it
-  // the thread-count determinism contract — is unchanged.
-  if (inner == 1) {
-    if (keep != nullptr && keep[0] == 0) return;
-    parallel_for_chunked(0, outer, [&](index_t ob, index_t oe) {
-      for (index_t o = ob; o < oe; ++o) {
-        cpx* line = data + o * n;
-        forward ? p.forward(line) : p.inverse(line);
-      }
-    });
-    return;
-  }
-
-  // Strided lines: when the plan has lane kernels, collect kept lines into
-  // lane-interleaved batches of up to B and run them through the
-  // lane-per-line plan path. Collection happens within each chunk, so the
-  // chunk partition — and the thread-count determinism contract — is
-  // unchanged; a line's bits do not depend on its batch occupancy (see
-  // fft/plan.hpp), so the grouping (which shifts with pruning gaps, chunk
-  // boundaries, and ragged tails) is unobservable. Plans without lane
-  // kernels (scalar tier, Bluestein lengths) take the per-line loop below.
-  const index_t batch = line_batching_enabled() && p.batch_wants_lanes()
-                            ? lane_count<T>(util::active_isa())
-                            : 1;
-  if (batch > 1) {
-    static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-    static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    parallel_for_chunked(0, outer * inner, [&](index_t tb, index_t te) {
-      Tensor<cpx>& buf = workspace<cpx>("fft/c2c_lanes", {n * batch});
-      cpx* work = buf.data();
-      cpx* lanes[kMaxLanes];
-      index_t count = 0;
-      // Counter deltas accumulate locally and publish once per chunk — a
-      // relaxed add per flush is still a shared cache line bouncing between
-      // every worker thread.
-      std::int64_t my_batched = 0, my_tails = 0;
-      const auto flush = [&] {
-        if (count == 0) return;
-        for (index_t l = 0; l < count; ++l) {
-          const cpx* base = lanes[l];
-          for (index_t j = 0; j < n; ++j) {
-            work[j * count + l] = base[j * inner];
-          }
-        }
-        forward ? p.forward_batch(work, count) : p.inverse_batch(work, count);
-        for (index_t l = 0; l < count; ++l) {
-          cpx* base = lanes[l];
-          for (index_t j = 0; j < n; ++j) {
-            base[j * inner] = work[j * count + l];
-          }
-        }
-        my_batched += count;
-        if (count < batch) my_tails += count;
-        count = 0;
-      };
-      for (index_t t = tb; t < te; ++t) {
-        const index_t o = t / inner;
-        const index_t i = t % inner;
-        if (keep != nullptr && keep[i] == 0) continue;
-        lanes[count++] = data + o * n * inner + i;
-        if (count == batch) flush();
-      }
-      flush();
-      if (my_batched != 0) batched_lines.add(my_batched);
-      if (my_tails != 0) tail_lines.add(my_tails);
-    });
-    return;
-  }
-
-  parallel_for_chunked(0, outer * inner, [&](index_t tb, index_t te) {
-    thread_local std::vector<cpx> line;
-    line.resize(static_cast<std::size_t>(n));
-    for (index_t t = tb; t < te; ++t) {
-      const index_t o = t / inner;
-      const index_t i = t % inner;
-      if (keep != nullptr && keep[i] == 0) continue;
-      cpx* base = data + o * n * inner + i;
-      for (index_t j = 0; j < n; ++j) line[static_cast<std::size_t>(j)] = base[j * inner];
-      forward ? p.forward(line.data()) : p.inverse(line.data());
-      for (index_t j = 0; j < n; ++j) base[j * inner] = line[static_cast<std::size_t>(j)];
-    }
-  });
+  detail::c2c_in_place(x.data(), st, forward);
 }
 
 /// Real-to-complex transform of the trailing `ndim` axes into `out`
@@ -248,17 +398,8 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   Shape out_shape = in_shape;
   out_shape[rank - 1] = n_last / 2 + 1;
   detail::validate_mask(mask, out_shape, ndim);
-
   if (out.shape() != out_shape) out = Tensor<cpx>(out_shape);
-  const index_t rows = numel(in_shape) / n_last;
-  static obs::Counter& lines = obs::counter("fft/r2c_lines");
-  static obs::Counter& lines_total = obs::counter("fft/lines_total");
-  lines.add(rows);
-  lines_total.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const index_t out_row = out_shape[rank - 1];
-  const T* in_data = x.data();
-  cpx* out_data = out.data();
+
   // Every row must be transformed (the other transform axes are still in
   // spatial coordinates here), but output bins of a pruned last-axis
   // coordinate are never read downstream, so the per-row unpack skips them.
@@ -266,49 +407,16 @@ void rfftn_into(const Tensor<T>& x, int ndim, Tensor<std::complex<T>>& out,
   if (mask != nullptr && !mask->back().empty()) {
     keep_bins = mask->back().data();
   }
-  const index_t batch =
-      line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
-  if (batch > 1) {
-    static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-    static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    const index_t h = n_last / 2;
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      Tensor<cpx>& zbuf = workspace<cpx>("fft/rfft_z_lanes", {h * batch});
-      Tensor<cpx>& ubuf = workspace<cpx>("fft/rfft_u_lanes", {(h + 1) * batch});
-      Tensor<cpx>& twbuf = workspace<cpx>("fft/rfft_tw", {h + 1});
-      fill_rfft_twiddles(twbuf.data(), n_last);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += batch) {
-        const index_t nl = std::min(batch, re - r);
-        rfft_batch_scratch(in_data + r * n_last, n_last,
-                           out_data + r * out_row, out_row, n_last, nl,
-                           keep_bins, zbuf.data(), ubuf.data(), twbuf.data());
-        my_batched += nl;
-        if (nl < batch) my_tails += nl;
-      }
-      batched_lines.add(my_batched);
-      if (my_tails != 0) tail_lines.add(my_tails);
-    });
-  } else {
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      for (index_t r = rb; r < re; ++r) {
-        rfft(in_data + r * n_last, out_data + r * out_row, n_last, keep_bins);
-      }
-    });
-  }
+  cpx* tw = workspace<cpx>("fft/rfft_tw", {n_last / 2 + 1}).data();
+  fill_rfft_twiddles(tw, n_last);
+  rfft_rows(ThreadPool::current(), x.data(), out.data(),
+            numel(in_shape) / n_last, n_last, keep_bins, tw, [n_last] {
+              return detail::row_workspace<T>("fft/rfft_lanes", n_last);
+            });
 
-  // Remaining (complex) transform axes, innermost-first order is arbitrary.
-  // Stage d transforms trailing axis j = ndim-1-d; the axes after j are
-  // already in spectral coordinates, so their masks prune whole lines.
-  for (int d = 1; d < ndim; ++d) {
-    const std::size_t axis = rank - 1 - static_cast<std::size_t>(d);
-    std::vector<std::uint8_t> keep;
-    if (mask != nullptr) {
-      keep = detail::inner_keep_flags(
-          *mask, static_cast<std::size_t>(ndim - d), out_shape,
-          static_cast<std::size_t>(ndim));
-    }
-    c2c_axis(out, axis, /*forward=*/true, keep.empty() ? nullptr : &keep);
+  const std::vector<C2cStage> stages = c2c_stages(out_shape, ndim, mask);
+  for (std::size_t j = stages.size(); j-- > 0;) {
+    detail::c2c_in_place(out.data(), stages[j], /*forward=*/true);
   }
 }
 
@@ -341,23 +449,14 @@ void irfftn_into(const Tensor<std::complex<T>>& x, int ndim, index_t n_last,
 
   // The inverse c2c stages run in place on a workspace copy; with ndim == 1
   // there are no c2c stages, so the rows are read straight from `x` and the
-  // copy is skipped entirely.
+  // copy is skipped entirely. Pruned lines are exactly zero by the caller
+  // contract.
   const cpx* spec = x.data();
   if (ndim > 1) {
     Tensor<cpx>& work = workspace<cpx>("fft/irfftn_work", x.shape());
     std::copy(x.data(), x.data() + x.size(), work.data());
-    // Outermost trailing axis first; the axes after stage j's axis are still
-    // untransformed spectral coordinates, so their masks prune whole lines
-    // (which are exactly zero by the caller contract).
-    for (int d = ndim - 1; d >= 1; --d) {
-      const std::size_t axis = rank - 1 - static_cast<std::size_t>(d);
-      std::vector<std::uint8_t> keep;
-      if (mask != nullptr) {
-        keep = detail::inner_keep_flags(
-            *mask, static_cast<std::size_t>(ndim - d), x.shape(),
-            static_cast<std::size_t>(ndim));
-      }
-      c2c_axis(work, axis, /*forward=*/false, keep.empty() ? nullptr : &keep);
+    for (const C2cStage& st : c2c_stages(x.shape(), ndim, mask)) {
+      detail::c2c_in_place(work.data(), st, /*forward=*/false);
     }
     spec = work.data();
   }
@@ -365,45 +464,12 @@ void irfftn_into(const Tensor<std::complex<T>>& x, int ndim, index_t n_last,
   Shape out_shape = x.shape();
   out_shape[rank - 1] = n_last;
   if (out.shape() != out_shape) out = Tensor<T>(out_shape);
-  const index_t in_row = x.shape()[rank - 1];
-  const index_t rows = numel(out_shape) / n_last;
-  static obs::Counter& lines = obs::counter("fft/c2r_lines");
-  static obs::Counter& lines_total = obs::counter("fft/lines_total");
-  lines.add(rows);
-  lines_total.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  T* out_data = out.data();
-  const index_t batch =
-      line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
-  if (batch > 1) {
-    static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
-    static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
-    const index_t h = n_last / 2;
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      Tensor<cpx>& zbuf = workspace<cpx>("fft/irfft_z_lanes", {h * batch});
-      Tensor<cpx>& ubuf =
-          workspace<cpx>("fft/irfft_u_lanes", {(h + 1) * batch});
-      Tensor<cpx>& twbuf = workspace<cpx>("fft/irfft_tw", {h});
-      fill_irfft_twiddles(twbuf.data(), n_last);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += batch) {
-        const index_t nl = std::min(batch, re - r);
-        irfft_batch_scratch(spec + r * in_row, in_row,
-                            out_data + r * n_last, n_last, n_last, nl,
-                            zbuf.data(), ubuf.data(), twbuf.data());
-        my_batched += nl;
-        if (nl < batch) my_tails += nl;
-      }
-      batched_lines.add(my_batched);
-      if (my_tails != 0) tail_lines.add(my_tails);
-    });
-  } else {
-    parallel_for_chunked(0, rows, [&](index_t rb, index_t re) {
-      for (index_t r = rb; r < re; ++r) {
-        irfft(spec + r * in_row, out_data + r * n_last, n_last);
-      }
-    });
-  }
+  cpx* tw = workspace<cpx>("fft/irfft_tw", {n_last / 2}).data();
+  fill_irfft_twiddles(tw, n_last);
+  irfft_rows(ThreadPool::current(), spec, out.data(),
+             numel(out_shape) / n_last, n_last, tw, [n_last] {
+               return detail::row_workspace<T>("fft/irfft_lanes", n_last);
+             });
 }
 
 /// Inverse of rfftn. `n_last` is the original size of the last axis.

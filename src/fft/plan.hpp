@@ -145,9 +145,8 @@ class PlanC2C {
 
   /// Does this plan execute batches through lane-interleaved SIMD kernels
   /// under the currently active ISA? When false, execute_batch would just
-  /// transpose to line-major and run per lane — callers that control the
-  /// gather layout (fft::c2c_axis, the inference engine's c2c stages) run
-  /// their per-line loop instead.
+  /// transpose to line-major and run per lane — fft::c2c_stage, which
+  /// controls the gather layout, runs batches of one line instead.
   [[nodiscard]] bool batch_wants_lanes() const {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {

@@ -6,10 +6,10 @@
 // window length used in this library are even).
 //
 // The unpack twiddles e^(±2πik/n) are read from a caller-provided table so
-// the inference engine can compute them once at plan time; the rfft/irfft
-// wrappers fill a scratch table per call (the historical cost). Both paths
-// run the one shared _scratch instantiation on identical table values, so
-// their outputs are bitwise identical by construction.
+// the inference engine can compute them once at plan time; the Tensor
+// transforms fill one per call and the 1-D rfft/irfft wrappers one per row.
+// All run the one shared _scratch instantiation on identical table values,
+// so their outputs are bitwise identical by construction.
 //
 // The unpack/pack loops dispatch per call on util::active_isa() between the
 // scalar reference loops below and the AVX2/FMA kernels in
@@ -57,8 +57,8 @@ void fill_irfft_twiddles(std::complex<T>* tw, index_t n) {
 }
 
 /// rfft core with caller-provided scratch `z` (n/2 elements) and twiddle
-/// table `tw` (n/2+1 elements, see fill_rfft_twiddles). The inference
-/// engine's arena hands in preallocated slices here; the thread_local
+/// table `tw` (n/2+1 elements, see fill_rfft_twiddles). The line drivers
+/// (fft/fftnd.hpp) hand in their callers' scratch here; the thread_local
 /// wrapper below keeps the original signature for everyone else. Both run
 /// the exact same instructions, so results are bitwise identical between
 /// the two entry points.

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstring>
 
-#include "fft/fftnd.hpp"
-#include "fft/plan_cache.hpp"
-#include "fft/real.hpp"
 #include "tensor/gemm.hpp"
+#include "util/isa.hpp"
 
 namespace turb::infer {
 
@@ -24,18 +22,6 @@ constexpr index_t kColBlock = 64;
 inline float gelu(float v) {
   constexpr float inv_sqrt2 = 0.70710678118654752f;
   return 0.5f * v * (1.0f + std::erf(v * inv_sqrt2));
-}
-
-/// Allocation-free chunked dispatch: passes the lambda by address through
-/// the pool's raw (fn, ctx) overload — no std::function, no capture copy.
-template <typename Body>
-void run_chunks(ThreadPool& pool, index_t n, const Body& body) {
-  pool.parallel_for_chunked(
-      0, n,
-      [](void* ctx, index_t b, index_t e) {
-        (*static_cast<const Body*>(ctx))(b, e);
-      },
-      const_cast<void*>(static_cast<const void*>(&body)));
 }
 
 /// Element-wise shape check without materialising a Shape (no allocation).
@@ -59,13 +45,7 @@ InferenceEngine::InferenceEngine(fno::Fno& model)
       forward_calls_(obs::counter("infer/forward_calls")),
       replans_(obs::counter("infer/replans")),
       steady_allocs_(obs::counter("infer/steady_state_allocs")),
-      arena_gauge_(obs::gauge("infer/arena_bytes")),
-      fft_lines_total_(obs::counter("fft/lines_total")),
-      fft_lines_skipped_(obs::counter("fft/pruned_lines_skipped")),
-      fft_r2c_lines_(obs::counter("fft/r2c_lines")),
-      fft_c2r_lines_(obs::counter("fft/c2r_lines")),
-      fft_batched_lines_(obs::counter("fft/batched_lines")),
-      fft_batch_tail_lines_(obs::counter("fft/batch_tail_lines")) {
+      arena_gauge_(obs::gauge("infer/arena_bytes")) {
   wskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   bskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pw_.resize(static_cast<std::size_t>(cfg_.n_layers));
@@ -187,10 +167,10 @@ void InferenceEngine::plan(const Shape& in_shape) {
   TURB_CHECK(in_shape[0] >= 1 && in_shape[1] == cfg_.in_channels);
 
   replans_.add(1);
-  // Plan-time kernel selection: resolving the ISA here publishes the
-  // isa/active gauge even before the first kernel dispatch, so every
-  // --metrics-out snapshot that contains a plan also names its kernels.
-  isa_ = util::active_isa();
+  // Resolving the ISA here publishes the isa/active gauge even before the
+  // first kernel dispatch, so every --metrics-out snapshot that contains a
+  // plan also names its kernels.
+  (void)util::active_isa();
   batch_ = in_shape[0];
   spatial_.assign(in_shape.begin() + 2, in_shape.end());
   n_last_ = spatial_.back();
@@ -209,26 +189,11 @@ void InferenceEngine::plan(const Shape& in_shape) {
   const fft::ModeMask& mask = conv.mode_mask();
   keep_bins_ = mask.back();
 
-  // c2c stage geometry over the (N, width, spec...) spectrum tensor,
-  // mirroring fft::c2c_axis line decomposition and inner_keep pruning.
-  Shape spec_full{batch_, cfg_.width};
-  for (std::size_t d = 0; d < rank; ++d) {
-    spec_full.push_back(d + 1 < rank ? spatial_[d] : n_last_ / 2 + 1);
-  }
-  stages_.assign(rank - 1, C2cStage{});
-  line_len_ = 0;
-  for (std::size_t a = 0; a + 1 < rank; ++a) {
-    C2cStage& st = stages_[a];
-    st.n = spatial_[a];
-    st.outer = batch_ * cfg_.width;
-    for (std::size_t d = 0; d < a; ++d) st.outer *= spec_full[2 + d];
-    st.inner = 1;
-    for (std::size_t d = a + 1; d < rank; ++d) st.inner *= spec_full[2 + d];
-    st.keep = fft::detail::inner_keep_flags(mask, a + 1, spec_full, rank);
-    st.kept_inner = 0;
-    for (const std::uint8_t f : st.keep) st.kept_inner += (f != 0);
-    line_len_ = std::max(line_len_, st.n);
-  }
+  // c2c stage geometry over the (N, width, spec...) spectrum tensor.
+  Shape spec_shape = in_shape;
+  spec_shape[1] = cfg_.width;
+  spec_shape.back() = n_last_ / 2 + 1;
+  stages_ = fft::c2c_stages(spec_shape, static_cast<int>(rank), &mask);
 
   // Arena layout. Activation ping-pong pair, rollout window + prediction
   // pair, three spectrum slabs, and per-slot kernel scratch.
@@ -248,21 +213,19 @@ void InferenceEngine::plan(const Shape& in_shape) {
   off_twf_ = arena_.reserve<cpxf>(n_last_ / 2 + 1);
   off_twi_ = arena_.reserve<cpxf>(n_last_ / 2);
   off_tile_.assign(slots_, 0);
-  off_z_.assign(slots_, 0);
-  off_line_.assign(slots_, 0);
   off_xg_.assign(slots_, 0);
-  off_zl_.assign(slots_, 0);
-  off_ul_.assign(slots_, 0);
-  off_lanes_.assign(slots_, 0);
+  off_fz_.assign(slots_, 0);
+  off_fu_.assign(slots_, 0);
+  // fft::LineScratch: z serves the half-length row transforms and the c2c
+  // lines alike, so it is sized for the longer of the two.
   const index_t h = n_last_ / 2;
+  index_t z_len = h;
+  for (const fft::C2cStage& st : stages_) z_len = std::max(z_len, st.n);
   for (std::size_t t = 0; t < slots_; ++t) {
     off_tile_[t] = arena_.reserve<float>(tile_rows_ * kColBlock);
-    off_z_[t] = arena_.reserve<cpxf>(h);
-    off_line_[t] = arena_.reserve<cpxf>(line_len_);
     off_xg_[t] = arena_.reserve<cpxf>(w);
-    off_zl_[t] = arena_.reserve<cpxf>(h * fft::kMaxLanes);
-    off_ul_[t] = arena_.reserve<cpxf>((h + 1) * fft::kMaxLanes);
-    off_lanes_[t] = arena_.reserve<cpxf>(line_len_ * fft::kMaxLanes);
+    off_fz_[t] = arena_.reserve<cpxf>(z_len * fft::kMaxLanes);
+    off_fu_[t] = arena_.reserve<cpxf>((h + 1) * fft::kMaxLanes);
   }
   arena_.commit();  // zero-fill: establishes the y_spec zero invariant
   arena_gauge_.set(static_cast<double>(arena_.bytes()));
@@ -327,7 +290,7 @@ void InferenceEngine::lift(const float* x, float* h) {
   const float* bl1 = bl1_.data();
   const float* wl2 = wl2_.data();
   const float* bl2 = bl2_.data();
-  run_chunks(*pool_, batch_ * nblocks, [&](index_t tb, index_t te) {
+  pool_->run_chunks(0, batch_ * nblocks, [&](index_t tb, index_t te) {
     const std::size_t slot = pool_->scratch_slot();
     float* tile = arena_.at<float>(off_tile_[slot]);
     for (index_t t = tb; t < te; ++t) {
@@ -364,7 +327,7 @@ void InferenceEngine::project(const float* h, float* y) {
   const float* bp1 = bp1_.data();
   const float* wp2 = wp2_.data();
   const float* bp2 = bp2_.data();
-  run_chunks(*pool_, batch_ * nblocks, [&](index_t tb, index_t te) {
+  pool_->run_chunks(0, batch_ * nblocks, [&](index_t tb, index_t te) {
     const std::size_t slot = pool_->scratch_slot();
     float* tile = arena_.at<float>(off_tile_[slot]);
     for (index_t t = tb; t < te; ++t) {
@@ -389,171 +352,6 @@ void InferenceEngine::project(const float* h, float* y) {
   });
 }
 
-void InferenceEngine::rfft_rows(const float* in, cpxf* out) {
-  const index_t rows = batch_ * cfg_.width * pre_rows_;
-  const index_t out_row = n_last_ / 2 + 1;
-  fft_r2c_lines_.add(rows);
-  fft_lines_total_.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const std::uint8_t* keep = keep_bins_.empty() ? nullptr : keep_bins_.data();
-  const cpxf* tw = arena_.at<cpxf>(off_twf_);
-  const index_t b =
-      fft::line_batching_enabled() ? fft::lane_count<float>(isa_) : 1;
-  if (b > 1) {
-    run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-      const std::size_t slot = pool_->scratch_slot();
-      cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
-      cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += b) {
-        const index_t nl = std::min(b, re - r);
-        fft::rfft_batch_scratch(in + r * n_last_, n_last_, out + r * out_row,
-                                out_row, n_last_, nl, keep, zl, ul, tw);
-        my_batched += nl;
-        if (nl < b) my_tails += nl;
-      }
-      fft_batched_lines_.add(my_batched);
-      if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-    });
-    return;
-  }
-  run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-    cpxf* z = arena_.at<cpxf>(off_z_[pool_->scratch_slot()]);
-    for (index_t r = rb; r < re; ++r) {
-      fft::rfft_scratch(in + r * n_last_, out + r * out_row, n_last_, keep, z,
-                        tw);
-    }
-  });
-}
-
-void InferenceEngine::irfft_rows(const cpxf* in, float* out) {
-  const index_t rows = batch_ * cfg_.width * pre_rows_;
-  const index_t in_row = n_last_ / 2 + 1;
-  fft_c2r_lines_.add(rows);
-  fft_lines_total_.add(rows);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const cpxf* tw = arena_.at<cpxf>(off_twi_);
-  const index_t b =
-      fft::line_batching_enabled() ? fft::lane_count<float>(isa_) : 1;
-  if (b > 1) {
-    run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-      const std::size_t slot = pool_->scratch_slot();
-      cpxf* zl = arena_.at<cpxf>(off_zl_[slot]);
-      cpxf* ul = arena_.at<cpxf>(off_ul_[slot]);
-      std::int64_t my_batched = 0, my_tails = 0;
-      for (index_t r = rb; r < re; r += b) {
-        const index_t nl = std::min(b, re - r);
-        fft::irfft_batch_scratch(in + r * in_row, in_row, out + r * n_last_,
-                                 n_last_, n_last_, nl, zl, ul, tw);
-        my_batched += nl;
-        if (nl < b) my_tails += nl;
-      }
-      fft_batched_lines_.add(my_batched);
-      if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-    });
-    return;
-  }
-  run_chunks(*pool_, rows, [&](index_t rb, index_t re) {
-    cpxf* z = arena_.at<cpxf>(off_z_[pool_->scratch_slot()]);
-    for (index_t r = rb; r < re; ++r) {
-      fft::irfft_scratch(in + r * in_row, out + r * n_last_, n_last_, z, tw);
-    }
-  });
-}
-
-void InferenceEngine::c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
-                                bool forward_dir) {
-  if (st.n == 1) return;  // mirrors c2c_axis: counted only when transformed
-  fft_lines_total_.add(st.outer * st.inner);
-  util::fft_dispatch_counter(util::active_isa()).add(1);
-  const std::uint8_t* keep = nullptr;
-  if (!st.keep.empty()) {
-    keep = st.keep.data();
-    fft_lines_skipped_.add(st.outer * (st.inner - st.kept_inner));
-  }
-  const fft::PlanC2C<float>& p = fft::plan<float>(st.n);
-  const index_t n = st.n, inner = st.inner;
-  if (inner == 1 && src == dst) {
-    if (keep != nullptr && keep[0] == 0) return;
-    run_chunks(*pool_, st.outer, [&](index_t ob, index_t oe) {
-      for (index_t o = ob; o < oe; ++o) {
-        cpxf* line = dst + o * n;
-        forward_dir ? p.forward(line) : p.inverse(line);
-      }
-    });
-    return;
-  }
-  // Gather line → transform → scatter. src may differ from dst (the first
-  // inverse stage reads y_spec and writes the workspace directly, replacing
-  // a slab-sized memcpy); the gathered values and the transform are the
-  // same either way, and skipped lines leave dst untouched — zero by the
-  // arena-commit invariant, exactly what the in-place path would hold.
-  //
-  // With line batching on and a plan with lane kernels, kept lines are
-  // collected into lane-interleaved batches of up to B within each chunk
-  // (mirroring fft::c2c_axis), so the chunk partition and thread-count
-  // determinism are unchanged; batch occupancy invariance (fft/plan.hpp)
-  // makes the grouping unobservable in the output bits. Plans without lane
-  // kernels (scalar tier, Bluestein lengths) take the per-line loop.
-  const index_t b = fft::line_batching_enabled() && p.batch_wants_lanes()
-                        ? fft::lane_count<float>(isa_)
-                        : 1;
-  if (b > 1) {
-    run_chunks(*pool_, st.outer * inner, [&](index_t tb, index_t te) {
-      cpxf* work = arena_.at<cpxf>(off_lanes_[pool_->scratch_slot()]);
-      const cpxf* in_lanes[fft::kMaxLanes];
-      cpxf* out_lanes[fft::kMaxLanes];
-      index_t count = 0;
-      std::int64_t my_batched = 0, my_tails = 0;
-      const auto flush = [&] {
-        if (count == 0) return;
-        for (index_t l = 0; l < count; ++l) {
-          const cpxf* base = in_lanes[l];
-          for (index_t j = 0; j < n; ++j) {
-            work[j * count + l] = base[j * inner];
-          }
-        }
-        forward_dir ? p.forward_batch(work, count)
-                    : p.inverse_batch(work, count);
-        for (index_t l = 0; l < count; ++l) {
-          cpxf* base = out_lanes[l];
-          for (index_t j = 0; j < n; ++j) {
-            base[j * inner] = work[j * count + l];
-          }
-        }
-        my_batched += count;
-        if (count < b) my_tails += count;
-        count = 0;
-      };
-      for (index_t t = tb; t < te; ++t) {
-        const index_t o = t / inner;
-        const index_t i = t % inner;
-        if (keep != nullptr && keep[i] == 0) continue;
-        in_lanes[count] = src + o * n * inner + i;
-        out_lanes[count] = dst + o * n * inner + i;
-        if (++count == b) flush();
-      }
-      flush();
-      fft_batched_lines_.add(my_batched);
-      if (my_tails != 0) fft_batch_tail_lines_.add(my_tails);
-    });
-    return;
-  }
-  run_chunks(*pool_, st.outer * inner, [&](index_t tb, index_t te) {
-    cpxf* line = arena_.at<cpxf>(off_line_[pool_->scratch_slot()]);
-    for (index_t t = tb; t < te; ++t) {
-      const index_t o = t / inner;
-      const index_t i = t % inner;
-      if (keep != nullptr && keep[i] == 0) continue;
-      const cpxf* in_base = src + o * n * inner + i;
-      cpxf* out_base = dst + o * n * inner + i;
-      for (index_t j = 0; j < n; ++j) line[j] = in_base[j * inner];
-      forward_dir ? p.forward(line) : p.inverse(line);
-      for (index_t j = 0; j < n; ++j) out_base[j * inner] = line[j];
-    }
-  });
-}
-
 void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   const index_t w = cfg_.width, K = kept_, slab = slab_;
   const index_t* offs = spec_offsets_.data();
@@ -563,7 +361,7 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
 
   if (!factorized) {
     const float* pw = pw_[ls].data();
-    run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
+    pool_->run_chunks(0, batch_ * K, [&](index_t tb, index_t te) {
       cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
       for (index_t t = tb; t < te; ++t) {
         const index_t n = t / K;
@@ -608,7 +406,7 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   const std::vector<std::vector<float>>& packs = pf_[ls];
   const index_t* fx[3] = {nullptr, nullptr, nullptr};
   for (std::size_t d = 0; d < r; ++d) fx[d] = fidx_[d].data();
-  run_chunks(*pool_, batch_ * K, [&](index_t tb, index_t te) {
+  pool_->run_chunks(0, batch_ * K, [&](index_t tb, index_t te) {
     cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
     for (index_t t = tb; t < te; ++t) {
       const index_t n = t / K;
@@ -651,12 +449,22 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
   cpxf* yspec = arena_.at<cpxf>(off_yspec_);
   cpxf* work = arena_.at<cpxf>(off_work_);
   const std::size_t rank = cfg_.rank();
+  ThreadPool& pool = *pool_;
+  const index_t rows = batch_ * cfg_.width * pre_rows_;
+  // The line drivers' scratch provider: the running pool slot's pair.
+  const auto scratch = [this] {
+    const std::size_t slot = pool_->scratch_slot();
+    return fft::LineScratch<float>{arena_.at<cpxf>(off_fz_[slot]),
+                                   arena_.at<cpxf>(off_fu_[slot])};
+  };
 
-  // Forward transform of h_in (rfft rows, then c2c stages innermost-first —
-  // the rfftn_into stage order).
-  rfft_rows(h_in, xspec);
+  // Forward transform of h_in: the fft::rfftn_into stage order (rfft rows,
+  // then c2c stages innermost-first) through the same line drivers.
+  fft::rfft_rows(pool, h_in, xspec, rows, n_last_,
+                 keep_bins_.empty() ? nullptr : keep_bins_.data(),
+                 arena_.at<cpxf>(off_twf_), scratch);
   for (std::size_t a = rank - 1; a-- > 0;) {
-    c2c_stage(xspec, xspec, stages_[a], /*forward_dir=*/true);
+    fft::c2c_stage(pool, xspec, xspec, stages_[a], /*forward=*/true, scratch);
   }
 
   // Kept-mode contraction into y_spec (zero outside kept offsets by the
@@ -671,16 +479,18 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
   // training path sees zeros — hence the slab copy.
   contract(l, xspec, yspec);
   if (rank == 2) {
-    c2c_stage(yspec, work, stages_[0], /*forward_dir=*/false);
+    fft::c2c_stage(pool, yspec, work, stages_[0], /*forward=*/false, scratch);
   } else {
     std::memcpy(work, yspec,
                 static_cast<std::size_t>(batch_ * cfg_.width * slab_) *
                     sizeof(cpxf));
     for (std::size_t a = 0; a + 1 < rank; ++a) {
-      c2c_stage(work, work, stages_[a], /*forward_dir=*/false);
+      fft::c2c_stage(pool, work, work, stages_[a], /*forward=*/false,
+                     scratch);
     }
   }
-  irfft_rows(work, h_out);
+  fft::irfft_rows(pool, work, h_out, rows, n_last_, arena_.at<cpxf>(off_twi_),
+                  scratch);
 
   // Fused skip path: 1×1 skip GEMM into the tile, then per element the
   // training rounding chain — skip = fl(gemm + bias); v = fl(spat + skip);
@@ -694,7 +504,7 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
   const float* wsk = wskip_[static_cast<std::size_t>(l)].data();
   const float* bsk = bskip_[static_cast<std::size_t>(l)].data();
   const index_t nblocks = (s + kColBlock - 1) / kColBlock;
-  run_chunks(*pool_, batch_ * nblocks, [&](index_t tb, index_t te) {
+  pool_->run_chunks(0, batch_ * nblocks, [&](index_t tb, index_t te) {
     const std::size_t slot = pool_->scratch_slot();
     float* tile = arena_.at<float>(off_tile_[slot]);
     for (index_t t = tb; t < te; ++t) {

@@ -17,6 +17,10 @@
 //     (K, C_out, C_in) complex block, factorized (F-FNO) weights as one
 //     k_d-major block per axis, composed into the per-mode weight in
 //     registers while the input streams through;
+//   * the spectral transforms run src/fft's line drivers (fft::rfft_rows,
+//     fft::c2c_stage, fft::irfft_rows) on arena slices, with stage geometry
+//     from fft::c2c_stages at plan time — the engine owns no FFT line loop,
+//     lane-count choice or fft/* counter;
 //   * the rollout driver ping-pongs between two arena prediction buffers and
 //     shifts temporal channels in place.
 //
@@ -24,7 +28,7 @@
 // parameterisation (tests enforce it at pool widths 1/2/4): every
 // floating-point value is produced by the same per-element operation
 // sequence as the training path — the same gemm_nn instantiation on
-// 8-aligned column blocks, the same rfft/irfft/PlanC2C kernels, the same
+// 8-aligned column blocks, the same FFT line drivers and kernels, the same
 // ascending-k contraction order, and the same add-bias → add-skip → GELU
 // rounding chain. The factorized engine agrees with `Fno::forward` to a
 // 1e-4 bound and is bitwise reproducible across thread counts and repeats.
@@ -35,11 +39,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "fft/fftnd.hpp"
 #include "fno/fno.hpp"
 #include "infer/arena.hpp"
 #include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
-#include "util/isa.hpp"
 #include "util/thread_pool.hpp"
 
 namespace turb::infer {
@@ -116,32 +120,13 @@ class InferenceEngine {
   [[nodiscard]] bool planned() const { return planned_; }
   [[nodiscard]] const Shape& planned_shape() const { return in_shape_; }
 
-  /// The microkernel ISA resolved at plan() time (the engine's kernels
-  /// dispatch on the live process-wide choice; this records what was active
-  /// when the plan was built, for bench/metrics attribution).
-  [[nodiscard]] util::Isa planned_isa() const { return isa_; }
-
  private:
   using cpxf = std::complex<float>;
-
-  /// One complex-to-complex FFT stage of the planned transform (spatial
-  /// axis a < rank-1), mirroring fft::c2c_axis line geometry and pruning.
-  struct C2cStage {
-    index_t n = 0;      // transform length (spatial extent of the axis)
-    index_t outer = 0;  // lines before the axis (includes N·width)
-    index_t inner = 0;  // flattened extent after the axis
-    index_t kept_inner = 0;
-    std::vector<std::uint8_t> keep;  // per inner coordinate; empty = all
-  };
 
   void lift(const float* x, float* h);
   void spectral_layer(index_t l, const float* h_in, float* h_out,
                       bool last_layer);
   void project(const float* h, float* y);
-  void rfft_rows(const float* in, cpxf* out);
-  void irfft_rows(const cpxf* in, float* out);
-  void c2c_stage(const cpxf* src, cpxf* dst, const C2cStage& st,
-                 bool forward_dir);
   void contract(index_t l, const cpxf* xs, cpxf* ys);
 
   fno::Fno* model_;
@@ -177,10 +162,9 @@ class InferenceEngine {
   index_t kept_ = 0;                 // kept modes K
   std::vector<index_t> spec_offsets_;     // kept mode → offset in slab
   std::vector<std::uint8_t> keep_bins_;   // rfft-axis unpack mask
-  std::vector<C2cStage> stages_;          // index = spatial axis a
+  std::vector<fft::C2cStage> stages_;     // index = spatial axis a
   ThreadPool* pool_ = nullptr;            // captured at plan()
   std::size_t slots_ = 0;                 // pool_->slot_count() at layout time
-  util::Isa isa_ = util::Isa::kScalar;    // resolved at plan()
 
   // Arena slices (byte offsets; pointers resolved after commit()).
   Arena arena_;
@@ -188,25 +172,17 @@ class InferenceEngine {
   std::size_t off_win_ = 0, off_pred0_ = 0, off_pred1_ = 0;
   std::size_t off_xspec_ = 0, off_yspec_ = 0, off_work_ = 0;
   std::size_t off_twf_ = 0, off_twi_ = 0;  // rfft/irfft twiddle tables
-  std::vector<std::size_t> off_tile_, off_z_, off_line_, off_xg_;  // per slot
-  // Per-slot lane-interleaved scratch for batched line FFTs, sized for
-  // fft::kMaxLanes so the runtime lane count (ISA- and type-dependent)
-  // always fits without reallocation.
-  std::vector<std::size_t> off_zl_, off_ul_, off_lanes_;  // per slot
+  std::vector<std::size_t> off_tile_, off_xg_;  // per slot
+  // Per-slot fft::LineScratch (z, u), sized for fft::kMaxLanes so the lane
+  // count the live ISA selects always fits without reallocation.
+  std::vector<std::size_t> off_fz_, off_fu_;  // per slot
   index_t tile_rows_ = 0;   // max channel count staged in a tile
-  index_t line_len_ = 0;    // max c2c extent
 
   // Metrics (registry references cached so the hot path never locks).
   obs::Counter& forward_calls_;
   obs::Counter& replans_;
   obs::Counter& steady_allocs_;
   obs::Gauge& arena_gauge_;
-  obs::Counter& fft_lines_total_;
-  obs::Counter& fft_lines_skipped_;
-  obs::Counter& fft_r2c_lines_;
-  obs::Counter& fft_c2r_lines_;
-  obs::Counter& fft_batched_lines_;
-  obs::Counter& fft_batch_tail_lines_;
 };
 
 }  // namespace turb::infer

@@ -55,6 +55,19 @@ class ThreadPool {
   void parallel_for_chunked(index_t begin, index_t end,
                             void (*fn)(void*, index_t, index_t), void* ctx);
 
+  /// Allocation-free chunked dispatch of any callable body(chunk_begin,
+  /// chunk_end): passes `body` by address through the raw overload above,
+  /// so the call path constructs nothing.
+  template <typename Body>
+  void run_chunks(index_t begin, index_t end, const Body& body) {
+    parallel_for_chunked(
+        begin, end,
+        [](void* ctx, index_t b, index_t e) {
+          (*static_cast<const Body*>(ctx))(b, e);
+        },
+        const_cast<void*>(static_cast<const void*>(&body)));
+  }
+
   /// Number of distinct values scratch_slot() can return for this pool:
   /// size() (workers plus the submitting thread).
   [[nodiscard]] std::size_t slot_count() const { return size(); }

@@ -1,10 +1,12 @@
 // Inference engine contract tests.
 //
 // 1. Bitwise equality: the planned engine must reproduce Fno::forward
-//    exactly — same bytes — at pool widths 1/2/4, across 2D / 3D configs,
-//    power-of-two and Bluestein grids, and batch > 1. Rollouts and the
-//    FnoPropagator must match in-test replicas of the pre-engine algorithms
-//    stepped through model.forward().
+//    exactly — same bytes — at pool widths 1/2/4, with lane batching on and
+//    off, across 2D / 3D configs, power-of-two and Bluestein grids, and
+//    batch > 1; one engine forward advances the fft/* line counters exactly
+//    as much as one Fno::forward. Rollouts and the FnoPropagator must match
+//    in-test replicas of the pre-engine algorithms stepped through
+//    model.forward().
 // 2. Zero allocation: a global operator-new counting hook asserts the
 //    engine's steady state (forward, rollout step, hybrid advance window)
 //    performs zero heap allocations after one warm-up call.
@@ -24,6 +26,7 @@
 
 #include "analysis/stats.hpp"
 #include "core/fno_propagator.hpp"
+#include "fft/plan.hpp"
 #include "fno/fno.hpp"
 #include "infer/arena.hpp"
 #include "infer/engine.hpp"
@@ -300,6 +303,19 @@ TEST(Arena, GrowOnlyReuse) {
 
 // --- Bitwise forward equality ----------------------------------------------
 
+/// The fft/* line counters a forward pass advances.
+constexpr const char* kFftLineCounters[] = {
+    "fft/lines_total",   "fft/pruned_lines_skipped", "fft/r2c_lines",
+    "fft/c2r_lines",     "fft/batched_lines",        "fft/batch_tail_lines"};
+
+std::vector<std::int64_t> fft_line_counts() {
+  std::vector<std::int64_t> counts;
+  for (const char* name : kFftLineCounters) {
+    counts.push_back(obs::counter(name).value());
+  }
+  return counts;
+}
+
 void check_forward_equal(const fno::FnoConfig& cfg, const Shape& in_shape,
                          std::uint64_t seed) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -308,15 +324,34 @@ void check_forward_equal(const fno::FnoConfig& cfg, const Shape& in_shape,
     Rng rng(seed);
     fno::Fno model(cfg, rng);
     const TensorF x = random_tensor(in_shape, seed + 1);
-    TensorF ref = model.forward(x);
-    infer::InferenceEngine engine(model);
-    engine.plan(in_shape);
-    TensorF y;
-    engine.forward(x, y);
-    expect_bitwise_equal(ref, y, "engine vs Fno::forward");
-    // Second call through the planned steady state must agree too.
-    engine.forward(x, y);
-    expect_bitwise_equal(ref, y, "engine steady-state repeat");
+    TensorF batched_ref;
+    // Batching off runs the line drivers' per-line reference arm in both
+    // paths; the bytes must not change with it.
+    for (const bool batching : {true, false}) {
+      fft::ScopedLineBatching lanes(batching);
+      const std::vector<std::int64_t> c0 = fft_line_counts();
+      TensorF ref = model.forward(x);
+      const std::vector<std::int64_t> c1 = fft_line_counts();
+      infer::InferenceEngine engine(model);
+      engine.plan(in_shape);
+      TensorF y;
+      engine.forward(x, y);
+      const std::vector<std::int64_t> c2 = fft_line_counts();
+      expect_bitwise_equal(ref, y, "engine vs Fno::forward");
+      for (std::size_t i = 0; i < c0.size(); ++i) {
+        EXPECT_EQ(c2[i] - c1[i], c1[i] - c0[i])
+            << kFftLineCounters[i] << ": engine vs Fno::forward, threads="
+            << threads << " batching=" << batching;
+      }
+      // Second call through the planned steady state must agree too.
+      engine.forward(x, y);
+      expect_bitwise_equal(ref, y, "engine steady-state repeat");
+      if (batching) {
+        batched_ref = std::move(ref);
+      } else {
+        expect_bitwise_equal(batched_ref, y, "per-line vs batched engine");
+      }
+    }
   }
 }
 
@@ -683,8 +718,12 @@ TEST(InferZeroAlloc, ForwardSteadyState) {
   const TensorF x = random_tensor({1, 3, 16, 16}, 82);
   TensorF y;
   engine.forward(x, y);  // warm-up: FFT plans, obs statics, y storage
-  const std::int64_t n = count_allocs([&] { engine.forward(x, y); });
-  EXPECT_EQ(n, 0) << "forward steady state allocated";
+  for (const bool batching : {true, false}) {
+    fft::ScopedLineBatching lanes(batching);
+    const std::int64_t n = count_allocs([&] { engine.forward(x, y); });
+    EXPECT_EQ(n, 0) << "forward steady state allocated, line batching "
+                    << (batching ? "on" : "off");
+  }
 }
 
 TEST(InferZeroAlloc, FactorizedForwardSteadyState) {
