@@ -5,11 +5,11 @@
 // training-path Fno::forward versus the planned engine's forward_raw over
 // the same weights and input (bitwise-identical outputs, see
 // tests/test_infer.cpp), the autoregressive rollout cost per produced
-// snapshot, and batched multi-trajectory throughput. Variant rows cover the
-// dense and factorized (F-FNO) parameterisations at modes 12 and 20, each
-// recording its prepacked spectral-weight bytes next to the timing. The
-// engine's allocation counters and arena gauge ride along so the
-// zero-steady-state contract is visible in the trajectory record.
+// snapshot, and batched multi-trajectory throughput. Variant rows time the
+// engine at modes 12 and 20, each recording its prepacked spectral-weight
+// bytes next to the timing. The engine's allocation counters and arena
+// gauge ride along so the zero-steady-state contract is visible in the
+// trajectory record.
 //
 // Flags (besides the shared --threads / --metrics-out):
 //   --out F            JSON output path (default BENCH_inference.json)
@@ -211,53 +211,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 6. Parameterisation variants: the dense and factorized (F-FNO) spectral
-  //    layers at the paper's 12 modes and at 20 modes, where the
-  //    factorization pays off harder. Each variant plans a fresh engine on
-  //    its own model (same rng seed per modes count, so dense/fact differ
-  //    only in weight parameterisation) and records the prepacked spectral
-  //    working set.
+  // 6. Mode-count variants: the engine at the paper's 12 modes and at 20
+  //    modes. Each variant plans a fresh engine on its own model and
+  //    records the prepacked spectral working set.
   struct Variant {
     std::string name;
     double ns = 0.0;
     std::int64_t weight_bytes = 0;
-    bool factorized = false;
     index_t modes = 0;
   };
   std::vector<Variant> variants;
-  std::vector<std::pair<std::string, double>> variant_speedups;
-  {
-    const auto run_variants = [&](index_t modes) {
-      fno::FnoConfig vc = cfg;
-      vc.n_modes = {modes, modes};
-      const std::string mtag = std::string("m") + std::to_string(modes);
-      double ns[2] = {0.0, 0.0};  // [dense, fact] for the speedup rows
-      for (const bool factorized : {false, true}) {
-        Rng vrng(17);  // same seed: dense/fact share everything but weights
-        vc.spectral_kind = factorized ? nn::SpectralKind::kFactorized
-                                      : nn::SpectralKind::kDense;
-        fno::Fno vmodel(vc, vrng);
-        infer::InferenceEngine eng(vmodel);
-        eng.plan({1, vc.in_channels, grid, grid});
-        TensorF yy;
-        eng.forward(x, yy);
-        Variant v;
-        v.name = std::string("infer/engine_forward_n64_") + mtag +
-                 (factorized ? "_fact_fp32" : "_dense_fp32");
-        v.ns = time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
-        v.factorized = factorized;
-        v.modes = modes;
-        v.weight_bytes =
-            static_cast<std::int64_t>(eng.spectral_weight_bytes());
-        ns[factorized ? 1 : 0] = v.ns;
-        results.push_back({v.name, v.ns});
-        variants.push_back(std::move(v));
-      }
-      variant_speedups.emplace_back("engine_forward_fact_vs_dense_" + mtag,
-                                    ns[0] / ns[1]);
-    };
-    run_variants(12);
-    run_variants(20);
+  for (const index_t modes : {index_t{12}, index_t{20}}) {
+    fno::FnoConfig vc = cfg;
+    vc.n_modes = {modes, modes};
+    Rng vrng(17);
+    fno::Fno vmodel(vc, vrng);
+    infer::InferenceEngine eng(vmodel);
+    eng.plan({1, vc.in_channels, grid, grid});
+    TensorF yy;
+    eng.forward(x, yy);
+    Variant v;
+    v.name = "infer/engine_forward_n64_m" + std::to_string(modes) +
+             "_dense_fp32";
+    v.ns = time_ns([&] { eng.forward_raw(x.data(), yy.data()); });
+    v.modes = modes;
+    v.weight_bytes = static_cast<std::int64_t>(eng.spectral_weight_bytes());
+    results.push_back({v.name, v.ns});
+    variants.push_back(std::move(v));
   }
 
   // Steady-state plan-cache discipline: with the engine re-planned for the
@@ -291,9 +271,6 @@ int main(int argc, char** argv) {
   for (const auto& [name, value] : isa_speedups) {
     std::printf("%-32s %14.2fx\n", name.c_str(), value);
   }
-  for (const auto& [name, value] : variant_speedups) {
-    std::printf("%-32s %14.2fx\n", name.c_str(), value);
-  }
   for (const Variant& v : variants) {
     std::printf("%-44s weights %lld B\n", v.name.c_str(),
                 static_cast<long long>(v.weight_bytes));
@@ -310,15 +287,11 @@ int main(int argc, char** argv) {
   bench::JsonObject speed;
   speed.number("engine_forward_vs_train", speedup);
   for (const auto& [name, value] : isa_speedups) speed.number(name, value);
-  for (const auto& [name, value] : variant_speedups) {
-    speed.number(name, value);
-  }
   std::vector<bench::JsonObject> variant_rows;
   for (const Variant& v : variants) {
     bench::JsonObject row;
     row.text("name", v.name);
     row.integer("modes", v.modes);
-    row.boolean("factorized", v.factorized);
     row.number("ns_per_op", v.ns, "%.1f");
     row.integer("spectral_weight_bytes", v.weight_bytes);
     variant_rows.push_back(std::move(row));

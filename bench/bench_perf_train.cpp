@@ -4,11 +4,9 @@
 // hot path: the batched 2-D real FFT, the SpectralConv forward/backward at
 // paper-shaped hyperparameters (N=64, modes=12) with mode pruning on AND
 // off (the off numbers are the full-transform baseline the speedup is
-// measured against — results are bitwise identical either way), the
-// factorized (F-FNO) parameterisation at modes 12 and 20 next to its dense
-// counterparts (the _fact rows pay a dense materialisation per step but
-// carry O(m) instead of O(m^r) parameters), the GEMM panel kernels, and a
-// full train step of the small FNO fixture. Per-ISA roofline rows (suffix
+// measured against — results are bitwise identical either way), the same
+// layer at modes 20, the GEMM panel kernels, and a full train step of the
+// small FNO fixture. Per-ISA roofline rows (suffix
 // _scalar / _avx2) re-time the GEMM shapes and a raw c2c transform under
 // each forced ISA (util::ScopedIsa) so the dispatch layer's speedup is
 // recorded alongside the mainline numbers. The fft/pruned_lines_skipped and
@@ -82,9 +80,8 @@ TensorF random_tensor(Shape shape, std::uint64_t seed) {
 
 /// Spectral-layer fwd / bwd / fwd+bwd at N=64 — the acceptance microbench.
 /// Returns {fwd, bwd, fwdbwd} ns/op for the layer under the current pruning
-/// setting; works for both the dense and factorized parameterisations
-/// through the common SpectralLayer interface.
-std::vector<Entry> bench_spectral(nn::SpectralLayer& conv,
+/// setting.
+std::vector<Entry> bench_spectral(nn::SpectralConv& conv,
                                   const std::string& suffix) {
   const TensorF x = random_tensor({8, 8, 64, 64}, 11);
   const TensorF gy = random_tensor({8, 8, 64, 64}, 12);
@@ -158,30 +155,12 @@ int main(int argc, char** argv) {
   results.insert(results.end(), pruned.begin(), pruned.end());
   const double speedup = full.back().ns / pruned.back().ns;
 
-  // 2b. Factorized (F-FNO) parameterisation at modes 12, and both
-  //     parameterisations at modes 20 where the per-axis factor count
-  //     (width²·Σm_d·2 params) pulls further ahead of the dense tensor
-  //     (width²·∏m_d·2). Pruning stays on — these rows compare weight
-  //     layouts, not transform pruning.
-  std::vector<std::pair<std::string, double>> fact_speedups;
+  // 2b. The layer at modes 20 (pruning on).
   {
-    Rng rng_f12(8);
-    nn::FactorizedSpectralConv fact12(8, 8, {12, 12}, rng_f12);
-    const std::vector<Entry> f12 = bench_spectral(fact12, "fact_m12");
-    results.insert(results.end(), f12.begin(), f12.end());
-    fact_speedups.emplace_back("spectral_fwdbwd_fact_vs_dense_m12",
-                               pruned.back().ns / f12.back().ns);
-
     Rng rng_d20(9);
     nn::SpectralConv dense20(8, 8, {20, 20}, rng_d20);
     const std::vector<Entry> d20 = bench_spectral(dense20, "dense_m20");
     results.insert(results.end(), d20.begin(), d20.end());
-    Rng rng_f20(10);
-    nn::FactorizedSpectralConv fact20(8, 8, {20, 20}, rng_f20);
-    const std::vector<Entry> f20 = bench_spectral(fact20, "fact_m20");
-    results.insert(results.end(), f20.begin(), f20.end());
-    fact_speedups.emplace_back("spectral_fwdbwd_fact_vs_dense_m20",
-                               d20.back().ns / f20.back().ns);
   }
 
   // 3. GEMM panel kernels: a Linear-shaped call (rows = batch·spatial) and a
@@ -306,9 +285,6 @@ int main(int argc, char** argv) {
     std::printf("%-28s %14.1f ns/op\n", e.name.c_str(), e.ns);
   }
   std::printf("%-28s %14.2fx\n", "spectral fwd+bwd speedup", speedup);
-  for (const auto& [name, value] : fact_speedups) {
-    std::printf("%-36s %6.2fx\n", name.c_str(), value);
-  }
   for (const auto& [name, value] : speedups) {
     std::printf("%-28s %14.2fx\n", name.c_str(), value);
   }
@@ -320,7 +296,6 @@ int main(int argc, char** argv) {
   for (const Entry& e : results) res.number(e.name, e.ns, "%.1f");
   bench::JsonObject speed;
   speed.number("spectral_fwdbwd_pruned_vs_full", speedup);
-  for (const auto& [name, value] : fact_speedups) speed.number(name, value);
   for (const auto& [name, value] : speedups) speed.number(name, value);
   bench::JsonObject counters;
   counters.integer("fft/pruned_lines_skipped", skipped);

@@ -8,16 +8,14 @@
 # fft/lines_total coverage counters. Per-ISA rows (_scalar / _avx2) re-time
 # the GEMM shapes and a raw c2c transform under each forced SIMD tier; the
 # summary below reports the avx2-vs-scalar kernel speedups where measured.
-# Factorized rows (fact_m12 / dense_m20 / fact_m20) time the F-FNO separable
-# spectral layer against the dense weight at 12 and 20 modes.
 #
 # bench_perf_infer times the serving engine against the training-path
 # forward at the paper shape (N=64, 12 modes) — the two are timed in
 # interleaved batches and produce bitwise-identical outputs — plus rollout
 # and batched-rollout cost per snapshot, and records the engine's
 # zero-steady-state-allocation counters and arena footprint. Variant rows
-# ({dense, factorized} at 12 and 20 modes) record per-variant forward cost
-# and prepacked spectral-weight bytes.
+# (12 and 20 modes) record per-variant forward cost and prepacked
+# spectral-weight bytes.
 #
 # bench_perf_serve drives the concurrent serving layer at 1/64/512 sessions,
 # recording throughput, p50/p99 session latency, and micro-batch occupancy;
@@ -73,10 +71,6 @@ if gemm is not None and c2c is not None:
           f"c2c n=256 {c2c:.2f}x")
 else:
     print("bench_perf: no avx2 on this host; per-ISA speedup rows omitted")
-f12 = d["speedup"]["spectral_fwdbwd_fact_vs_dense_m12"]
-f20 = d["speedup"]["spectral_fwdbwd_fact_vs_dense_m20"]
-print(f"bench_perf: factorized vs dense spectral fwd+bwd — "
-      f"m=12 {f12:.2f}x, m=20 {f20:.2f}x")
 EOF
 
 # shellcheck disable=SC2086
@@ -96,10 +90,6 @@ print(f"bench_perf: engine forward {s:.2f}x vs training-path forward, "
 isa = d["speedup"].get("engine_forward_avx2_vs_scalar")
 if isa is not None:
     print(f"bench_perf: engine forward avx2 vs scalar {isa:.2f}x")
-f12 = d["speedup"]["engine_forward_fact_vs_dense_m12"]
-f20 = d["speedup"]["engine_forward_fact_vs_dense_m20"]
-print(f"bench_perf: factorized vs dense engine forward — "
-      f"m=12 {f12:.2f}x, m=20 {f20:.2f}x")
 assert all(v["spectral_weight_bytes"] > 0 for v in d["variants"]), \
     "spectral_weight_bytes missing from variant rows"
 EOF

@@ -16,21 +16,11 @@ Fno::Fno(FnoConfig config, Rng& rng)
   TURB_CHECK(config_.n_layers >= 1);
   convs_.reserve(static_cast<std::size_t>(config_.n_layers));
   skips_.reserve(static_cast<std::size_t>(config_.n_layers));
-  nn::FactorizedSpectralConv* share_owner = nullptr;
   for (index_t l = 0; l < config_.n_layers; ++l) {
     const std::string base = "blocks." + std::to_string(l);
-    if (config_.spectral_kind == nn::SpectralKind::kFactorized) {
-      auto conv = std::make_unique<nn::FactorizedSpectralConv>(
-          config_.width, config_.width, config_.n_modes, rng,
-          base + ".spectral",
-          config_.share_spectral_factors ? share_owner : nullptr);
-      if (share_owner == nullptr) share_owner = conv.get();
-      convs_.push_back(std::move(conv));
-    } else {
-      convs_.push_back(std::make_unique<nn::SpectralConv>(
-          config_.width, config_.width, config_.n_modes, rng,
-          base + ".spectral"));
-    }
+    convs_.push_back(std::make_unique<nn::SpectralConv>(
+        config_.width, config_.width, config_.n_modes, rng,
+        base + ".spectral"));
     skips_.push_back(std::make_unique<nn::Linear>(
         config_.width, config_.width, rng, true, base + ".skip"));
     if (l + 1 < config_.n_layers) {
@@ -90,26 +80,13 @@ index_t fno_parameter_count(const FnoConfig& c) {
                         c.projection_channels) +
                        (c.projection_channels * c.out_channels +
                         c.out_channels);
-  index_t spectral_total;
-  if (c.spectral_kind == nn::SpectralKind::kFactorized) {
-    // Per-axis factors: Σ_d kept_d complex values per (C_in, C_out) pair,
-    // counted once when shared across layers.
-    index_t kept_sum = 0;
-    for (std::size_t d = 0; d + 1 < c.n_modes.size(); ++d) {
-      kept_sum += c.n_modes[d];
-    }
-    kept_sum += c.n_modes.back() / 2 + 1;
-    const index_t per_layer = c.width * c.width * kept_sum * 2;  // complex
-    spectral_total = c.share_spectral_factors ? per_layer
-                                              : c.n_layers * per_layer;
-  } else {
-    index_t kept = 1;
-    for (std::size_t d = 0; d + 1 < c.n_modes.size(); ++d) {
-      kept *= c.n_modes[d];
-    }
-    kept *= c.n_modes.back() / 2 + 1;
-    spectral_total = c.n_layers * (c.width * c.width * kept * 2);  // complex
+  index_t kept = 1;
+  for (std::size_t d = 0; d + 1 < c.n_modes.size(); ++d) {
+    kept *= c.n_modes[d];
   }
+  kept *= c.n_modes.back() / 2 + 1;
+  const index_t spectral_total =
+      c.n_layers * (c.width * c.width * kept * 2);  // complex
   const index_t skip_per_layer = c.width * c.width + c.width;
   return lift + proj + spectral_total + c.n_layers * skip_per_layer;
 }

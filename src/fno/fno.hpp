@@ -35,13 +35,6 @@ struct FnoConfig {
   index_t lifting_channels = 256;
   index_t projection_channels = 256;
 
-  /// Weight parameterisation of the spectral blocks: dense per-mode weights
-  /// (the paper's FNO) or F-FNO separable per-axis factors.
-  nn::SpectralKind spectral_kind = nn::SpectralKind::kDense;
-  /// Factorized only: share one set of per-axis factors across all layers
-  /// (F-FNO weight sharing). Ignored for the dense parameterisation.
-  bool share_spectral_factors = false;
-
   [[nodiscard]] std::size_t rank() const { return n_modes.size(); }
 };
 
@@ -62,7 +55,7 @@ class Fno : public nn::Module {
   [[nodiscard]] nn::Linear& lift2() { return lift2_; }
   [[nodiscard]] nn::Linear& proj1() { return proj1_; }
   [[nodiscard]] nn::Linear& proj2() { return proj2_; }
-  [[nodiscard]] nn::SpectralLayer& conv(index_t l) { return *convs_[l]; }
+  [[nodiscard]] nn::SpectralConv& conv(index_t l) { return *convs_[l]; }
   [[nodiscard]] nn::Linear& skip(index_t l) { return *skips_[l]; }
 
  private:
@@ -70,7 +63,7 @@ class Fno : public nn::Module {
   nn::Linear lift1_;
   nn::Gelu lift_act_;
   nn::Linear lift2_;
-  std::vector<std::unique_ptr<nn::SpectralLayer>> convs_;
+  std::vector<std::unique_ptr<nn::SpectralConv>> convs_;
   std::vector<std::unique_ptr<nn::Linear>> skips_;
   std::vector<std::unique_ptr<nn::Gelu>> acts_;  // n_layers-1 activations
   nn::Linear proj1_;

@@ -49,32 +49,6 @@ InferenceEngine::InferenceEngine(fno::Fno& model)
   wskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   bskip_.resize(static_cast<std::size_t>(cfg_.n_layers));
   pw_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  pf_.resize(static_cast<std::size_t>(cfg_.n_layers));
-  if (cfg_.spectral_kind == nn::SpectralKind::kFactorized) {
-    // Per-axis kept extents and the flat kept index → per-axis index table
-    // (row-major over the kept extents — the layer's enumeration order).
-    const std::size_t r = cfg_.rank();
-    fdims_.resize(r);
-    index_t kept = 1;
-    for (std::size_t d = 0; d < r; ++d) {
-      fdims_[d] = d + 1 < r ? cfg_.n_modes[d] : cfg_.n_modes.back() / 2 + 1;
-      kept *= fdims_[d];
-    }
-    fidx_.assign(r, {});
-    for (std::size_t d = 0; d < r; ++d) {
-      fidx_[d].resize(static_cast<std::size_t>(kept));
-    }
-    std::vector<index_t> k(r, 0);
-    for (index_t flat = 0; flat < kept; ++flat) {
-      for (std::size_t d = 0; d < r; ++d) {
-        fidx_[d][static_cast<std::size_t>(flat)] = k[d];
-      }
-      for (std::size_t d = r; d-- > 0;) {
-        if (++k[d] < fdims_[d]) break;
-        k[d] = 0;
-      }
-    }
-  }
   refresh_weights();
 }
 
@@ -87,48 +61,22 @@ void InferenceEngine::refresh_weights() {
   for (index_t l = 0; l < cfg_.n_layers; ++l) {
     const auto ls = static_cast<std::size_t>(l);
     copy_linear(model_->skip(l), wskip_[ls], bskip_[ls]);
-    nn::SpectralLayer& conv = model_->conv(l);
+    nn::SpectralConv& conv = model_->conv(l);
     const index_t K = conv.kept_modes();
-    if (conv.kind() == nn::SpectralKind::kDense) {
-      auto& dc = static_cast<nn::SpectralConv&>(conv);
-      const float* src = dc.weight().value.data();
-      // Training layout W[i, o, k] strides by K per input channel; re-lay
-      // k-major so the contraction's ascending-i inner loop is contiguous.
-      // A pure gather: every value is copied verbatim, so the arithmetic
-      // downstream sees identical operands in identical order.
-      std::vector<float>& pw = pw_[ls];
-      pw.resize(static_cast<std::size_t>(K * w * w * 2));
-      for (index_t k = 0; k < K; ++k) {
-        for (index_t o = 0; o < w; ++o) {
-          float* dst = pw.data() + (k * w + o) * w * 2;
-          for (index_t i = 0; i < w; ++i) {
-            const float* wk = src + ((i * w + o) * K + k) * 2;
-            dst[2 * i] = wk[0];
-            dst[2 * i + 1] = wk[1];
-          }
-        }
-      }
-    } else {
-      // Factorized: one k_d-major block per axis, same (o, i) inner order
-      // as the dense pack. The contraction composes the per-mode weight in
-      // registers with the training path's left-to-right product order.
-      auto& fc = static_cast<nn::FactorizedSpectralConv&>(conv);
-      const std::size_t r = cfg_.rank();
-      pf_[ls].resize(r);
-      for (std::size_t d = 0; d < r; ++d) {
-        const float* src = fc.factor(d).value.data();  // (C_in, C_out, m_d, 2)
-        const index_t m = fdims_[d];
-        std::vector<float>& pf = pf_[ls][d];
-        pf.resize(static_cast<std::size_t>(m * w * w * 2));
-        for (index_t kd = 0; kd < m; ++kd) {
-          for (index_t o = 0; o < w; ++o) {
-            float* dst = pf.data() + (kd * w + o) * w * 2;
-            for (index_t i = 0; i < w; ++i) {
-              const float* fk = src + ((i * w + o) * m + kd) * 2;
-              dst[2 * i] = fk[0];
-              dst[2 * i + 1] = fk[1];
-            }
-          }
+    const float* src = conv.weight().value.data();
+    // Training layout W[i, o, k] strides by K per input channel; re-lay
+    // k-major so the contraction's ascending-i inner loop is contiguous.
+    // A pure gather: every value is copied verbatim, so the arithmetic
+    // downstream sees identical operands in identical order.
+    std::vector<float>& pw = pw_[ls];
+    pw.resize(static_cast<std::size_t>(K * w * w * 2));
+    for (index_t k = 0; k < K; ++k) {
+      for (index_t o = 0; o < w; ++o) {
+        float* dst = pw.data() + (k * w + o) * w * 2;
+        for (index_t i = 0; i < w; ++i) {
+          const float* wk = src + ((i * w + o) * K + k) * 2;
+          dst[2 * i] = wk[0];
+          dst[2 * i + 1] = wk[1];
         }
       }
     }
@@ -138,9 +86,6 @@ void InferenceEngine::refresh_weights() {
 std::size_t InferenceEngine::spectral_weight_bytes() const {
   std::size_t bytes = 0;
   for (const auto& v : pw_) bytes += v.size() * sizeof(float);
-  for (const auto& axes : pf_) {
-    for (const auto& v : axes) bytes += v.size() * sizeof(float);
-  }
   return bytes;
 }
 
@@ -182,7 +127,7 @@ void InferenceEngine::plan(const Shape& in_shape) {
   // Kept-mode map: identical for every layer (same modes, same grid), so
   // take it from layer 0 and snapshot it — the conv may later rebuild its
   // map for a different training shape without invalidating this plan.
-  nn::SpectralLayer& conv = model_->conv(0);
+  nn::SpectralConv& conv = model_->conv(0);
   conv.ensure_mode_map(spatial_);
   kept_ = conv.kept_modes();
   spec_offsets_ = conv.spec_offsets();
@@ -355,57 +300,7 @@ void InferenceEngine::project(const float* h, float* y) {
 void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
   const index_t w = cfg_.width, K = kept_, slab = slab_;
   const index_t* offs = spec_offsets_.data();
-  const auto ls = static_cast<std::size_t>(l);
-  const bool factorized =
-      cfg_.spectral_kind == nn::SpectralKind::kFactorized;
-
-  if (!factorized) {
-    const float* pw = pw_[ls].data();
-    pool_->run_chunks(0, batch_ * K, [&](index_t tb, index_t te) {
-      cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
-      for (index_t t = tb; t < te; ++t) {
-        const index_t n = t / K;
-        const index_t k = t % K;
-        const index_t off = offs[k];
-        const cpxf* xn = xs + n * w * slab;
-        cpxf* yn = ys + n * w * slab;
-        // Gather the input channels of this mode once (a verbatim copy),
-        // then run the training contraction: for every output channel,
-        // accumulate over input channels in ascending order — the identical
-        // per-element expression and rounding sequence as the training
-        // forward, just with contiguous (prepacked) weight reads.
-        for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
-        const float* pk = pw + k * w * w * 2;
-        for (index_t o = 0; o < w; ++o) {
-          const float* po = pk + o * w * 2;
-          float ar = 0.0f, ai = 0.0f;
-          for (index_t i = 0; i < w; ++i) {
-            const cpxf xv = xg[i];
-            const float wr = po[2 * i];
-            const float wi = po[2 * i + 1];
-            ar += wr * xv.real() - wi * xv.imag();
-            ai += wr * xv.imag() + wi * xv.real();
-          }
-          yn[o * slab + off] = cpxf(ar, ai);
-        }
-      }
-    });
-    return;
-  }
-
-  // Factorized contraction: compose the per-mode weight from the per-axis
-  // k_d-major packs in registers while the gathered input streams through —
-  // the factors' small working set (Σ m_d instead of ∏ m_d rows) is the
-  // bandwidth win. The left-to-right complex product matches the training
-  // layer's materialisation order, but because that layer rounds the
-  // product through memory in a separate loop, -ffp-contract=fast may fuse
-  // the two contexts differently (DESIGN.md codegen caveat): the factorized
-  // engine promises bounded agreement with Fno::forward plus strict bitwise
-  // reproducibility across thread counts and repeats.
-  const std::size_t r = cfg_.rank();
-  const std::vector<std::vector<float>>& packs = pf_[ls];
-  const index_t* fx[3] = {nullptr, nullptr, nullptr};
-  for (std::size_t d = 0; d < r; ++d) fx[d] = fidx_[d].data();
+  const float* pw = pw_[static_cast<std::size_t>(l)].data();
   pool_->run_chunks(0, batch_ * K, [&](index_t tb, index_t te) {
     cpxf* xg = arena_.at<cpxf>(off_xg_[pool_->scratch_slot()]);
     for (index_t t = tb; t < te; ++t) {
@@ -414,25 +309,20 @@ void InferenceEngine::contract(index_t l, const cpxf* xs, cpxf* ys) {
       const index_t off = offs[k];
       const cpxf* xn = xs + n * w * slab;
       cpxf* yn = ys + n * w * slab;
+      // Gather the input channels of this mode once (a verbatim copy),
+      // then run the training contraction: for every output channel,
+      // accumulate over input channels in ascending order — the identical
+      // per-element expression and rounding sequence as the training
+      // forward, just with contiguous (prepacked) weight reads.
       for (index_t i = 0; i < w; ++i) xg[i] = xn[i * slab + off];
+      const float* pk = pw + k * w * w * 2;
       for (index_t o = 0; o < w; ++o) {
-        const float* row[3] = {nullptr, nullptr, nullptr};
-        for (std::size_t d = 0; d < r; ++d) {
-          row[d] = packs[d].data() + (fx[d][k] * w + o) * w * 2;
-        }
+        const float* po = pk + o * w * 2;
         float ar = 0.0f, ai = 0.0f;
         for (index_t i = 0; i < w; ++i) {
-          float wr = row[0][2 * i];
-          float wi = row[0][2 * i + 1];
-          for (std::size_t d = 1; d < r; ++d) {
-            const float fr = row[d][2 * i];
-            const float fi = row[d][2 * i + 1];
-            const float nr = wr * fr - wi * fi;
-            const float ni = wr * fi + wi * fr;
-            wr = nr;
-            wi = ni;
-          }
           const cpxf xv = xg[i];
+          const float wr = po[2 * i];
+          const float wi = po[2 * i + 1];
           ar += wr * xv.real() - wi * xv.imag();
           ai += wr * xv.imag() + wi * xv.real();
         }

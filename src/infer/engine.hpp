@@ -12,11 +12,9 @@
 //     fused column-block kernels — GEMM into a register-friendly tile,
 //     bias (+GELU) applied in the tile, second GEMM straight into the
 //     destination — so no (N, C_lift, S)-sized intermediate ever exists;
-//   * spectral weights are prepacked k-major at engine build so the kept-mode
-//     contraction reads contiguous memory — dense weights as one
-//     (K, C_out, C_in) complex block, factorized (F-FNO) weights as one
-//     k_d-major block per axis, composed into the per-mode weight in
-//     registers while the input streams through;
+//   * spectral weights are prepacked k-major at engine build, one
+//     (K, C_out, C_in) complex block per layer, so the kept-mode
+//     contraction reads contiguous memory;
 //   * the spectral transforms run src/fft's line drivers (fft::rfft_rows,
 //     fft::c2c_stage, fft::irfft_rows) on arena slices, with stage geometry
 //     from fft::c2c_stages at plan time — the engine owns no FFT line loop,
@@ -24,15 +22,13 @@
 //   * the rollout driver ping-pongs between two arena prediction buffers and
 //     shifts temporal channels in place.
 //
-// Bitwise equality with `Fno::forward` is a hard contract for the dense
-// parameterisation (tests enforce it at pool widths 1/2/4): every
-// floating-point value is produced by the same per-element operation
-// sequence as the training path — the same gemm_nn instantiation on
-// 8-aligned column blocks, the same FFT line drivers and kernels, the same
-// ascending-k contraction order, and the same add-bias → add-skip → GELU
-// rounding chain. The factorized engine agrees with `Fno::forward` to a
-// 1e-4 bound and is bitwise reproducible across thread counts and repeats.
-// See DESIGN.md "Inference engine" for the argument.
+// Bitwise equality with `Fno::forward` is a hard contract (tests enforce it
+// at pool widths 1/2/4): every floating-point value is produced by the same
+// per-element operation sequence as the training path — the same gemm_nn
+// instantiation on 8-aligned column blocks, the same FFT line drivers and
+// kernels, the same ascending-k contraction order, and the same add-bias →
+// add-skip → GELU rounding chain. See DESIGN.md "Inference engine" for the
+// argument.
 #pragma once
 
 #include <complex>
@@ -135,19 +131,14 @@ class InferenceEngine {
   // Prepacked weights (snapshotted at construction / refresh_weights()).
   // Linear weights keep their (C_out, C_in) row-major layout — exactly the
   // A-operand layout the gemm_nn panel kernel consumes — in engine-owned
-  // 64B-aligned storage; dense spectral weights are re-laid k-major,
+  // 64B-aligned storage; spectral weights are re-laid k-major,
   //   pw[(k·co + o)·ci·2 + 2i] = W[i, o, k]
   // so the ascending-i contraction reads contiguously (the training layout
-  // strides by K per i). Factorized weights get one k_d-major block per
-  // axis with the same (o, i) inner order,
-  //   pf[d][(k_d·co + o)·ci·2 + 2i] = A_d[i, o, k_d].
+  // strides by K per i).
   std::vector<float> wl1_, bl1_, wl2_, bl2_;
   std::vector<float> wp1_, bp1_, wp2_, bp2_;
   std::vector<std::vector<float>> wskip_, bskip_;
-  std::vector<std::vector<float>> pw_;  // per layer, k-major dense weights
-  std::vector<std::vector<std::vector<float>>> pf_;  // [layer][axis] factors
-  std::vector<std::vector<index_t>> fidx_;  // [axis][flat k] → axis index
-  std::vector<index_t> fdims_;              // per-axis kept extents
+  std::vector<std::vector<float>> pw_;  // per layer, k-major spectral weights
 
   // Plan state.
   bool planned_ = false;

@@ -5,8 +5,7 @@
 // metadata; then a CRC-32 of everything between the magic and the checksum.
 // Writes go through a tmp-file + rename (util::AtomicFileWriter), so a crash
 // mid-save never leaves a plausible-looking truncated checkpoint at the final
-// path. Factorized-FNO checkpoints need nothing special: their per-axis
-// factors are ordinary named parameters.
+// path.
 //
 // Loading accepts TNN2 and the legacy "TNN1" (TNN2 layout, no CRC); any other
 // magic is rejected as corrupt. Every header field is bounds-validated

@@ -11,8 +11,15 @@ namespace turb::nn {
 
 namespace {
 
+/// Weight shape (C_in, C_out, m₁, …, m_{r-1}, m_r/2+1, 2); validates the
+/// modes first, since the weight is the first member built from them.
 Shape weight_shape(index_t in_ch, index_t out_ch,
                    const std::vector<index_t>& n_modes) {
+  TURB_CHECK_MSG(n_modes.size() == 2 || n_modes.size() == 3,
+                 "SpectralConv supports rank 2 or 3");
+  for (const index_t m : n_modes) {
+    TURB_CHECK_MSG(m >= 2 && m % 2 == 0, "n_modes must be even, got " << m);
+  }
   Shape s{in_ch, out_ch};
   for (std::size_t d = 0; d + 1 < n_modes.size(); ++d) s.push_back(n_modes[d]);
   s.push_back(n_modes.back() / 2 + 1);
@@ -26,30 +33,36 @@ bool g_prune_transforms = true;
 
 }  // namespace
 
-void SpectralLayer::set_pruning(bool on) { g_prune_transforms = on; }
+void SpectralConv::set_pruning(bool on) { g_prune_transforms = on; }
 
-bool SpectralLayer::pruning() { return g_prune_transforms; }
+bool SpectralConv::pruning() { return g_prune_transforms; }
 
-SpectralLayer::SpectralLayer(index_t in_channels, index_t out_channels,
-                             std::vector<index_t> n_modes, std::string name)
+SpectralConv::SpectralConv(index_t in_channels, index_t out_channels,
+                           std::vector<index_t> n_modes, Rng& rng,
+                           std::string name)
     : in_channels_(in_channels),
       out_channels_(out_channels),
       n_modes_(std::move(n_modes)),
-      name_(std::move(name)) {
-  TURB_CHECK_MSG(n_modes_.size() == 2 || n_modes_.size() == 3,
-                 "SpectralConv supports rank 2 or 3");
-  for (const index_t m : n_modes_) {
-    TURB_CHECK_MSG(m >= 2 && m % 2 == 0, "n_modes must be even, got " << m);
-  }
+      name_(std::move(name)),
+      weight_(name_ + ".weight",
+              weight_shape(in_channels_, out_channels_, n_modes_)) {
   const std::size_t rank = n_modes_.size();
   wdims_.resize(rank);
   for (std::size_t d = 0; d + 1 < rank; ++d) wdims_[d] = n_modes_[d];
   wdims_[rank - 1] = n_modes_.back() / 2 + 1;
   kept_modes_ = 1;
   for (const index_t m : wdims_) kept_modes_ *= m;
+  // neuraloperator init: N(0, 2/(C_in + C_out)) on both components.
+  const double std =
+      std::sqrt(2.0 / static_cast<double>(in_channels_ + out_channels_));
+  weight_.value.fill_normal(rng, 0.0, std);
 }
 
-void SpectralLayer::build_mode_map(const Shape& spatial) {
+void SpectralConv::collect_parameters(std::vector<Parameter*>& out) {
+  out.push_back(&weight_);
+}
+
+void SpectralConv::build_mode_map(const Shape& spatial) {
   if (spatial == mapped_spatial_) return;
   const std::size_t rank = n_modes_.size();
   TURB_CHECK(spatial.size() == rank);
@@ -129,7 +142,7 @@ void SpectralLayer::build_mode_map(const Shape& spatial) {
   mapped_spatial_ = spatial;
 }
 
-TensorF SpectralLayer::forward(const TensorF& x) {
+TensorF SpectralConv::forward(const TensorF& x) {
   TURB_TRACE_SCOPE("nn/spectral_conv_fwd");
   const std::size_t rank = n_modes_.size();
   TURB_CHECK_MSG(x.rank() == rank + 2,
@@ -152,7 +165,7 @@ TensorF SpectralLayer::forward(const TensorF& x) {
   if (y_spec_.shape() != yspec_shape) y_spec_ = Tensor<cpxf>(yspec_shape);
 
   const index_t K = kept_modes_;
-  const float* w = dense_weight();
+  const float* w = weight_.value.data();
   const cpxf* xs = x_spec_.data();
   cpxf* ys = y_spec_.data();
   const index_t ci = in_channels_, co = out_channels_;
@@ -180,7 +193,7 @@ TensorF SpectralLayer::forward(const TensorF& x) {
                      prune_mask());
 }
 
-TensorF SpectralLayer::backward(const TensorF& grad_out) {
+TensorF SpectralConv::backward(const TensorF& grad_out) {
   TURB_TRACE_SCOPE("nn/spectral_conv_bwd");
   TURB_CHECK_MSG(!in_shape_.empty(), name_ << ": backward before forward");
   const std::size_t rank = n_modes_.size();
@@ -200,7 +213,7 @@ TensorF SpectralLayer::backward(const TensorF& grad_out) {
     dx_spec_ = Tensor<cpxf>(x_spec_.shape());
   }
 
-  const float* w = dense_weight();
+  const float* w = weight_.value.data();
   const cpxf* gs = g_spec_.data();
   const cpxf* xs = x_spec_.data();
   cpxf* dxs = dx_spec_.data();
@@ -264,10 +277,7 @@ TensorF SpectralLayer::backward(const TensorF& grad_out) {
   });
   // Fold slabs in fixed order. Each weight element is written by one task
   // only (disjoint ranges), so this inner parallelism is also deterministic.
-  // Dense layers accumulate straight into their parameter gradient (the
-  // historical rounding sequence); factorized layers fold into zeroed dense
-  // scratch and scatter in finalize_grad().
-  float* gw = dense_grad_accumulator();
+  float* gw = weight_.grad.data();
   parallel_for_chunked(0, ci * co, [&](index_t pb, index_t pe) {
     for (index_t p = pb; p < pe; ++p) {
       for (index_t k = 0; k < K; ++k) {
@@ -284,7 +294,6 @@ TensorF SpectralLayer::backward(const TensorF& grad_out) {
       }
     }
   });
-  finalize_grad();
 
   // dx = M · irfftn(dX̂ ⊙ 1/w) — combined with the 1/M ⊙ w of dŶ, the scale
   // factors cancel exactly, so dx = irfftn-adjoint path with no extra scaling:
@@ -293,191 +302,6 @@ TensorF SpectralLayer::backward(const TensorF& grad_out) {
   TensorF dx = fft::irfftn(dx_spec_, static_cast<int>(rank), in_shape_.back(),
                            prune_mask());
   return dx;
-}
-
-SpectralConv::SpectralConv(index_t in_channels, index_t out_channels,
-                           std::vector<index_t> n_modes, Rng& rng,
-                           std::string name)
-    : SpectralLayer(in_channels, out_channels, std::move(n_modes),
-                    std::move(name)),
-      weight_(name_ + ".weight",
-              weight_shape(in_channels_, out_channels_, n_modes_)) {
-  // neuraloperator init: N(0, 2/(C_in + C_out)) on both components.
-  const double std =
-      std::sqrt(2.0 / static_cast<double>(in_channels_ + out_channels_));
-  weight_.value.fill_normal(rng, 0.0, std);
-}
-
-void SpectralConv::collect_parameters(std::vector<Parameter*>& out) {
-  out.push_back(&weight_);
-}
-
-FactorizedSpectralConv::FactorizedSpectralConv(index_t in_channels,
-                                               index_t out_channels,
-                                               std::vector<index_t> n_modes,
-                                               Rng& rng, std::string name,
-                                               FactorizedSpectralConv* share_with)
-    : SpectralLayer(in_channels, out_channels, std::move(n_modes),
-                    std::move(name)) {
-  const std::size_t r = rank();
-  // Flat kept index → per-axis index (row-major over wdims_), precomputed so
-  // materialisation and gradient folding avoid per-mode div/mod.
-  kidx_.assign(r, {});
-  for (std::size_t d = 0; d < r; ++d) {
-    kidx_[d].resize(static_cast<std::size_t>(kept_modes_));
-  }
-  {
-    std::vector<index_t> k(r, 0);
-    for (index_t flat = 0; flat < kept_modes_; ++flat) {
-      for (std::size_t d = 0; d < r; ++d) {
-        kidx_[d][static_cast<std::size_t>(flat)] = k[d];
-      }
-      for (std::size_t d = r; d-- > 0;) {
-        if (++k[d] < wdims_[d]) break;
-        k[d] = 0;
-      }
-    }
-  }
-
-  factors_.resize(r);
-  if (share_with != nullptr) {
-    TURB_CHECK_MSG(share_with->in_channels() == in_channels_ &&
-                       share_with->out_channels() == out_channels_ &&
-                       share_with->n_modes() == n_modes_,
-                   name_ << ": shared factors require identical geometry");
-    shared_ = true;
-    for (std::size_t d = 0; d < r; ++d) {
-      factors_[d] = share_with->factors_[d];
-    }
-    return;
-  }
-
-  // Effective per-mode weight is a product of r independent complex factors.
-  // Choosing each factor component iid N(0, s²) with s = (σ²/2^{r-1})^{1/2r}
-  // gives the product per-component variance σ² = 2/(C_in+C_out) — the same
-  // dense neuraloperator init scale — since each complex multiply doubles
-  // the accumulated component variance.
-  const double sigma2 =
-      2.0 / static_cast<double>(in_channels_ + out_channels_);
-  const double s = std::pow(
-      sigma2 / std::pow(2.0, static_cast<double>(r - 1)),
-      1.0 / (2.0 * static_cast<double>(r)));
-  owned_.reserve(r);
-  for (std::size_t d = 0; d < r; ++d) {
-    owned_.push_back(std::make_unique<Parameter>(
-        name_ + ".factor" + std::to_string(d),
-        Shape{in_channels_, out_channels_, wdims_[d], 2}));
-    owned_.back()->value.fill_normal(rng, 0.0, s);
-    factors_[d] = owned_.back().get();
-  }
-}
-
-void FactorizedSpectralConv::collect_parameters(std::vector<Parameter*>& out) {
-  for (auto& p : owned_) out.push_back(p.get());
-}
-
-index_t FactorizedSpectralConv::factor_parameter_count() const {
-  index_t sum = 0;
-  for (const index_t m : wdims_) sum += m;
-  return in_channels_ * out_channels_ * sum * 2;
-}
-
-const float* FactorizedSpectralConv::dense_weight() {
-  const index_t K = kept_modes_;
-  const index_t pairs = in_channels_ * out_channels_;
-  w_eff_.resize(static_cast<std::size_t>(pairs * K * 2));
-  const std::size_t r = rank();
-  const float* fv[3] = {nullptr, nullptr, nullptr};
-  const index_t* ki[3] = {nullptr, nullptr, nullptr};
-  index_t fm[3] = {0, 0, 0};
-  for (std::size_t d = 0; d < r; ++d) {
-    fv[d] = factors_[d]->value.data();
-    ki[d] = kidx_[d].data();
-    fm[d] = wdims_[d];
-  }
-  float* we = w_eff_.data();
-  // Left-to-right complex product ((A₁·A₂)·A₃) — the inference engine's
-  // factorized contraction composes in the identical order (in registers,
-  // so engine agreement at fp32 is bounded rather than bitwise; see the
-  // DESIGN.md codegen caveat).
-  parallel_for_chunked(0, pairs, [&](index_t pb, index_t pe) {
-    for (index_t p = pb; p < pe; ++p) {
-      for (index_t k = 0; k < K; ++k) {
-        const float* f0 = fv[0] + (p * fm[0] + ki[0][k]) * 2;
-        float wr = f0[0], wi = f0[1];
-        for (std::size_t d = 1; d < r; ++d) {
-          const float* f = fv[d] + (p * fm[d] + ki[d][k]) * 2;
-          const float nr = wr * f[0] - wi * f[1];
-          const float ni = wr * f[1] + wi * f[0];
-          wr = nr;
-          wi = ni;
-        }
-        float* wk = we + (p * K + k) * 2;
-        wk[0] = wr;
-        wk[1] = wi;
-      }
-    }
-  });
-  return we;
-}
-
-float* FactorizedSpectralConv::dense_grad_accumulator() {
-  dw_eff_.assign(
-      static_cast<std::size_t>(in_channels_ * out_channels_ * kept_modes_ * 2),
-      0.0f);
-  return dw_eff_.data();
-}
-
-void FactorizedSpectralConv::finalize_grad() {
-  const index_t K = kept_modes_;
-  const index_t pairs = in_channels_ * out_channels_;
-  const std::size_t r = rank();
-  const float* dw = dw_eff_.data();
-  const float* fv[3] = {nullptr, nullptr, nullptr};
-  float* fg[3] = {nullptr, nullptr, nullptr};
-  const index_t* ki[3] = {nullptr, nullptr, nullptr};
-  index_t fm[3] = {0, 0, 0};
-  for (std::size_t d = 0; d < r; ++d) {
-    fv[d] = factors_[d]->value.data();
-    fg[d] = factors_[d]->grad.data();
-    ki[d] = kidx_[d].data();
-    fm[d] = wdims_[d];
-  }
-  // dA_d[i,o,k_d] += Σ_{k: k_d fixed} dW[i,o,k] · conj(∏_{e≠d} A_e[i,o,k_e]).
-  // Writes for a given (i,o) pair touch only that pair's factor rows, so the
-  // chunked parallelism over pairs is race-free; the inner ascending-k order
-  // is fixed, so the accumulation is bitwise deterministic at any thread
-  // count. When factors are shared across layers, each layer's backward runs
-  // this fold sequentially (Fno::backward walks layers one at a time), so
-  // the shared gradient accumulates in a fixed layer order too.
-  parallel_for_chunked(0, pairs, [&](index_t pb, index_t pe) {
-    for (index_t p = pb; p < pe; ++p) {
-      for (index_t k = 0; k < K; ++k) {
-        const float gr = dw[(p * K + k) * 2];
-        const float gi = dw[(p * K + k) * 2 + 1];
-        float vr[3], vi[3];
-        for (std::size_t d = 0; d < r; ++d) {
-          const float* f = fv[d] + (p * fm[d] + ki[d][k]) * 2;
-          vr[d] = f[0];
-          vi[d] = f[1];
-        }
-        for (std::size_t d = 0; d < r; ++d) {
-          float pr = 1.0f, pi = 0.0f;
-          for (std::size_t e = 0; e < r; ++e) {
-            if (e == d) continue;
-            const float nr = pr * vr[e] - pi * vi[e];
-            const float ni = pr * vi[e] + pi * vr[e];
-            pr = nr;
-            pi = ni;
-          }
-          float* g = fg[d] + (p * fm[d] + ki[d][k]) * 2;
-          // g += dW · conj(prod)
-          g[0] += gr * pr + gi * pi;
-          g[1] += gi * pr - gr * pi;
-        }
-      }
-    }
-  });
 }
 
 }  // namespace turb::nn

@@ -1,20 +1,9 @@
-// Spectral convolution — the core FNO layer — behind a common interface
-// with two weight parameterisations:
-//
-//   * SpectralConv: dense per-mode complex weight (C_in, C_out, K) — the
-//     modern `neuraloperator` convention (reproduces the paper's Table I
-//     parameter counts exactly).
-//   * FactorizedSpectralConv: F-FNO-style separable per-axis complex
-//     factors (Tran et al., arXiv 2111.13802) with an optional
-//     shared-across-layers mode. The effective per-mode weight is the
-//     product of per-axis factors,
-//       W[i, o, (k₁, …, k_r)] = A₁[i, o, k₁] · … · A_r[i, o, k_r],
-//     which cuts the parameter count from C_in·C_out·∏m_d to
-//     C_in·C_out·Σm_d complex values — the factors stay L2-resident at
-//     paper-scale mode counts where the dense weight does not.
+// Spectral convolution — the core FNO layer — with a dense per-mode complex
+// weight (C_in, C_out, K): the modern `neuraloperator` convention, which
+// reproduces the paper's Table I parameter counts exactly.
 //
 // Forward:  y = irfftn( W ⊙ rfftn(x) )   restricted to a retained corner of
-// Fourier modes. The effective complex weight has shape
+// Fourier modes. The complex weight has shape
 //   (C_in, C_out, m₁, …, m_{r-1}, m_r/2+1, 2)
 // where r is the spatial rank (2 or 3), m_d = n_modes[d]; non-last axes keep
 // m_d modes split half positive / half negative frequency, the last (rfft)
@@ -26,15 +15,10 @@
 //   dX̂ = Wᴴ dŶ           (conjugate transpose over channels, kept modes only)
 //   dW = conj(X̂) dŶᵀ      (accumulated over batch)
 //   dx = M · irfftn(dX̂ ⊙ 1/w)
-// The factorized layer additionally applies the product chain rule
-//   dA_d[k_d] = Σ_{k: k_d fixed} dW[k] · conj(∏_{e≠d} A_e[k_e])
-// (all factors are holomorphic in each A_d, so the complex chain rule takes
-// this conjugate form). Each identity is validated by finite-difference
-// gradchecks in the tests.
+// Each identity is validated by finite-difference gradchecks in the tests.
 #pragma once
 
 #include <complex>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,20 +28,11 @@
 
 namespace turb::nn {
 
-/// Weight parameterisation of a spectral layer — the inference engine
-/// branches on this to pick the matching prepacked layout.
-enum class SpectralKind { kDense, kFactorized };
-
-/// Common machinery of both spectral layers: the kept-mode map, the pruned
-/// rfftn/irfftn transforms, and the kept-mode contraction over an effective
-/// dense (C_in, C_out, K, 2) weight view supplied by the subclass. The
-/// forward/backward arithmetic lives here once, so both parameterisations
-/// share the identical per-element operation sequence (the bitwise
-/// determinism contract covers them equally).
-class SpectralLayer : public Module {
+class SpectralConv final : public Module {
  public:
-  SpectralLayer(index_t in_channels, index_t out_channels,
-                std::vector<index_t> n_modes, std::string name);
+  SpectralConv(index_t in_channels, index_t out_channels,
+               std::vector<index_t> n_modes, Rng& rng,
+               std::string name = "spectral_conv");
 
   /// Globally enable/disable mode-pruned FFTs (default on). The results are
   /// bitwise identical either way — pruning only skips transform lines whose
@@ -67,12 +42,12 @@ class SpectralLayer : public Module {
   static void set_pruning(bool on);
   [[nodiscard]] static bool pruning();
 
-  [[nodiscard]] virtual SpectralKind kind() const = 0;
-
-  TensorF forward(const TensorF& x) final;
-  TensorF backward(const TensorF& grad_out) final;
+  TensorF forward(const TensorF& x) override;
+  TensorF backward(const TensorF& grad_out) override;
+  void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return name_; }
 
+  [[nodiscard]] Parameter& weight() { return weight_; }
   [[nodiscard]] index_t in_channels() const { return in_channels_; }
   [[nodiscard]] index_t out_channels() const { return out_channels_; }
   [[nodiscard]] const std::vector<index_t>& n_modes() const {
@@ -81,12 +56,6 @@ class SpectralLayer : public Module {
 
   /// Retained-mode count K = m₁·…·m_{r-1}·(m_r/2+1).
   [[nodiscard]] index_t kept_modes() const { return kept_modes_; }
-
-  /// Per-axis kept extents (m_d for c2c axes, m_r/2+1 for the rfft axis);
-  /// the flat kept-mode index enumerates these row-major.
-  [[nodiscard]] const std::vector<index_t>& axis_kept() const {
-    return wdims_;
-  }
 
   /// (Re)build the mode map for a spatial shape and expose it, so the
   /// inference engine can drive the identical pruned-FFT + kept-mode
@@ -100,33 +69,9 @@ class SpectralLayer : public Module {
   [[nodiscard]] index_t spec_slab() const { return spec_slab_; }
   [[nodiscard]] const fft::ModeMask& mode_mask() const { return mode_mask_; }
 
- protected:
+ private:
   using cpxf = std::complex<float>;
 
-  /// Effective dense weight, layout (C_in, C_out, K, 2). Called once at the
-  /// top of forward() and backward(); factorized layers re-materialise the
-  /// per-axis product here, dense layers return the parameter directly.
-  [[nodiscard]] virtual const float* dense_weight() = 0;
-
-  /// Buffer the deterministic slab fold accumulates dW into (+=, layout as
-  /// dense_weight). Dense layers hand out their parameter gradient so the
-  /// fold writes it directly (the historical rounding sequence); factorized
-  /// layers hand out a zeroed scratch buffer. Called once per backward(),
-  /// immediately before the fold.
-  [[nodiscard]] virtual float* dense_grad_accumulator() = 0;
-
-  /// Runs after the dense dW fold; factorized layers scatter the dense
-  /// gradient into the per-axis factor gradients here.
-  virtual void finalize_grad() {}
-
-  index_t in_channels_;
-  index_t out_channels_;
-  std::vector<index_t> n_modes_;
-  index_t kept_modes_;
-  std::vector<index_t> wdims_;  // per-axis kept extents
-  std::string name_;
-
- private:
   /// Mask to pass to the fft entry points (nullptr when pruning is off).
   [[nodiscard]] const fft::ModeMask* prune_mask() const {
     return pruning() ? &mode_mask_ : nullptr;
@@ -134,6 +79,14 @@ class SpectralLayer : public Module {
 
   /// (Re)build the kept-mode → spectrum-offset map for a spatial shape.
   void build_mode_map(const Shape& spatial);
+
+  index_t in_channels_;
+  index_t out_channels_;
+  std::vector<index_t> n_modes_;
+  index_t kept_modes_;
+  std::vector<index_t> wdims_;  // per-axis kept extents
+  std::string name_;
+  Parameter weight_;  // layout (C_in, C_out, K, 2)
 
   // Mode map state (rebuilt when the spatial shape changes — FNO is
   // resolution-agnostic, so the same weights serve any grid ≥ the modes).
@@ -155,72 +108,6 @@ class SpectralLayer : public Module {
   Tensor<cpxf> g_spec_;   // backward: rfftn(grad_out)
   Tensor<cpxf> dx_spec_;  // backward: dX̂
   std::vector<float> grad_scratch_;  // per-slab dW partials
-};
-
-/// Dense per-mode weight — the original SpectralConv.
-class SpectralConv final : public SpectralLayer {
- public:
-  SpectralConv(index_t in_channels, index_t out_channels,
-               std::vector<index_t> n_modes, Rng& rng,
-               std::string name = "spectral_conv");
-
-  [[nodiscard]] SpectralKind kind() const override {
-    return SpectralKind::kDense;
-  }
-  void collect_parameters(std::vector<Parameter*>& out) override;
-  [[nodiscard]] Parameter& weight() { return weight_; }
-
- protected:
-  const float* dense_weight() override { return weight_.value.data(); }
-  float* dense_grad_accumulator() override { return weight_.grad.data(); }
-
- private:
-  Parameter weight_;
-};
-
-/// F-FNO separable per-axis factors. Each factor has shape
-/// (C_in, C_out, m_d_kept, 2); the effective dense weight is materialised
-/// per forward/backward call (cheap next to the transforms). With
-/// `share_with` set, this layer aliases the other layer's factor parameters
-/// instead of owning its own (F-FNO weight sharing) — only the owning layer
-/// reports them via collect_parameters, and gradients from every sharing
-/// layer accumulate into the shared buffers in backward order.
-class FactorizedSpectralConv final : public SpectralLayer {
- public:
-  FactorizedSpectralConv(index_t in_channels, index_t out_channels,
-                         std::vector<index_t> n_modes, Rng& rng,
-                         std::string name = "factorized_spectral_conv",
-                         FactorizedSpectralConv* share_with = nullptr);
-
-  [[nodiscard]] SpectralKind kind() const override {
-    return SpectralKind::kFactorized;
-  }
-  void collect_parameters(std::vector<Parameter*>& out) override;
-
-  [[nodiscard]] std::size_t rank() const { return n_modes_.size(); }
-  [[nodiscard]] bool shares_factors() const { return shared_; }
-  /// Factor parameter for spatial axis d (the owning layer's when shared).
-  [[nodiscard]] Parameter& factor(std::size_t d) { return *factors_[d]; }
-  [[nodiscard]] const Parameter& factor(std::size_t d) const {
-    return *factors_[d];
-  }
-
-  /// Trainable parameters of one (non-shared) layer:
-  /// C_in·C_out·(Σ_d kept_d)·2.
-  [[nodiscard]] index_t factor_parameter_count() const;
-
- protected:
-  const float* dense_weight() override;
-  float* dense_grad_accumulator() override;
-  void finalize_grad() override;
-
- private:
-  std::vector<std::unique_ptr<Parameter>> owned_;  // empty when sharing
-  std::vector<Parameter*> factors_;                // size rank
-  bool shared_ = false;
-  std::vector<std::vector<index_t>> kidx_;  // [axis][flat k] → axis index
-  std::vector<float> w_eff_;   // materialised dense weight (C_in,C_out,K,2)
-  std::vector<float> dw_eff_;  // dense gradient scratch, zeroed per backward
 };
 
 }  // namespace turb::nn

@@ -119,57 +119,8 @@ void SpectralNsSolver::step(index_t steps) {
   static obs::Counter& counter = obs::counter("ns/steps");
   counter.add(steps);
   for (index_t s = 0; s < steps; ++s) {
-    if (config_.integrating_factor) {
-      step_ifrk4();
-    } else {
-      step_rk4();
-    }
+    step_rk4();
     time_ += config_.dt;
-  }
-}
-
-void SpectralNsSolver::step_ifrk4() {
-  const double dt = config_.dt;
-  const index_t n = config_.n;
-  const index_t nxr = n / 2 + 1;
-  if (if_half_.empty()) {
-    // exp(−νk²·dt/2) / exp(−νk²·dt) tables, built once per solver.
-    if_half_ = TensorD({n, nxr});
-    if_full_ = TensorD({n, nxr});
-    for (index_t iy = 0; iy < n; ++iy) {
-      const double ky = kTwoPi * fft_freq(iy, n);
-      for (index_t ix = 0; ix < nxr; ++ix) {
-        const double kx = kTwoPi * static_cast<double>(ix);
-        const double decay = config_.viscosity * (kx * kx + ky * ky);
-        if_half_(iy, ix) = std::exp(-decay * dt / 2.0);
-        if_full_(iy, ix) = std::exp(-decay * dt);
-      }
-    }
-  }
-  // Classical integrating-factor RK4 (the viscous semigroup E is applied
-  // analytically; N is the dealiased nonlinear + forcing term):
-  //   k1 = N(ω);              k2 = N(E(ω + h/2 k1))
-  //   k3 = N(Eω + h/2 k2);    k4 = N(E²ω + h·E k3)
-  //   ω⁺ = E²ω + h/6 (E²k1 + 2E(k2 + k3) + k4)
-  const SpecD k1 = nonlinear(what_);
-  SpecD stage = what_;
-  for (index_t i = 0; i < stage.size(); ++i) {
-    stage[i] = (what_[i] + dt / 2.0 * k1[i]) * if_half_[i];
-  }
-  const SpecD k2 = nonlinear(stage);
-  for (index_t i = 0; i < stage.size(); ++i) {
-    stage[i] = what_[i] * if_half_[i] + dt / 2.0 * k2[i];
-  }
-  const SpecD k3 = nonlinear(stage);
-  for (index_t i = 0; i < stage.size(); ++i) {
-    stage[i] = what_[i] * if_full_[i] + dt * if_half_[i] * k3[i];
-  }
-  const SpecD k4 = nonlinear(stage);
-  for (index_t i = 0; i < what_.size(); ++i) {
-    what_[i] = what_[i] * if_full_[i] +
-               dt / 6.0 *
-                   (if_full_[i] * k1[i] +
-                    2.0 * if_half_[i] * (k2[i] + k3[i]) + k4[i]);
   }
 }
 

@@ -30,11 +30,7 @@ struct NsConfig {
   /// paper's setting); nonzero exercises the forced-turbulence extension
   /// the paper names in its outlook.
   double forcing_amplitude = 0.0;
-  index_t forcing_k = 4;
-  /// Integrating-factor RK4 (spectral scheme only): the viscous term is
-  /// integrated exactly via exp(−νk²t), removing the explicit-diffusion
-  /// time-step limit. Pure-viscous decay becomes exact to round-off.
-  bool integrating_factor = false;
+  index_t forcing_k = 4;  ///< 1 ≤ forcing_k ≤ n/2 when forcing is on
 };
 
 class NsSolver {
@@ -42,6 +38,10 @@ class NsSolver {
   explicit NsSolver(NsConfig config) : config_(config) {
     TURB_CHECK(config_.n >= 8 && config_.n % 2 == 0);
     TURB_CHECK(config_.viscosity > 0.0 && config_.dt > 0.0);
+    TURB_CHECK_MSG(config_.forcing_amplitude == 0.0 ||
+                       (config_.forcing_k >= 1 &&
+                        config_.forcing_k <= config_.n / 2),
+                   "forcing_k must be in [1, n/2], got " << config_.forcing_k);
   }
   virtual ~NsSolver() = default;
 
@@ -88,12 +88,8 @@ class SpectralNsSolver final : public NsSolver {
   /// Full right-hand side: nonlinear(ω̂) − νk²ω̂.
   SpecD rhs(const SpecD& what) const;
   void step_rk4();
-  void step_ifrk4();
 
   SpecD what_;  // ω̂, (n, n/2+1)
-  // Integrating-factor tables exp(−νk²·dt/2) and exp(−νk²·dt).
-  TensorD if_half_;
-  TensorD if_full_;
 };
 
 class FdNsSolver final : public NsSolver {

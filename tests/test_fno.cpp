@@ -154,30 +154,6 @@ TEST(Fno, InstantiatedModelMatchesClosedForm) {
   EXPECT_EQ(model.parameter_count(), fno_parameter_count(cfg));
 }
 
-TEST(Fno, FactorizedModelMatchesClosedForm) {
-  Rng rng(12);
-  FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  Fno model(cfg, rng);
-  EXPECT_EQ(model.parameter_count(), fno_parameter_count(cfg));
-  // The factorized weight is strictly smaller than the dense one.
-  FnoConfig dense = small2d();
-  EXPECT_LT(fno_parameter_count(cfg), fno_parameter_count(dense));
-}
-
-TEST(Fno, SharedFactorizedModelMatchesClosedForm) {
-  Rng rng(12);
-  FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  cfg.share_spectral_factors = true;
-  Fno model(cfg, rng);
-  EXPECT_EQ(model.parameter_count(), fno_parameter_count(cfg));
-  // Sharing removes (n_layers - 1) copies of the factor set.
-  FnoConfig unshared = cfg;
-  unshared.share_spectral_factors = false;
-  EXPECT_LT(fno_parameter_count(cfg), fno_parameter_count(unshared));
-}
-
 TEST(Fno, InstantiatedPaperModelMatchesTableI) {
   // The width-8 2D model (288,562 parameters) is small enough to allocate.
   Rng rng(13);

@@ -460,109 +460,6 @@ TEST(InferEngine, RefreshWeightsTracksModel) {
   expect_bitwise_equal(ref, y, "after refresh_weights");
 }
 
-// --- Factorized spectral layers through the engine ---------------------------
-//
-// The factorized engine composes the per-mode weight from the per-axis
-// factor packs in registers (the bandwidth win), while the training layer
-// materialises the product to memory and then contracts. Under
-// -ffp-contract=fast those two contexts may fuse the composition
-// multiply-adds differently (see the DESIGN.md codegen caveat), so the
-// engine-vs-training contract for the factorized tier is bounded agreement;
-// strict bitwise is enforced where it is promised — across thread counts
-// and across steady-state repeats of the same engine.
-
-constexpr char kContractSkipFact[] =
-    "factorized engine and training paths agree within tolerance but differ "
-    "in the last bits on this host: the engine composes the per-axis factor "
-    "product in registers while the training layer materialises it to "
-    "memory first, and -ffp-contract=fast may fuse the two contexts "
-    "differently (same mechanism as the 3D skip above). Thread-count and "
-    "steady-state bitwise gates for the factorized tier remain strict.";
-
-TEST(InferEngine, FactorizedForward2dClose) {
-  fno::FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  if (!check_forward_close(cfg, {2, 3, 16, 16}, 31)) {
-    GTEST_SKIP() << kContractSkipFact;
-  }
-}
-
-TEST(InferEngine, FactorizedForward2dBluesteinClose) {
-  fno::FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  cfg.n_modes = {4, 4};
-  if (!check_forward_close(cfg, {2, 3, 10, 14}, 32)) {
-    GTEST_SKIP() << kContractSkipFact;
-  }
-}
-
-TEST(InferEngine, SharedFactorizedForward2dClose) {
-  fno::FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  cfg.share_spectral_factors = true;
-  if (!check_forward_close(cfg, {1, 3, 16, 16}, 33)) {
-    GTEST_SKIP() << kContractSkipFact;
-  }
-}
-
-TEST(InferEngine, FactorizedForward3dClose) {
-  fno::FnoConfig cfg = cfg3d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  if (!check_forward_close(cfg, {1, 1, 10, 8, 8}, 34)) {
-    GTEST_SKIP() << kContractSkip3d;
-  }
-}
-
-TEST(InferEngine, FactorizedBitwiseAcrossThreadCounts) {
-  // The strict factorized determinism contract: same bytes at pool widths
-  // 1/2/4 (fixed ISA), and across steady-state repeats.
-  fno::FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  const auto run_at = [&cfg](std::size_t width) {
-    ThreadPool::Scope scope(width);
-    Rng rng(35);
-    fno::Fno model(cfg, rng);
-    infer::InferenceEngine engine(model);
-    const TensorF x = random_tensor({2, 3, 16, 16}, 36);
-    TensorF y;
-    engine.forward(x, y);
-    TensorF y2;
-    engine.forward(x, y2);
-    expect_bitwise_equal(y, y2, "factorized steady-state repeat");
-    return y;
-  };
-  const TensorF y1 = run_at(1);
-  for (const std::size_t width : {std::size_t{2}, std::size_t{4}}) {
-    const TensorF y = run_at(width);
-    expect_bitwise_equal(y1, y, "factorized forward across thread counts");
-  }
-}
-
-TEST(InferEngine, FactorizedRefreshWeightsTracksFactors) {
-  fno::FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  Rng rng(37);
-  fno::Fno model(cfg, rng);
-  infer::InferenceEngine engine(model);
-  const TensorF x = random_tensor({1, 3, 16, 16}, 38);
-  TensorF before;
-  engine.forward(x, before);
-  // Perturb a spectral factor: the engine serves the stale snapshot
-  // (bitwise — same engine, same packs) until refresh_weights(), after
-  // which it must track the perturbed model within the bounded-agreement
-  // contract.
-  auto& fact = dynamic_cast<nn::FactorizedSpectralConv&>(model.conv(0));
-  fact.factor(0).value[0] += 0.5f;
-  TensorF y;
-  engine.forward(x, y);
-  expect_bitwise_equal(before, y, "stale factor snapshot");
-  const TensorF ref = model.forward(x);
-  engine.refresh_weights();
-  engine.forward(x, y);
-  (void)expect_close_report_bitwise(ref, y, "after factor refresh_weights",
-                                    1e-4f);
-}
-
 // --- Rollout equality -------------------------------------------------------
 
 // One-trajectory engine rollout in the reference replicas' layout: the
@@ -724,21 +621,6 @@ TEST(InferZeroAlloc, ForwardSteadyState) {
     EXPECT_EQ(n, 0) << "forward steady state allocated, line batching "
                     << (batching ? "on" : "off");
   }
-}
-
-TEST(InferZeroAlloc, FactorizedForwardSteadyState) {
-  ThreadPool::Scope scope(1);
-  fno::FnoConfig cfg = small2d();
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  Rng rng(183);
-  fno::Fno model(cfg, rng);
-  infer::InferenceEngine engine(model);
-  engine.plan({1, 3, 16, 16});
-  const TensorF x = random_tensor({1, 3, 16, 16}, 184);
-  TensorF y;
-  engine.forward(x, y);
-  const std::int64_t n = count_allocs([&] { engine.forward(x, y); });
-  EXPECT_EQ(n, 0) << "factorized forward steady state allocated";
 }
 
 TEST(InferZeroAlloc, ForwardBluesteinSteadyState) {

@@ -407,182 +407,6 @@ TEST(SpectralConvPruning, GradcheckParametersPruned) {
   EXPECT_TRUE(res.ok()) << "max rel err " << res.max_rel_error;
 }
 
-// --- FactorizedSpectralConv ---------------------------------------------------
-
-TEST(FactorizedSpectralConv, OutputShape2D) {
-  Rng rng(120);
-  FactorizedSpectralConv conv(3, 5, {4, 4}, rng);
-  const TensorF y = conv.forward(random_input({2, 3, 8, 8}, 121));
-  EXPECT_EQ(y.shape(), (Shape{2, 5, 8, 8}));
-}
-
-TEST(FactorizedSpectralConv, OutputShape3D) {
-  Rng rng(122);
-  FactorizedSpectralConv conv(2, 2, {4, 4, 4}, rng);
-  const TensorF y = conv.forward(random_input({1, 2, 6, 6, 6}, 123));
-  EXPECT_EQ(y.shape(), (Shape{1, 2, 6, 6, 6}));
-}
-
-TEST(FactorizedSpectralConv, FactorShapesAndParameterCount) {
-  Rng rng(124);
-  FactorizedSpectralConv conv(3, 5, {8, 6}, rng);
-  // Axis 0 keeps all 8 modes, axis 1 (rfft) keeps 6/2+1 = 4.
-  EXPECT_EQ(conv.factor(0).value.shape(), (Shape{3, 5, 8, 2}));
-  EXPECT_EQ(conv.factor(1).value.shape(), (Shape{3, 5, 4, 2}));
-  EXPECT_EQ(conv.factor_parameter_count(), 3 * 5 * (8 + 4) * 2);
-  std::vector<Parameter*> params;
-  conv.collect_parameters(params);
-  ASSERT_EQ(params.size(), 2u);
-  index_t total = 0;
-  for (const Parameter* p : params) total += p->value.size();
-  EXPECT_EQ(total, conv.factor_parameter_count());
-}
-
-TEST(FactorizedSpectralConv, GradcheckInput2D) {
-  Rng rng(126);
-  FactorizedSpectralConv conv(2, 3, {4, 4}, rng);
-  const auto res =
-      gradcheck_input(conv, random_input({2, 2, 8, 8}, 127), 60, 2e-2f);
-  EXPECT_TRUE(res.ok()) << "max rel err " << res.max_rel_error;
-}
-
-TEST(FactorizedSpectralConv, GradcheckParameters2D) {
-  Rng rng(128);
-  FactorizedSpectralConv conv(2, 2, {4, 4}, rng);
-  const auto res =
-      gradcheck_parameters(conv, random_input({2, 2, 8, 8}, 129), 80, 2e-2f);
-  EXPECT_TRUE(res.ok()) << "max rel err " << res.max_rel_error;
-}
-
-TEST(FactorizedSpectralConv, GradcheckInput3D) {
-  Rng rng(130);
-  FactorizedSpectralConv conv(2, 2, {4, 4, 4}, rng);
-  const auto res =
-      gradcheck_input(conv, random_input({1, 2, 6, 8, 8}, 131), 50, 2e-2f);
-  EXPECT_TRUE(res.ok()) << "max rel err " << res.max_rel_error;
-}
-
-TEST(FactorizedSpectralConv, GradcheckParameters3D) {
-  Rng rng(132);
-  FactorizedSpectralConv conv(2, 2, {4, 4, 4}, rng);
-  const auto res =
-      gradcheck_parameters(conv, random_input({1, 2, 6, 8, 8}, 133), 80,
-                           2e-2f);
-  EXPECT_TRUE(res.ok()) << "max rel err " << res.max_rel_error;
-}
-
-TEST(FactorizedSpectralConv, GradcheckParametersPruned) {
-  // Grid strictly larger than modes so the pruned transforms really skip
-  // lines while the factor chain rule still matches finite differences.
-  PruningGuard guard(true);
-  Rng rng(134);
-  FactorizedSpectralConv conv(2, 2, {4, 4}, rng);
-  const auto res =
-      gradcheck_parameters(conv, random_input({2, 2, 12, 12}, 135), 80, 2e-2f);
-  EXPECT_TRUE(res.ok()) << "max rel err " << res.max_rel_error;
-}
-
-TEST(FactorizedSpectralConv, BackwardBitwiseIdenticalAcrossThreadCounts) {
-  const auto grads_at = [](std::size_t width) {
-    ThreadPool::Scope scope(width);
-    Rng rng(136);
-    FactorizedSpectralConv conv(3, 3, {4, 4}, rng);
-    const TensorF x = random_input({9, 3, 8, 8}, 137);
-    const TensorF y = conv.forward(x);
-    const TensorF dx = conv.backward(random_input(y.shape(), 138));
-    return std::tuple{dx, conv.factor(0).grad, conv.factor(1).grad};
-  };
-  const auto [dx1, da1, db1] = grads_at(1);
-  for (const std::size_t width : {std::size_t{2}, std::size_t{4}}) {
-    const auto [dx, da, db] = grads_at(width);
-    for (index_t i = 0; i < dx1.size(); ++i) ASSERT_EQ(dx[i], dx1[i]) << i;
-    for (index_t i = 0; i < da1.size(); ++i) ASSERT_EQ(da[i], da1[i]) << i;
-    for (index_t i = 0; i < db1.size(); ++i) ASSERT_EQ(db[i], db1[i]) << i;
-  }
-}
-
-TEST(FactorizedSpectralConv, SharedFactorsAliasOwnerParameters) {
-  Rng rng(140);
-  FactorizedSpectralConv owner(2, 2, {4, 4}, rng, "fact0");
-  FactorizedSpectralConv sharer(2, 2, {4, 4}, rng, "fact1", &owner);
-  EXPECT_FALSE(owner.shares_factors());
-  EXPECT_TRUE(sharer.shares_factors());
-  EXPECT_EQ(&owner.factor(0), &sharer.factor(0));
-  EXPECT_EQ(&owner.factor(1), &sharer.factor(1));
-  // Only the owner reports the shared parameters.
-  std::vector<Parameter*> params;
-  owner.collect_parameters(params);
-  sharer.collect_parameters(params);
-  EXPECT_EQ(params.size(), 2u);
-}
-
-TEST(FactorizedSpectralConv, SharedFactorGradientsAccumulateAcrossLayers) {
-  // Chain owner → sharer on the same factors: the factor gradient must be
-  // the sum of both layers' contributions. Compare against an identical
-  // unshared pair whose per-layer gradients are summed by hand.
-  Rng rng_a(142);
-  FactorizedSpectralConv owner(2, 2, {4, 4}, rng_a, "fact0");
-  FactorizedSpectralConv sharer(2, 2, {4, 4}, rng_a, "fact1", &owner);
-  const TensorF x = random_input({1, 2, 8, 8}, 143);
-  const TensorF mid = owner.forward(x);
-  const TensorF y = sharer.forward(mid);
-  TensorF g(y.shape(), 1.0f);
-  const TensorF dmid = sharer.backward(g);
-  (void)owner.backward(dmid);
-
-  // Reference: two independent layers with the same weights (replay the rng
-  // sequence), gradients summed manually.
-  Rng rng_b(142);
-  FactorizedSpectralConv ref0(2, 2, {4, 4}, rng_b, "ref0");
-  // Sharer drew no weights from the rng (it aliases), so ref1 must reuse
-  // ref0's values rather than drawing fresh ones.
-  Rng rng_scratch(999);
-  FactorizedSpectralConv ref1(2, 2, {4, 4}, rng_scratch, "ref1");
-  for (std::size_t d = 0; d < 2; ++d) {
-    ref1.factor(d).value = ref0.factor(d).value;
-  }
-  const TensorF mid_ref = ref0.forward(x);
-  const TensorF y_ref = ref1.forward(mid_ref);
-  for (index_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]) << i;
-  const TensorF dmid_ref = ref1.backward(g);
-  (void)ref0.backward(dmid_ref);
-  for (std::size_t d = 0; d < 2; ++d) {
-    const TensorF& shared_grad = owner.factor(d).grad;
-    const TensorF& g0 = ref0.factor(d).grad;
-    const TensorF& g1 = ref1.factor(d).grad;
-    for (index_t i = 0; i < shared_grad.size(); ++i) {
-      ASSERT_NEAR(shared_grad[i], g0[i] + g1[i], 1e-5f) << "axis " << d
-                                                        << " idx " << i;
-    }
-  }
-}
-
-TEST(FactorizedSpectralConv, AdamStepReducesLoss) {
-  // The factors must be trainable end-to-end: a few Adam steps on a tiny
-  // regression problem should reduce the MSE.
-  Rng rng(144);
-  FactorizedSpectralConv conv(2, 2, {4, 4}, rng);
-  const TensorF x = random_input({2, 2, 8, 8}, 145);
-  const TensorF target = random_input({2, 2, 8, 8}, 146);
-  std::vector<Parameter*> params;
-  conv.collect_parameters(params);
-  Adam::Config cfg;
-  cfg.lr = 1e-2;
-  cfg.weight_decay = 0.0;
-  Adam opt(params, cfg);
-  double first = 0.0, last = 0.0;
-  for (int step = 0; step < 20; ++step) {
-    const TensorF y = conv.forward(x);
-    const LossResult loss = mse_loss(y, target);
-    if (step == 0) first = loss.value;
-    last = loss.value;
-    opt.zero_grad();
-    (void)conv.backward(loss.grad);
-    opt.step();
-  }
-  EXPECT_LT(last, first * 0.9);
-}
-
 // --- Losses -------------------------------------------------------------------
 
 TEST(Loss, MseValueAndGrad) {

@@ -261,6 +261,29 @@ TEST_P(NsScheme, SetVelocityProjectsDivergentInput) {
   EXPECT_LT(divergence(v1, v2).max_abs(), 1e-8);
 }
 
+TEST_P(NsScheme, ForcingWavenumberOutsideHalfGridRejected) {
+  // The spectral forcing writes spectrum rows k_f and n − k_f, so only
+  // 1 ≤ k_f ≤ n/2 names a mode pair inside the (n, n/2+1) spectrum.
+  NsConfig cfg;
+  cfg.n = 16;
+  cfg.viscosity = 1e-3;
+  cfg.dt = 1e-3;
+  cfg.forcing_amplitude = 0.5;
+  for (const index_t k : {index_t{0}, index_t{-1}, cfg.n / 2 + 1, cfg.n}) {
+    cfg.forcing_k = k;
+    EXPECT_THROW(make_ns_solver(GetParam(), cfg), CheckError)
+        << "forcing_k=" << k;
+  }
+  for (const index_t k : {index_t{1}, cfg.n / 2}) {
+    cfg.forcing_k = k;
+    auto solver = make_ns_solver(GetParam(), cfg);
+    solver->set_vorticity(taylor_green_vorticity(cfg.n, 0.1));
+    solver->step(2);
+    EXPECT_TRUE(std::isfinite(solver->vorticity().max_abs()))
+        << "forcing_k=" << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, NsScheme,
                          ::testing::Values(std::string("spectral"),
                                            std::string("fd")));
@@ -328,68 +351,6 @@ TEST(NsSolver, FdConvergesToSpectralUnderRefinement) {
   const double e32 = run_error(32);
   const double e64 = run_error(64);
   EXPECT_LT(e64, e32 / 2.5);  // comfortably better than 1st order
-}
-
-TEST(NsSolver, IntegratingFactorExactForPureViscousDecay) {
-  // With IF-RK4 the linear (viscous) part is integrated analytically, so a
-  // Taylor–Green decay is exact to round-off even at a huge time step.
-  NsConfig cfg;
-  cfg.n = 32;
-  cfg.viscosity = 0.05;
-  cfg.dt = 0.05;  // ~200x the explicit-diffusion limit
-  cfg.integrating_factor = true;
-  SpectralNsSolver solver(cfg);
-  const TensorD w0 = taylor_green_vorticity(cfg.n, 1e-8);  // linear regime
-  solver.set_vorticity(w0);
-  solver.step(20);
-  const double decay =
-      std::exp(-2.0 * cfg.viscosity * kTwoPi * kTwoPi * solver.time());
-  const TensorD w1 = solver.vorticity();
-  for (index_t i = 0; i < w0.size(); i += 17) {
-    ASSERT_NEAR(w1[i], w0[i] * decay, 1e-12 * std::abs(w0[i]) + 1e-20);
-  }
-}
-
-TEST(NsSolver, IntegratingFactorMatchesRk4OnTurbulentFlow) {
-  NsConfig rk_cfg;
-  rk_cfg.n = 48;
-  rk_cfg.viscosity = 1e-3;
-  rk_cfg.dt = 1e-4;
-  NsConfig if_cfg = rk_cfg;
-  if_cfg.integrating_factor = true;
-  SpectralNsSolver rk(rk_cfg), ifs(if_cfg);
-  Rng rng(83);
-  const auto field = lbm::random_vortex_velocity(48, 48, 4.0, 1.0, rng);
-  const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
-  rk.set_vorticity(w0);
-  ifs.set_vorticity(w0);
-  rk.step(300);
-  ifs.step(300);
-  const TensorD wa = rk.vorticity();
-  const TensorD wb = ifs.vorticity();
-  double num = 0.0;
-  for (index_t i = 0; i < wa.size(); ++i) {
-    const double d = wa[i] - wb[i];
-    num += d * d;
-  }
-  EXPECT_LT(std::sqrt(num / wa.squared_norm()), 1e-6);
-}
-
-TEST(NsSolver, IntegratingFactorStableBeyondExplicitDiffusionLimit) {
-  NsConfig cfg;
-  cfg.n = 32;
-  cfg.viscosity = 0.02;
-  // Explicit diffusion limit is dx²/(4ν) ≈ 1.2e-2/… pick dt well above it.
-  cfg.dt = 2e-3;
-  cfg.integrating_factor = true;
-  SpectralNsSolver solver(cfg);
-  Rng rng(89);
-  const auto field = lbm::random_vortex_velocity(32, 32, 3.0, 0.5, rng);
-  solver.set_velocity(field.u1, field.u2);
-  solver.step(500);
-  const TensorD w = solver.vorticity();
-  EXPECT_TRUE(std::isfinite(w.max_abs()));
-  EXPECT_LT(w.max_abs(), 1e3);
 }
 
 TEST(NsSolver, SuggestDtRespectsCflAndDiffusion) {

@@ -119,42 +119,6 @@ TEST(RobustSerialize, V2RoundTripAndMagic) {
   std::remove(path.c_str());
 }
 
-TEST(RobustSerialize, V3FactorizedModelRoundTrip) {
-  // A factorized FNO checkpoints like any parameter set — the factor tensors
-  // are ordinary named parameters and come back bitwise.
-  fno::FnoConfig cfg;
-  cfg.in_channels = 3;
-  cfg.out_channels = 1;
-  cfg.width = 4;
-  cfg.n_layers = 2;
-  cfg.n_modes = {4, 4};
-  cfg.lifting_channels = 8;
-  cfg.projection_channels = 8;
-  cfg.spectral_kind = nn::SpectralKind::kFactorized;
-  Rng rng_a(52), rng_b(53);
-  fno::Fno a(cfg, rng_a), b(cfg, rng_b);
-  const std::string path = temp_path("robust_fact.tnn");
-  nn::save_parameters(path, a.parameters());
-  EXPECT_EQ(read_bytes(path).substr(0, 4), "TNN2");
-  nn::load_parameters(path, b.parameters());
-  for (index_t l = 0; l < cfg.n_layers; ++l) {
-    const auto& fa =
-        dynamic_cast<const nn::FactorizedSpectralConv&>(a.conv(l));
-    const auto& fb =
-        dynamic_cast<const nn::FactorizedSpectralConv&>(b.conv(l));
-    for (std::size_t d = 0; d < 2; ++d) {
-      const TensorF& va = fa.factor(d).value;
-      const TensorF& vb = fb.factor(d).value;
-      ASSERT_EQ(va.shape(), vb.shape());
-      ASSERT_EQ(0, std::memcmp(va.data(), vb.data(),
-                               static_cast<std::size_t>(va.size()) *
-                                   sizeof(float)))
-          << "layer " << l << " factor " << d;
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(RobustSerialize, RetiredV3CheckpointRejected) {
   // TNN3 (a dtype byte before each payload) is not a checkpoint format: even
   // an fp32-tagged TNN3 image with a valid CRC takes the unknown-magic
