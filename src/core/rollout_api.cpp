@@ -28,6 +28,19 @@ std::string validate_request(const RolloutRequest& request,
   if (request.steps < 1) return "request.steps must be >= 1";
   if (request.window < 1) return "request.window must be >= 1";
   if (request.seed.empty()) return "empty seed history";
+  const Shape& frame = request.seed.back().u1.shape();
+  for (std::size_t i = 0; i < request.seed.size(); ++i) {
+    const FieldSnapshot& snap = request.seed[i];
+    if (frame.size() != 2 || snap.u1.shape() != frame ||
+        snap.u2.shape() != frame) {
+      return "seed snapshot " + std::to_string(i) + " has u1 " +
+             shape_to_string(snap.u1.shape()) + " and u2 " +
+             shape_to_string(snap.u2.shape()) +
+             "; every seed field must be rank 2 and shaped like the newest "
+             "u1 " +
+             shape_to_string(frame);
+    }
+  }
   const index_t need = primary.min_history();
   if (static_cast<index_t>(request.seed.size()) < need) {
     return "seed holds " + std::to_string(request.seed.size()) +

@@ -92,9 +92,10 @@ struct RolloutRequest {
                                            const Propagator& fallback);
 
 /// The first reason `request` cannot run on `primary` with `fallback`
-/// (empty when it can): horizon and window >= 1, a seed at least as long as
-/// the primary's input window, an input window within kMaxHistory, a
-/// fallback for guarded requests, and spacing_mismatch. RolloutStream throws
+/// (empty when it can): horizon and window >= 1, a seed whose snapshots all
+/// hold two rank-2 fields shaped like the newest u1, at least as long as the
+/// primary's input window, an input window within kMaxHistory, a fallback
+/// for guarded requests, and spacing_mismatch. RolloutStream throws
 /// the reason; serve::RolloutServer rejects the submission with it.
 [[nodiscard]] std::string validate_request(const RolloutRequest& request,
                                            const Propagator& primary,

@@ -14,8 +14,8 @@
 // line counters. Callers supply only a pool and memory: the Tensor entry
 // points below pass thread-local workspace and a per-call twiddle table,
 // the inference engine (infer/engine.hpp) its plan-time arena slices. Both
-// therefore run one implementation — the only way two paths stay bitwise
-// equal (DESIGN.md, codegen caveat under "Spectral path performance").
+// therefore run one implementation, which keeps the two paths bitwise equal
+// by construction (DESIGN.md "Spectral path performance").
 //
 // Mode-pruned transforms: callers that only consume (forward) or only
 // populate (inverse) a subset of spectrum coordinates — the FNO spectral

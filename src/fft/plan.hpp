@@ -49,8 +49,8 @@ inline index_t next_pow2(index_t n) {
 // bits therefore do not depend on how many lanes share its batch (batch
 // occupancy invariance) — full batches, ragged tails, and the single-line
 // path all agree bitwise per ISA tier, which is what keeps the Tier A
-// determinism contract (and the scalar-tier seed fixture CRC) intact while
-// the line grouping changes with thread count and mode pruning.
+// determinism contract (and the scalar-tier golden dump) intact while the
+// line grouping changes with thread count and mode pruning.
 
 /// Upper bound on lanes any batched path may request; batch scratch sized
 /// with this stays valid when the active ISA is switched after planning.
@@ -218,15 +218,7 @@ class PlanC2C {
     sub_->forward(bf_.data());
   }
 
-  // noinline+noclone pin a single compiled body for the single-line
-  // transform: it is the bitwise reference for the batched fallback in
-  // execute_batch, and under -O3 GCC otherwise re-contracts inlined copies
-  // and constant-propagation clones (e.g. an inverse=true .constprop clone)
-  // of this function differently per call site — observed for f64 — which
-  // would make "the same" transform round differently depending on who
-  // called it.
-  __attribute__((noinline, noclone)) void execute(cpx* x,
-                                                  bool inverse) const {
+  void execute(cpx* x, bool inverse) const {
     if (sub_ == nullptr) {
       radix2(x, inverse);
       if (inverse) {
@@ -281,14 +273,10 @@ class PlanC2C {
   }
 
   // Batched execution discipline: every floating-point rounding in the
-  // batched path is produced either by an intrinsics lane kernel (fixed
-  // arithmetic by construction) or by the exact single-line code running on
-  // a de-interleaved copy. Compiler-generated per-lane FP loops are banned —
-  // under -O3 -ffp-contract=fast GCC contracts/unswitches/vectorizes the
-  // "same" expressions differently per code shape (lane count, keep-mask
-  // null-ness, forward/inverse constant propagation), which silently breaks
-  // batch occupancy invariance. Exact operations (copies, swaps, conj,
-  // componentwise scaling) are exempt: they round nothing.
+  // batched path comes from an intrinsics lane kernel or from the
+  // single-line code (execute) running on a de-interleaved copy, so a line's
+  // bits cannot depend on its batch. Exact operations (copies, swaps, conj,
+  // componentwise scaling) round nothing and may be written freely.
   void execute_batch(cpx* x, index_t nlanes, bool inverse) const {
     TURB_CHECK_MSG(nlanes >= 1 && nlanes <= kMaxLanes,
                    "batched FFT lane count " << nlanes << " out of range");

@@ -1,9 +1,9 @@
 #include "infer/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
+#include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 #include "util/isa.hpp"
 
@@ -17,12 +17,6 @@ namespace {
 /// bitwise equality with the training path (panel membership decides which
 /// columns take the register-tiled vs tail code path).
 constexpr index_t kColBlock = 64;
-
-/// Exact GELU, the same expression Gelu::forward evaluates per element.
-inline float gelu(float v) {
-  constexpr float inv_sqrt2 = 0.70710678118654752f;
-  return 0.5f * v * (1.0f + std::erf(v * inv_sqrt2));
-}
 
 /// Element-wise shape check without materialising a Shape (no allocation).
 bool shape_is(const Shape& s, std::initializer_list<index_t> want) {
@@ -250,7 +244,7 @@ void InferenceEngine::lift(const float* x, float* h) {
       for (index_t o = 0; o < cl; ++o) {
         float* row = tile + o * bs;
         const float b = bl1[o];
-        for (index_t j = 0; j < bs; ++j) row[j] = gelu(row[j] + b);
+        for (index_t j = 0; j < bs; ++j) row[j] = nn::gelu(row[j] + b);
       }
       gemm_nn<float>(w, bs, cl, 1.0f, wl2, cl, tile, bs, 0.0f,
                      h + n * w * s + j0, s);
@@ -284,7 +278,7 @@ void InferenceEngine::project(const float* h, float* y) {
       for (index_t o = 0; o < cp; ++o) {
         float* row = tile + o * bs;
         const float b = bp1[o];
-        for (index_t j = 0; j < bs; ++j) row[j] = gelu(row[j] + b);
+        for (index_t j = 0; j < bs; ++j) row[j] = nn::gelu(row[j] + b);
       }
       gemm_nn<float>(cout, bs, cp, 1.0f, wp2, cp, tile, bs, 0.0f,
                      y + n * cout * s + j0, s);
@@ -411,7 +405,7 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
           for (index_t j = 0; j < bs; ++j) drow[j] += srow[j] + b;
         } else {
           for (index_t j = 0; j < bs; ++j) {
-            drow[j] = gelu(drow[j] + (srow[j] + b));
+            drow[j] = nn::gelu(drow[j] + (srow[j] + b));
           }
         }
       }

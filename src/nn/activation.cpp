@@ -1,7 +1,6 @@
 #include "nn/activation.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -15,11 +14,7 @@ TensorF Gelu::forward(const TensorF& x) {
   const float* in = x.data();
   float* out = y.data();
   parallel_for_chunked(0, x.size(), [&](index_t b, index_t e) {
-    constexpr float inv_sqrt2 = 0.70710678118654752f;
-    for (index_t i = b; i < e; ++i) {
-      const float v = in[i];
-      out[i] = 0.5f * v * (1.0f + std::erf(v * inv_sqrt2));
-    }
+    for (index_t i = b; i < e; ++i) out[i] = gelu(in[i]);
   });
   return y;
 }

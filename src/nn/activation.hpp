@@ -1,6 +1,7 @@
 // Pointwise activation layers.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "nn/module.hpp"
@@ -9,6 +10,14 @@ namespace turb::nn {
 
 /// Exact (erf-based) GELU, matching PyTorch's default:
 ///   gelu(x) = x · Φ(x) = x/2 · (1 + erf(x/√2))
+/// The one expression behind Gelu::forward and the inference engine's fused
+/// epilogues, so the two paths round identically.
+inline float gelu(float x) {
+  constexpr float inv_sqrt2 = 0.70710678118654752f;
+  return 0.5f * x * (1.0f + std::erf(x * inv_sqrt2));
+}
+
+/// Layer form of gelu().
 class Gelu : public Module {
  public:
   explicit Gelu(std::string name = "gelu") : name_(std::move(name)) {}

@@ -12,6 +12,8 @@
 // extends the contract across processes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -131,23 +133,48 @@ TEST(Determinism, GlobalPoolMatchesScopedRun) {
   expect_identical(global_run, t1, "global pool vs scoped width 1");
 }
 
+/// Fingerprint of a TNN2 dump: the CRC-32 of every byte but the 4-byte
+/// trailer. The trailer is the CRC-32 of the bytes between the magic and
+/// itself, and a CRC-32 over data followed by that data's own CRC-32 is a
+/// constant (the fixed magic in front shifts it by a constant for a given
+/// length), so a CRC over the whole file would fingerprint only its length.
+std::uint32_t dump_fingerprint(const std::string& bytes) {
+  return util::crc32(bytes.data(), bytes.size() - 4);
+}
+
 TEST(Determinism, ScalarIsaReproducesSeedFixtureDump) {
   // Golden regression for the scalar reference tier: with the SIMD dispatch
   // forced to scalar, the 3-epoch fixture run must reproduce the exact bytes
-  // the pre-dispatch tree produced (recorded when the runtime-ISA layer
-  // landed). Any change to the scalar kernels, the dispatch plumbing, or the
-  // serialization format that perturbs even one bit shows up here. The CRC is
-  // zlib-compatible (util::crc32) over the serialized parameter file.
+  // recorded here. Any change to the scalar kernels, the dispatch plumbing,
+  // or the serialization format that perturbs even one bit shows up here.
   //
-  // The golden is tied to this toolchain's code generation (-O3 with
-  // -ffp-contract=fast); regenerate it deliberately — never loosen it — if
-  // the compiler or flags change.
+  // The compiler fuses no multiply-add on its own (src/CMakeLists.txt), so
+  // every expression rounds the same wherever it is compiled, sanitizer
+  // builds included; the golden still depends on the compiler version and
+  // libm. Regenerate it deliberately — never loosen it — when the numerics
+  // change on purpose.
   util::ScopedIsa forced(util::Isa::kScalar);
   ThreadPool::Scope scope(1);
   const RunArtifacts run = train_once("determinism_weights_scalar_golden.tnn");
-  EXPECT_EQ(run.weight_bytes.size(), 43656u);
-  EXPECT_EQ(util::crc32(run.weight_bytes.data(), run.weight_bytes.size()),
-            0x455DD205u);
+  const std::string& bytes = run.weight_bytes;
+  ASSERT_EQ(bytes.size(), 43656u);
+  EXPECT_EQ(dump_fingerprint(bytes), 0x57A91229u);
+
+  // The fingerprint must see the payload, not just the length: flip one
+  // weight byte and rewrite the trailer as save_parameters does (CRC-32 of
+  // bytes [4, size - 4)).
+  const auto trailer_of = [](const std::string& b) {
+    return util::crc32(b.data() + 4, b.size() - 8);
+  };
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - 4, sizeof(stored));
+  ASSERT_EQ(stored, trailer_of(bytes));
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x01;
+  const std::uint32_t resealed = trailer_of(flipped);
+  std::memcpy(flipped.data() + flipped.size() - 4, &resealed,
+              sizeof(resealed));
+  EXPECT_NE(dump_fingerprint(flipped), dump_fingerprint(bytes));
 }
 
 TEST(Determinism, EvaluationBitwiseIdenticalAcrossThreadCounts) {

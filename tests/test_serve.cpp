@@ -387,6 +387,15 @@ TEST_F(ServeFixture, InvalidRequestsRejectWithReasonInsteadOfThrowing) {
   cases.back().request.seed.resize(2);  // below the FNO's 4-snapshot window
   cases.push_back({"fallback", request_for(405, 4), nullptr});
   cases.back().request.guard.enabled = true;
+  // A seed whose snapshots disagree on shape: an older 16² snapshot under a
+  // 32² newest one, and a 16×64 u2 beside a 32×32 u1 (same element count).
+  cases.push_back({"seed snapshot 0 has u1 [16, 16] and u2 [16, 16]",
+                   request_for(406, 4), &pde_prop_});
+  cases.back().request.seed.front().u1 = TensorD({16, 16});
+  cases.back().request.seed.front().u2 = TensorD({16, 16});
+  cases.push_back({"seed snapshot 3 has u1 [32, 32] and u2 [16, 64]",
+                   request_for(407, 4), &pde_prop_});
+  cases.back().request.seed.back().u2 = TensorD({16, 64});
 
   for (const Case& c : cases) {
     serve::RolloutServer server(fno_prop_, c.fallback, serve::ServeConfig{});
