@@ -33,7 +33,11 @@
 #     (infer/steady_state_allocs == 0), the engine drove the batched FFT
 #     path (fft/batched_lines > 0), the plan-cache memo stayed hit-only
 #     across a steady-state repeat (fft/plan_cache_misses_steady_delta == 0),
-#     and the BENCH_inference.json schema is well formed.
+#     and the BENCH_inference.json schema is well formed. The GELU kernel's
+#     two tiers give identical bits, so only its dispatch counters show
+#     which one ran: isa/gelu_dispatch_scalar must be exported, and on
+#     avx2+fma hosts isa/gelu_dispatch_avx2 must be > 0 (the bench forces
+#     each ISA the host runs).
 #  5. A serving smoke: bench_perf_serve at a tiny grid/horizon, asserting
 #     concurrent sessions are bitwise identical to sequential rollouts at
 #     pool widths 1 and 4, the saturation exercise bumps
@@ -190,12 +194,20 @@ rm -f "$INFER_JSON" "$INFER_METRICS"
 "$BUILD_DIR/bench/bench_perf_infer" --min-seconds 0.01 --out "$INFER_JSON" \
     --metrics-out "$INFER_METRICS" > /dev/null
 for span in '"nn/infer_plan"' '"nn/infer_forward"' '"nn/infer_lift"' \
-            '"nn/infer_spectral"' '"nn/infer_project"' '"nn/infer_rollout"'; do
+            '"nn/infer_spectral"' '"nn/infer_project"' '"nn/infer_rollout"' \
+            '"isa/gelu_dispatch_scalar"'; do
   grep -q "$span" "$INFER_METRICS" || {
-    echo "check_tier1: span $span missing from $INFER_METRICS" >&2
+    echo "check_tier1: $span missing from $INFER_METRICS" >&2
     exit 1
   }
 done
+python3 - "$INFER_METRICS" "$HOST_AVX2_FMA" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+if sys.argv[2] == "1":
+    assert c.get("isa/gelu_dispatch_avx2", 0) > 0, \
+        "the avx2 GELU kernel never ran on an avx2+fma host"
+EOF
 python3 - "$INFER_JSON" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))

@@ -46,6 +46,9 @@ class DivergentPropagator final : public Propagator {
   [[nodiscard]] index_t min_history() const override {
     return inner_->min_history();
   }
+  [[nodiscard]] Shape frame_shape() const override {
+    return inner_->frame_shape();
+  }
   [[nodiscard]] std::string name() const override { return "divergent"; }
 
   /// Snapshots produced so far (healthy + corrupted).

@@ -22,6 +22,11 @@ class PdePropagator final : public Propagator {
                                      index_t count) override;
   [[nodiscard]] double dt_snap() const override { return dt_snap_; }
   [[nodiscard]] index_t min_history() const override { return 1; }
+  /// The solver's (n, n) grid.
+  [[nodiscard]] Shape frame_shape() const override {
+    const index_t n = solver_->config().n;
+    return {n, n};
+  }
   [[nodiscard]] std::string name() const override { return "pde"; }
 
   [[nodiscard]] const ns::NsSolver& solver() const { return *solver_; }

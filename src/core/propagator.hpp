@@ -41,6 +41,11 @@ class Propagator {
   /// Minimum history length advance() requires.
   [[nodiscard]] virtual index_t min_history() const = 0;
 
+  /// The (ny, nx) shape every snapshot field must have, or an empty shape
+  /// when advance() takes any frame (the default). validate_request()
+  /// checks seeds against it, so a mismatch is rejected before it runs.
+  [[nodiscard]] virtual Shape frame_shape() const { return {}; }
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 

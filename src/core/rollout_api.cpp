@@ -9,6 +9,19 @@
 
 namespace turb::core {
 
+namespace {
+
+/// Why `propagator` cannot advance snapshots of shape `frame` (empty when
+/// it can): the frame differs from a non-empty Propagator::frame_shape().
+std::string frame_mismatch(const Propagator& propagator, const Shape& frame) {
+  const Shape need = propagator.frame_shape();
+  if (need.empty() || need == frame) return {};
+  return "seed frame " + shape_to_string(frame) + " does not fit " +
+         propagator.name() + ", which needs " + shape_to_string(need);
+}
+
+}  // namespace
+
 std::string spacing_mismatch(const Propagator& primary,
                              const Propagator& fallback) {
   if (std::abs(primary.dt_snap() - fallback.dt_snap()) <
@@ -41,6 +54,13 @@ std::string validate_request(const RolloutRequest& request,
              shape_to_string(frame);
     }
   }
+  std::string misfit = frame_mismatch(primary, frame);
+  // A fallback runs only once a guard trips (or on a scheduled window,
+  // which RolloutStream checks), so an unguarded request may use any grid.
+  if (misfit.empty() && request.guard.enabled && fallback != nullptr) {
+    misfit = frame_mismatch(*fallback, frame);
+  }
+  if (!misfit.empty()) return misfit;
   const index_t need = primary.min_history();
   if (static_cast<index_t>(request.seed.size()) < need) {
     return "seed holds " + std::to_string(request.seed.size()) +
@@ -82,6 +102,11 @@ RolloutStream::RolloutStream(RolloutRequest request, Propagator* primary,
   TURB_CHECK_MSG(scheduled_window_ >= 0 &&
                      (scheduled_window_ == 0 || fallback != nullptr),
                  "a scheduled window needs a fallback propagator");
+  if (scheduled_window_ > 0) {
+    const std::string misfit =
+        frame_mismatch(*fallback, request_.seed.back().u1.shape());
+    TURB_CHECK_MSG(misfit.empty(), misfit);
+  }
   primary_ = make_side(primary);
   if (fallback != nullptr) {
     fallback_ = make_side(fallback);

@@ -93,10 +93,12 @@ struct RolloutRequest {
 
 /// The first reason `request` cannot run on `primary` with `fallback`
 /// (empty when it can): horizon and window >= 1, a seed whose snapshots all
-/// hold two rank-2 fields shaped like the newest u1, at least as long as the
-/// primary's input window, an input window within kMaxHistory, a fallback
-/// for guarded requests, and spacing_mismatch. RolloutStream throws
-/// the reason; serve::RolloutServer rejects the submission with it.
+/// hold two rank-2 fields shaped like the newest u1, in a frame the primary
+/// takes (Propagator::frame_shape) and, for guarded requests, the fallback
+/// too, at least as long as the primary's input window, an input window
+/// within kMaxHistory, a fallback for guarded requests, and
+/// spacing_mismatch. RolloutStream throws the reason; serve::RolloutServer
+/// rejects the submission with it.
 [[nodiscard]] std::string validate_request(const RolloutRequest& request,
                                            const Propagator& primary,
                                            const Propagator* fallback);

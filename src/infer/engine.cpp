@@ -241,11 +241,7 @@ void InferenceEngine::lift(const float* x, float* h) {
       // intermediate of the training path never exists.
       gemm_nn<float>(cl, bs, cin, 1.0f, wl1, cin, x + n * cin * s + j0, s,
                      0.0f, tile, bs);
-      for (index_t o = 0; o < cl; ++o) {
-        float* row = tile + o * bs;
-        const float b = bl1[o];
-        for (index_t j = 0; j < bs; ++j) row[j] = nn::gelu(row[j] + b);
-      }
+      nn::gelu_tile(tile, cl, bs, bs, bl1);
       gemm_nn<float>(w, bs, cl, 1.0f, wl2, cl, tile, bs, 0.0f,
                      h + n * w * s + j0, s);
       for (index_t o = 0; o < w; ++o) {
@@ -275,11 +271,7 @@ void InferenceEngine::project(const float* h, float* y) {
       const index_t bs = std::min(kColBlock, s - j0);
       gemm_nn<float>(cp, bs, w, 1.0f, wp1, w, h + n * w * s + j0, s, 0.0f,
                      tile, bs);
-      for (index_t o = 0; o < cp; ++o) {
-        float* row = tile + o * bs;
-        const float b = bp1[o];
-        for (index_t j = 0; j < bs; ++j) row[j] = nn::gelu(row[j] + b);
-      }
+      nn::gelu_tile(tile, cp, bs, bs, bp1);
       gemm_nn<float>(cout, bs, cp, 1.0f, wp2, cp, tile, bs, 0.0f,
                      y + n * cout * s + j0, s);
       for (index_t o = 0; o < cout; ++o) {
@@ -397,16 +389,15 @@ void InferenceEngine::spectral_layer(index_t l, const float* h_in,
       const index_t bs = std::min(kColBlock, s - j0);
       gemm_nn<float>(w, bs, w, 1.0f, wsk, w, h_in + n * w * s + j0, s, 0.0f,
                      tile, bs);
-      for (index_t o = 0; o < w; ++o) {
-        const float* srow = tile + o * bs;
-        float* drow = h_out + n * w * s + o * s + j0;
-        const float b = bsk[o];
-        if (last_layer) {
+      float* dst = h_out + n * w * s + j0;
+      if (!last_layer) {
+        nn::gelu_tile(dst, w, bs, s, bsk, tile, bs);
+      } else {
+        for (index_t o = 0; o < w; ++o) {
+          const float* srow = tile + o * bs;
+          float* drow = dst + o * s;
+          const float b = bsk[o];
           for (index_t j = 0; j < bs; ++j) drow[j] += srow[j] + b;
-        } else {
-          for (index_t j = 0; j < bs; ++j) {
-            drow[j] = nn::gelu(drow[j] + (srow[j] + b));
-          }
         }
       }
     }

@@ -27,8 +27,8 @@
 // per-element operation sequence as the training path — the same gemm_nn
 // instantiation on 8-aligned column blocks, the same FFT line drivers and
 // kernels, the same ascending-k contraction order, and the same add-bias →
-// add-skip → GELU rounding chain. See DESIGN.md "Inference engine" for the
-// argument.
+// add-skip → GELU rounding chain through the one GELU kernel
+// (nn::gelu_tile). See DESIGN.md "Inference engine" for the argument.
 #pragma once
 
 #include <complex>

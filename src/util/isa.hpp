@@ -2,13 +2,15 @@
 //
 // The library ships two implementations of every hot kernel family (the GEMM
 // register panels in tensor/gemm.hpp, the radix-2 c2c butterflies in
-// fft/plan.hpp, and the rfft/irfft unpack in fft/real.hpp):
+// fft/plan.hpp, the rfft/irfft unpack in fft/real.hpp, and the GELU
+// epilogue nn::gelu_tile in nn/activation.cpp):
 //
-//   * scalar — the portable C++ kernels, unchanged from before this layer
-//     existed. Always available, and the reference the determinism fixture
-//     dumps are pinned to (see tests/test_determinism.cpp).
-//   * avx2   — explicit AVX2/FMA intrinsics, compiled with per-function
-//     target attributes so the translation units themselves stay portable.
+//   * scalar — the portable C++ kernels. Always available, and the
+//     reference the determinism fixture dumps are pinned to (see
+//     tests/test_determinism.cpp).
+//   * avx2   — explicit AVX2/FMA intrinsics (AVX2 without FMA for GELU),
+//     compiled with per-function target attributes so the translation
+//     units themselves stay portable.
 //
 // The choice is process-wide and resolved once, at the first dispatched
 // kernel call, from the TURBFNO_ISA environment variable
@@ -26,12 +28,15 @@
 //     caller.
 //   Tier B (bounded, cross-ISA) — scalar and avx2 agree within a tested
 //     relative-error bound on every kernel (tests/test_isa.cpp); they are
-//     NOT bitwise identical (FMA fuses the multiply-add rounding).
+//     NOT bitwise identical (FMA fuses the multiply-add rounding). GELU is
+//     the exception: both tiers use plain multiplies and adds and an IEEE
+//     divide, so they are bitwise equal.
 //
 // Observability: the resolved choice is exported as the `isa/active` gauge
 // (0 = scalar, 1 = avx2) and every dispatch site bumps a per-family counter
-// (`isa/gemm_dispatch_{scalar,avx2}`, `isa/fft_dispatch_{scalar,avx2}`) so
-// bench/metrics JSON rows are attributable to the kernels that produced them.
+// (`isa/gemm_dispatch_{scalar,avx2}`, `isa/fft_dispatch_{scalar,avx2}`,
+// `isa/gelu_dispatch_{scalar,avx2}`) so bench/metrics JSON rows are
+// attributable to the kernels that produced them.
 #pragma once
 
 #include <atomic>
@@ -94,5 +99,6 @@ class ScopedIsa {
 /// Per-family dispatch counters (cached references; see file header).
 [[nodiscard]] obs::Counter& gemm_dispatch_counter(Isa isa);
 [[nodiscard]] obs::Counter& fft_dispatch_counter(Isa isa);
+[[nodiscard]] obs::Counter& gelu_dispatch_counter(Isa isa);
 
 }  // namespace turb::util

@@ -158,7 +158,7 @@ TEST(Determinism, ScalarIsaReproducesSeedFixtureDump) {
   const RunArtifacts run = train_once("determinism_weights_scalar_golden.tnn");
   const std::string& bytes = run.weight_bytes;
   ASSERT_EQ(bytes.size(), 43656u);
-  EXPECT_EQ(dump_fingerprint(bytes), 0x57A91229u);
+  EXPECT_EQ(dump_fingerprint(bytes), 0x978DEE02u);
 
   // The fingerprint must see the payload, not just the length: flip one
   // weight byte and rewrite the trailer as save_parameters does (CRC-32 of

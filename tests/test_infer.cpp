@@ -2,11 +2,11 @@
 //
 // 1. Bitwise equality: the planned engine must reproduce Fno::forward
 //    exactly — same bytes — at pool widths 1/2/4, with lane batching on and
-//    off, across 2D / 3D configs, power-of-two and Bluestein grids, and
-//    batch > 1; one engine forward advances the fft/* line counters exactly
-//    as much as one Fno::forward. Rollouts and the FnoPropagator must match
-//    in-test replicas of the pre-engine algorithms stepped through
-//    model.forward().
+//    off, under the scalar and (where the CPU has it) avx2 kernels, across
+//    2D / 3D configs, power-of-two and Bluestein grids, and batch > 1; one
+//    engine forward advances the fft/* line counters exactly as much as one
+//    Fno::forward. Rollouts and the FnoPropagator must match in-test
+//    replicas of the pre-engine algorithms stepped through model.forward().
 // 2. Zero allocation: a global operator-new counting hook asserts the
 //    engine's steady state (forward, rollout step, hybrid advance window)
 //    performs zero heap allocations after one warm-up call.
@@ -20,6 +20,7 @@
 #include <deque>
 #include <functional>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "infer/engine.hpp"
 #include "nn/spectral_conv.hpp"
 #include "obs/obs.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -315,40 +317,52 @@ std::vector<std::int64_t> fft_line_counts() {
   return counts;
 }
 
+/// The ISAs this host runs: scalar, plus avx2 where the CPU has it.
+std::vector<util::Isa> runnable_isas() {
+  std::vector<util::Isa> isas{util::Isa::kScalar};
+  if (util::cpu_supports_avx2()) isas.push_back(util::Isa::kAvx2);
+  return isas;
+}
+
 void check_forward_equal(const fno::FnoConfig& cfg, const Shape& in_shape,
                          std::uint64_t seed) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    ThreadPool::Scope scope(threads);
-    Rng rng(seed);
-    fno::Fno model(cfg, rng);
-    const TensorF x = random_tensor(in_shape, seed + 1);
-    TensorF batched_ref;
-    // Batching off runs the line drivers' per-line reference arm in both
-    // paths; the bytes must not change with it.
-    for (const bool batching : {true, false}) {
-      fft::ScopedLineBatching lanes(batching);
-      const std::vector<std::int64_t> c0 = fft_line_counts();
-      TensorF ref = model.forward(x);
-      const std::vector<std::int64_t> c1 = fft_line_counts();
-      infer::InferenceEngine engine(model);
-      engine.plan(in_shape);
-      TensorF y;
-      engine.forward(x, y);
-      const std::vector<std::int64_t> c2 = fft_line_counts();
-      expect_bitwise_equal(ref, y, "engine vs Fno::forward");
-      for (std::size_t i = 0; i < c0.size(); ++i) {
-        EXPECT_EQ(c2[i] - c1[i], c1[i] - c0[i])
-            << kFftLineCounters[i] << ": engine vs Fno::forward, threads="
-            << threads << " batching=" << batching;
-      }
-      // Second call through the planned steady state must agree too.
-      engine.forward(x, y);
-      expect_bitwise_equal(ref, y, "engine steady-state repeat");
-      if (batching) {
-        batched_ref = std::move(ref);
-      } else {
-        expect_bitwise_equal(batched_ref, y, "per-line vs batched engine");
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}}) {
+      SCOPED_TRACE(std::string(util::isa_name(isa)) + " threads=" +
+                   std::to_string(threads));
+      ThreadPool::Scope scope(threads);
+      Rng rng(seed);
+      fno::Fno model(cfg, rng);
+      const TensorF x = random_tensor(in_shape, seed + 1);
+      TensorF batched_ref;
+      // Batching off runs the line drivers' per-line reference arm in both
+      // paths; the bytes must not change with it.
+      for (const bool batching : {true, false}) {
+        fft::ScopedLineBatching lanes(batching);
+        const std::vector<std::int64_t> c0 = fft_line_counts();
+        TensorF ref = model.forward(x);
+        const std::vector<std::int64_t> c1 = fft_line_counts();
+        infer::InferenceEngine engine(model);
+        engine.plan(in_shape);
+        TensorF y;
+        engine.forward(x, y);
+        const std::vector<std::int64_t> c2 = fft_line_counts();
+        expect_bitwise_equal(ref, y, "engine vs Fno::forward");
+        for (std::size_t i = 0; i < c0.size(); ++i) {
+          EXPECT_EQ(c2[i] - c1[i], c1[i] - c0[i])
+              << kFftLineCounters[i] << ": engine vs Fno::forward, batching="
+              << batching;
+        }
+        // Second call through the planned steady state must agree too.
+        engine.forward(x, y);
+        expect_bitwise_equal(ref, y, "engine steady-state repeat");
+        if (batching) {
+          batched_ref = std::move(ref);
+        } else {
+          expect_bitwise_equal(batched_ref, y, "per-line vs batched engine");
+        }
       }
     }
   }
@@ -395,6 +409,23 @@ TEST(InferEngine, RefreshWeightsTracksModel) {
   engine.refresh_weights();
   engine.forward(x, y);
   expect_bitwise_equal(ref, y, "after refresh_weights");
+}
+
+TEST(InferEngine, GeluDispatchesOncePerTile) {
+  // A 16×16 batch-1 forward has 4 column blocks of 64: 4 lift, 4 project
+  // and 4 skip tiles per non-last block, one GELU dispatch each.
+  Rng rng(23);
+  const fno::FnoConfig cfg = small2d();
+  fno::Fno model(cfg, rng);
+  infer::InferenceEngine engine(model);
+  const TensorF x = random_tensor({1, 3, 16, 16}, 24);
+  TensorF y;
+  engine.forward(x, y);
+  const util::Isa isa = util::active_isa();
+  const std::int64_t before = util::gelu_dispatch_counter(isa).value();
+  engine.forward(x, y);
+  EXPECT_EQ(util::gelu_dispatch_counter(isa).value() - before,
+            4 + 4 + 4 * (cfg.n_layers - 1));
 }
 
 // --- Rollout equality -------------------------------------------------------
@@ -547,12 +578,16 @@ TEST(InferZeroAlloc, ForwardSteadyState) {
   engine.plan({1, 3, 16, 16});
   const TensorF x = random_tensor({1, 3, 16, 16}, 82);
   TensorF y;
-  engine.forward(x, y);  // warm-up: FFT plans, obs statics, y storage
-  for (const bool batching : {true, false}) {
-    fft::ScopedLineBatching lanes(batching);
-    const std::int64_t n = count_allocs([&] { engine.forward(x, y); });
-    EXPECT_EQ(n, 0) << "forward steady state allocated, line batching "
-                    << (batching ? "on" : "off");
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    engine.forward(x, y);  // warm-up: FFT plans, obs statics, y storage
+    for (const bool batching : {true, false}) {
+      fft::ScopedLineBatching lanes(batching);
+      const std::int64_t n = count_allocs([&] { engine.forward(x, y); });
+      EXPECT_EQ(n, 0) << util::isa_name(isa)
+                      << " forward steady state allocated, line batching "
+                      << (batching ? "on" : "off");
+    }
   }
 }
 

@@ -13,6 +13,10 @@
 //     results are bitwise identical across pool widths 1/2/4, and masked
 //     (mode-pruned) rfft transforms are bitwise identical to unmasked ones
 //     on the kept bins.
+//   * GELU (nn::gelu_tile) is bitwise equal across ISAs, not just bounded:
+//     both tiers evaluate the same rational erf without FMA, and every
+//     element equals the scalar expression wherever it sits in a row
+//     (test_nn.cpp sweeps the finite floats under both tiers).
 //
 // Every avx2-side test skips (GTEST_SKIP) when the CPU lacks AVX2+FMA, so
 // the suite is green on any host under both forced TURBFNO_ISA settings.
@@ -28,6 +32,7 @@
 #include "fft/plan.hpp"
 #include "fft/fftnd.hpp"
 #include "fft/real.hpp"
+#include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/isa.hpp"
@@ -89,6 +94,24 @@ TEST(IsaLayer, DispatchCountersAdvance) {
   std::vector<float> a(4, 1.0f), b(4, 2.0f), c(4, 0.0f);
   gemm_nn<float>(2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(), 2);
   EXPECT_GT(util::gemm_dispatch_counter(util::Isa::kScalar).value(), gemm0);
+
+  // The GELU kernel dispatches once per tile, whatever its size.
+  std::vector<float> tile(3 * 20, 0.5f), bias(3, 0.25f);
+  const std::int64_t gelu0 =
+      util::gelu_dispatch_counter(util::Isa::kScalar).value();
+  nn::gelu_tile(tile.data(), 3, 20, 20, bias.data());
+  EXPECT_EQ(util::gelu_dispatch_counter(util::Isa::kScalar).value(),
+            gelu0 + 1);
+  if (avx2_available()) {
+    util::ScopedIsa vector(util::Isa::kAvx2);
+    const std::int64_t avx0 =
+        util::gelu_dispatch_counter(util::Isa::kAvx2).value();
+    nn::gelu_tile(tile.data(), 3, 20, 20, bias.data());
+    EXPECT_EQ(util::gelu_dispatch_counter(util::Isa::kAvx2).value(),
+              avx0 + 1);
+    EXPECT_EQ(util::gelu_dispatch_counter(util::Isa::kScalar).value(),
+              gelu0 + 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +471,71 @@ TEST(IsaTierA, RfftnBitwiseAcrossThreadsScalar) {
 TEST(IsaTierA, RfftnBitwiseAcrossThreadsAvx2) {
   SKIP_WITHOUT_AVX2();
   check_rfftn_thread_invariance(util::Isa::kAvx2);
+}
+
+// ---------------------------------------------------------------------------
+// GELU: bitwise equal across ISAs
+// ---------------------------------------------------------------------------
+
+/// Every element of a tile equals the scalar expression on its own
+/// operands: rows of 1–17 columns put each value at every offset 0–8, in
+/// vector lanes and in row tails, for the bias and the skip forms, with row
+/// strides wider than the rows.
+void check_gelu_offsets(util::Isa isa) {
+  util::ScopedIsa forced(isa);
+  Rng rng(61);
+  std::vector<float> values(29);
+  for (auto& v : values) v = static_cast<float>(4.0 * rng.normal());
+  constexpr index_t rows = 3;
+  const float bias[rows] = {0.375f, -1.25f, 0.0f};
+  for (index_t cols = 1; cols <= 17; ++cols) {
+    const index_t ld = cols + 3, ld_skip = cols + 5;
+    for (index_t shift = 0; shift <= 8; ++shift) {
+      std::vector<float> x(static_cast<std::size_t>(rows * ld));
+      std::vector<float> skip(static_cast<std::size_t>(rows * ld_skip));
+      for (index_t r = 0; r < rows; ++r) {
+        for (index_t j = 0; j < cols; ++j) {
+          const std::size_t v =
+              static_cast<std::size_t>(r * 7 + j + shift) % values.size();
+          x[static_cast<std::size_t>(r * ld + j)] = values[v];
+          skip[static_cast<std::size_t>(r * ld_skip + j)] =
+              values[(v + 11) % values.size()];
+        }
+      }
+      std::vector<float> with_bias = x, with_skip = x;
+      nn::gelu_tile(with_bias.data(), rows, cols, ld, bias);
+      nn::gelu_tile(with_skip.data(), rows, cols, ld, bias, skip.data(),
+                    ld_skip);
+      for (index_t r = 0; r < rows; ++r) {
+        for (index_t j = 0; j < cols; ++j) {
+          const auto i = static_cast<std::size_t>(r * ld + j);
+          const float s = skip[static_cast<std::size_t>(r * ld_skip + j)];
+          const float want_bias = nn::gelu(x[i] + bias[r]);
+          const float want_skip = nn::gelu(x[i] + (s + bias[r]));
+          EXPECT_EQ(0, std::memcmp(&with_bias[i], &want_bias, sizeof(float)))
+              << util::isa_name(isa) << " bias form, cols=" << cols
+              << " row " << r << " offset " << j;
+          EXPECT_EQ(0, std::memcmp(&with_skip[i], &want_skip, sizeof(float)))
+              << util::isa_name(isa) << " skip form, cols=" << cols
+              << " row " << r << " offset " << j;
+        }
+        // Padding between rows is never written.
+        for (index_t j = cols; j < ld; ++j) {
+          EXPECT_EQ(with_bias[static_cast<std::size_t>(r * ld + j)], 0.0f);
+          EXPECT_EQ(with_skip[static_cast<std::size_t>(r * ld + j)], 0.0f);
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaTierA, GeluSameBitsAtEveryOffsetScalar) {
+  check_gelu_offsets(util::Isa::kScalar);
+}
+
+TEST(IsaTierA, GeluSameBitsAtEveryOffsetAvx2) {
+  SKIP_WITHOUT_AVX2();
+  check_gelu_offsets(util::Isa::kAvx2);
 }
 
 }  // namespace

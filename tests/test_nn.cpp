@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/dataloader.hpp"
@@ -12,6 +17,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
 #include "nn/spectral_conv.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -152,6 +158,96 @@ TEST(Gelu, ApproachesIdentityForLargePositive) {
   Gelu act;
   TensorF x({1, 1, 1}, 10.0f);
   EXPECT_NEAR(act.forward(x)[0], 10.0f, 1e-5f);
+}
+
+// --- GELU kernel ---------------------------------------------------------------
+
+/// The ISAs this host runs: scalar, plus avx2 where the CPU has it.
+std::vector<util::Isa> runnable_isas() {
+  std::vector<util::Isa> isas{util::Isa::kScalar};
+  if (util::cpu_supports_avx2()) isas.push_back(util::Isa::kAvx2);
+  return isas;
+}
+
+/// Every 4099th bit pattern that is a finite float (~1.05M values, both
+/// signs, subnormals to FLT_MAX).
+std::vector<float> strided_finite_floats() {
+  std::vector<float> xs;
+  for (std::uint64_t u = 0; u <= 0xFFFFFFFFull; u += 4099) {
+    const auto bits = static_cast<std::uint32_t>(u);
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    if (std::isfinite(f)) xs.push_back(f);
+  }
+  return xs;
+}
+
+TEST(GeluKernel, WithinBoundOfExactGeluAndBitwiseAcrossIsas) {
+  // |gelu − x·Φ(x)| ≤ 5e-7·max(1, |x|) against a double reference, densely
+  // over [−10, 10] (step 2^-14) and strided over every finite float; the
+  // avx2 tier must give the scalar tier's bytes (no FMA, IEEE divide).
+  std::vector<float> xs = strided_finite_floats();
+  for (int i = -10 * 16384; i <= 10 * 16384; ++i) {
+    xs.push_back(static_cast<float>(i) / 16384.0f);
+  }
+  std::vector<float> scalar;
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    std::vector<float> y = xs;
+    gelu_tile(y.data(), 1, static_cast<index_t>(y.size()),
+              static_cast<index_t>(y.size()));
+    if (isa == util::Isa::kScalar) {
+      scalar = y;
+    } else {
+      EXPECT_EQ(0, std::memcmp(scalar.data(), y.data(),
+                               y.size() * sizeof(float)))
+          << util::isa_name(isa) << " differs from scalar";
+    }
+    double worst = 0.0, worst_x = 0.0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double x = xs[i];
+      const double exact = 0.5 * x * std::erfc(-x / std::sqrt(2.0));
+      const double err = std::abs(y[i] - exact) / std::max(1.0, std::abs(x));
+      if (err > worst) {
+        worst = err;
+        worst_x = x;
+      }
+    }
+    EXPECT_LE(worst, 5e-7) << util::isa_name(isa) << " worst at x = "
+                           << worst_x;
+  }
+}
+
+TEST(GeluKernel, NonFiniteInputs) {
+  // +inf → +inf; NaN and −inf (−inf · 0) → NaN. The guard's non-finite
+  // check depends on them staying non-finite. A row of 11 puts each input
+  // in a vector lane and in the scalar tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    for (const index_t at : {index_t{2}, index_t{9}}) {
+      for (const float x : {inf, -inf, nan, -nan}) {
+        std::vector<float> row(11, 0.25f);
+        row[static_cast<std::size_t>(at)] = x;
+        gelu_tile(row.data(), 1, 11, 11);
+        const float y = row[static_cast<std::size_t>(at)];
+        if (x == inf) {
+          EXPECT_EQ(y, inf) << util::isa_name(isa) << " at " << at;
+        } else {
+          EXPECT_TRUE(std::isnan(y))
+              << util::isa_name(isa) << " gelu(" << x << ") = " << y;
+        }
+      }
+    }
+    // For x ≤ −5.66 the erf saturates at exactly −1, so gelu is −0.
+    std::vector<float> row(9, -6.0f);
+    gelu_tile(row.data(), 1, 9, 9);
+    for (const float y : row) {
+      EXPECT_EQ(y, 0.0f);
+      EXPECT_TRUE(std::signbit(y)) << util::isa_name(isa);
+    }
+  }
 }
 
 // --- SpectralConv -------------------------------------------------------------

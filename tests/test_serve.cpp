@@ -396,6 +396,16 @@ TEST_F(ServeFixture, InvalidRequestsRejectWithReasonInsteadOfThrowing) {
   cases.push_back({"seed snapshot 3 has u1 [32, 32] and u2 [16, 64]",
                    request_for(407, 4), &pde_prop_});
   cases.back().request.seed.back().u2 = TensorD({16, 64});
+  // A consistent 16² seed the FNO takes but the 32² PDE fallback cannot:
+  // admitted, it would throw from the solver once the guard trips.
+  core::RolloutRequest small = request_for(408, 4);
+  small.guard.enabled = true;
+  for (core::FieldSnapshot& snap : small.seed) {
+    snap.u1 = TensorD({16, 16}, 0.5);
+    snap.u2 = TensorD({16, 16}, -0.25);
+  }
+  cases.push_back({"seed frame [16, 16] does not fit pde, which needs [32, 32]",
+                   small, &pde_prop_});
 
   for (const Case& c : cases) {
     serve::RolloutServer server(fno_prop_, c.fallback, serve::ServeConfig{});
@@ -409,6 +419,30 @@ TEST_F(ServeFixture, InvalidRequestsRejectWithReasonInsteadOfThrowing) {
       EXPECT_NE(std::string(e.what()).find(a.reason), std::string::npos)
           << e.what() << " vs " << a.reason;
     }
+  }
+
+  // The same seed behind a diverging FNO through submit_with_propagator;
+  // the fault-injection wrapper reports the frame of what it wraps.
+  serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
+  core::DivergentPropagator divergent(fno_prop_, /*healthy_snapshots=*/4,
+                                      core::DivergentPropagator::Mode::nan);
+  const serve::Admission a =
+      server.submit_with_propagator(small, divergent, &pde_prop_);
+  EXPECT_FALSE(a.admitted);
+  EXPECT_NE(a.reason.find("needs [32, 32]"), std::string::npos) << a.reason;
+  core::DivergentPropagator divergent_pde(pde_prop_, /*healthy_snapshots=*/4);
+  EXPECT_EQ(divergent_pde.frame_shape(), (Shape{32, 32}));
+
+  // A scheduled fallback window (the hybrid's PDE window) runs even an
+  // unguarded request on the fallback, so the stream checks that frame too.
+  small.guard.enabled = false;
+  try {
+    core::RolloutStream stream(small, &fno_prop_, &pde_prop_,
+                               /*scheduled_window=*/2);
+    ADD_FAILURE() << "stream accepted a seed its scheduled fallback cannot run";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("needs [32, 32]"), std::string::npos)
+        << e.what();
   }
 }
 
