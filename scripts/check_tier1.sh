@@ -4,23 +4,24 @@
 #
 #  1. ctest under TURBFNO_THREADS=1 and again under TURBFNO_THREADS=4. The
 #     determinism suite writes its trained-weight dumps
-#     (determinism_weights_*.tnn) into the test working directory; the two
-#     runs' dumps are diffed byte-for-byte, extending the thread-count
-#     determinism contract across processes and pool widths. After each
-#     ctest run, a skip gate fails the script if ctest reports any (Skipped)
-#     test. The gate is enforced on hosts with avx2+fma (the same detection
-#     as the avx2 leg in 1b); elsewhere the AVX2-gated tests skip by design,
-#     so the skipped list is only printed with a notice.
+#     (determinism_weights_*.tnn) and its forced spectral Navier–Stokes
+#     trajectory dumps (determinism_ns_*.bin) into the test working
+#     directory; the two runs' dumps are diffed byte-for-byte, extending the
+#     thread-count determinism contract across processes and pool widths.
+#     After each ctest run, a skip gate fails the script if ctest reports
+#     any (Skipped) test. The gate is enforced on hosts with avx2+fma (the
+#     same detection as the avx2 leg in 1b); elsewhere the AVX2-gated tests
+#     skip by design, so the skipped list is only printed with a notice.
 #  1b. Dual-ISA determinism leg: the determinism suite re-run with the SIMD
 #     dispatch forced to each tier (TURBFNO_ISA=scalar and =avx2) at pool
-#     widths 1 and 4, diffing the weight dumps byte-for-byte within each
-#     ISA. Dumps are only comparable within a fixed ISA (Tier A); across
-#     ISAs the contract is the bounded Tier B agreement tested by
-#     tests/test_isa.cpp. The avx2 leg is skipped with a notice on hosts
-#     whose /proc/cpuinfo lacks avx2+fma. Within each ISA the suite also
-#     runs with lane batching off (TURBFNO_FFT_BATCH=0, the line drivers'
-#     per-line reference arm) at width 4, and its dumps must equal the
-#     batched width-1 dumps byte-for-byte.
+#     widths 1 and 4, diffing the weight and PDE-trajectory dumps
+#     byte-for-byte within each ISA. Dumps are only comparable within a
+#     fixed ISA (Tier A); across ISAs the contract is the bounded Tier B
+#     agreement tested by tests/test_isa.cpp. The avx2 leg is skipped with
+#     a notice on hosts whose /proc/cpuinfo lacks avx2+fma. Within each ISA
+#     the suite also runs with lane batching off (TURBFNO_FFT_BATCH=0, the
+#     line drivers' per-line reference arm) at width 4, and its dumps must
+#     equal the batched width-1 dumps byte-for-byte.
 #  2. One bench with --metrics-out, asserting the exported JSON contains the
 #     fft/*, nn/*, and train/* spans plus the mode-pruning coverage counters.
 #  3. A perf-harness smoke: bench_perf_train at a tiny measurement budget,
@@ -68,7 +69,8 @@ cmake --build "$BUILD_DIR" -j
 
 DUMP_DIR="$BUILD_DIR/tests"
 DUMPS=(determinism_weights_t1.tnn determinism_weights_t2.tnn
-       determinism_weights_t4.tnn determinism_weights_global.tnn)
+       determinism_weights_t4.tnn determinism_weights_global.tnn
+       determinism_ns_t1.bin determinism_ns_t4.bin determinism_ns_global.bin)
 SAVE_DIR="$BUILD_DIR/determinism_threads1"
 
 HOST_AVX2_FMA=0

@@ -36,111 +36,160 @@ double NsSolver::suggest_dt(double u_max, double cfl) const {
 // --- spectral ----------------------------------------------------------------
 
 SpectralNsSolver::SpectralNsSolver(NsConfig config)
-    : NsSolver(config), what_({config.n, config.n / 2 + 1}) {}
-
-void SpectralNsSolver::set_vorticity(const TensorD& omega) {
-  TURB_CHECK(omega.shape() == (Shape{config_.n, config_.n}));
-  what_ = fft::rfftn(omega, 2);
-  time_ = 0.0;
-}
-
-SpectralNsSolver::SpecD SpectralNsSolver::nonlinear(const SpecD& what) const {
+    : NsSolver(config),
+      what_({config.n, config.n / 2 + 1}),
+      stage_({config.n, config.n / 2 + 1}),
+      grad_({4, config.n, config.n / 2 + 1}),
+      fields_({4, config.n, config.n}) {
   const index_t n = config_.n;
   const index_t nxr = n / 2 + 1;
-  // Velocity and vorticity gradients in spectral space.
-  SpecD u1h({n, nxr}), u2h({n, nxr}), wxh({n, nxr}), wyh({n, nxr});
+  for (SpecD& k : k_) k = SpecD({n, nxr});
+
+  kx_.resize(static_cast<std::size_t>(nxr));
+  ky_.resize(static_cast<std::size_t>(n));
+  for (index_t ix = 0; ix < nxr; ++ix) kx_[ix] = kTwoPi * deriv_freq(ix, n);
+  for (index_t iy = 0; iy < n; ++iy) ky_[iy] = kTwoPi * deriv_freq(iy, n);
+
+  // ν·k² and the 2/3-rule flags take the signed frequency, Nyquist
+  // included; only the derivative tables above zero the Nyquist mode.
+  const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
+                                      : static_cast<double>(n);
+  nu_k2_.resize(static_cast<std::size_t>(n * nxr));
+  keep_.resize(static_cast<std::size_t>(n * nxr));
   for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = kTwoPi * deriv_freq(iy, n);
+    const double my = fft_freq(iy, n);
+    const double ky = kTwoPi * my;
     for (index_t ix = 0; ix < nxr; ++ix) {
-      const double kx = kTwoPi * deriv_freq(ix, n);
-      const double k2 = kx * kx + ky * ky;
-      const std::complex<double> w = what(iy, ix);
-      const std::complex<double> psi = (k2 == 0.0) ? 0.0 : w / k2;
-      u1h(iy, ix) = std::complex<double>(0.0, ky) * psi;
-      u2h(iy, ix) = std::complex<double>(0.0, -kx) * psi;
-      wxh(iy, ix) = std::complex<double>(0.0, kx) * w;
-      wyh(iy, ix) = std::complex<double>(0.0, ky) * w;
+      const double mx = static_cast<double>(ix);
+      const double kx = kTwoPi * mx;
+      const auto i = static_cast<std::size_t>(iy * nxr + ix);
+      nu_k2_[i] = config_.viscosity * (kx * kx + ky * ky);
+      keep_[i] = (std::abs(my) > kcut || mx > kcut) ? 0 : 1;
     }
   }
-  const TensorD u1 = fft::irfftn(u1h, 2, n);
-  const TensorD u2 = fft::irfftn(u2h, 2, n);
-  const TensorD wx = fft::irfftn(wxh, 2, n);
-  const TensorD wy = fft::irfftn(wyh, 2, n);
-
-  // Nonlinear term in physical space.
-  TensorD adv({n, n});
-  for (index_t i = 0; i < adv.size(); ++i) {
-    adv[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
-  }
-  SpecD advh = fft::rfftn(adv, 2);
 
   // Kolmogorov forcing enters the vorticity equation as
   // −A·2πk_f·cos(2πk_f y): a purely real contribution at (±k_f, 0).
+  // cos(2πk_f y) has coefficients M/2 at rows ±k_f, column 0 (the rfft
+  // forward convention is unscaled sums; the irfft divides by M).
   if (config_.forcing_amplitude != 0.0) {
     const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
-    // cos(2πk_f y) has coefficients M/2 at rows ±k_f, column 0 (rfft
-    // forward convention is unscaled sums; the irfft divides by M).
-    const double coeff = -config_.forcing_amplitude * kf *
-                         static_cast<double>(n) * static_cast<double>(n) / 2.0;
-    advh(config_.forcing_k, index_t{0}) += coeff;
-    advh(n - config_.forcing_k, index_t{0}) += coeff;
+    forcing_coeff_ = -config_.forcing_amplitude * kf *
+                     static_cast<double>(n) * static_cast<double>(n) / 2.0;
   }
 
-  // 2/3-rule dealiasing.
-  const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
-                                      : static_cast<double>(n);
-  for (index_t iy = 0; iy < n; ++iy) {
-    const double my = fft_freq(iy, n);
-    for (index_t ix = 0; ix < nxr; ++ix) {
-      const double mx = static_cast<double>(ix);
-      if (std::abs(my) > kcut || mx > kcut) {
-        advh(iy, ix) = 0.0;
-      }
-    }
-  }
-  return advh;
+  rfft_tw_.resize(static_cast<std::size_t>(n / 2 + 1));
+  irfft_tw_.resize(static_cast<std::size_t>(n / 2));
+  fft::fill_rfft_twiddles(rfft_tw_.data(), n);
+  fft::fill_irfft_twiddles(irfft_tw_.data(), n);
+  c2c_ = fft::c2c_stages(what_.shape(), 2, nullptr)[0];
+  grad_c2c_ = fft::c2c_stages(grad_.shape(), 2, nullptr)[0];
 }
 
-SpectralNsSolver::SpecD SpectralNsSolver::rhs(const SpecD& what) const {
+void SpectralNsSolver::set_vorticity(const TensorD& omega) {
+  TURB_CHECK(omega.shape() == (Shape{config_.n, config_.n}));
+  fft::rfftn_into(omega, 2, what_);
+  fit_line_scratch(ThreadPool::current());
+  time_ = 0.0;
+}
+
+void SpectralNsSolver::fit_line_scratch(const ThreadPool& pool) {
+  if (pool.slot_count() <= slots_) return;
+  slots_ = pool.slot_count();
+  const index_t per_slot = (config_.n + config_.n / 2 + 1) * fft::kMaxLanes;
+  line_scratch_.resize(slots_ * static_cast<std::size_t>(per_slot));
+}
+
+void SpectralNsSolver::rhs(ThreadPool& pool, const SpecD& what, SpecD& out) {
   const index_t n = config_.n;
-  SpecD out = nonlinear(what);
+  const index_t nxr = n / 2 + 1;
+  const index_t plane = n * nxr;
+  const index_t z_len = n * fft::kMaxLanes;
+  const std::size_t per_slot = line_scratch_.size() / slots_;
+  const auto scratch = [&] {
+    cpx* z = line_scratch_.data() + pool.scratch_slot() * per_slot;
+    return fft::LineScratch<double>{z, z + z_len};
+  };
+
+  // Velocity and vorticity gradients in spectral space.
+  cpx* u1h = grad_.data();
+  cpx* u2h = u1h + plane;
+  cpx* wxh = u2h + plane;
+  cpx* wyh = wxh + plane;
   for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = kTwoPi * fft_freq(iy, n);
-    for (index_t ix = 0; ix < n / 2 + 1; ++ix) {
-      const double kx = kTwoPi * static_cast<double>(ix);
-      out(iy, ix) -= config_.viscosity * (kx * kx + ky * ky) * what(iy, ix);
+    const double ky = ky_[iy];
+    for (index_t ix = 0; ix < nxr; ++ix) {
+      const double kx = kx_[ix];
+      const double k2 = kx * kx + ky * ky;
+      const index_t i = iy * nxr + ix;
+      const cpx w = what[i];
+      const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
+      u1h[i] = cpx(0.0, ky) * psi;
+      u2h[i] = cpx(0.0, -kx) * psi;
+      wxh[i] = cpx(0.0, kx) * w;
+      wyh[i] = cpx(0.0, ky) * w;
     }
   }
-  return out;
+  // The four inverse transforms as one: the y stage over the whole block,
+  // then its 4n rows.
+  fft::c2c_stage(pool, grad_.data(), grad_.data(), grad_c2c_,
+                 /*forward=*/false, scratch);
+  fft::irfft_rows(pool, grad_.data(), fields_.data(), 4 * n, n,
+                  irfft_tw_.data(), scratch);
+
+  // Nonlinear term in physical space, over u₁ (each element is read before
+  // it is written).
+  const index_t area = n * n;
+  double* adv = fields_.data();
+  const double* u2 = adv + area;
+  const double* wx = u2 + area;
+  const double* wy = wx + area;
+  for (index_t i = 0; i < area; ++i) {
+    adv[i] = -(adv[i] * wx[i] + u2[i] * wy[i]);
+  }
+  fft::rfft_rows(pool, adv, out.data(), n, n, nullptr, rfft_tw_.data(),
+                 scratch);
+  fft::c2c_stage(pool, out.data(), out.data(), c2c_, /*forward=*/true,
+                 scratch);
+
+  // 2/3-rule dealiasing, then the forcing — after the mask, so a k_f above
+  // n/3 still drives the flow — then the viscous term.
+  for (index_t i = 0; i < plane; ++i) {
+    if (keep_[i] == 0) out[i] = 0.0;
+  }
+  if (config_.forcing_amplitude != 0.0) {
+    out(config_.forcing_k, index_t{0}) += forcing_coeff_;
+    out(n - config_.forcing_k, index_t{0}) += forcing_coeff_;
+  }
+  for (index_t i = 0; i < plane; ++i) out[i] -= nu_k2_[i] * what[i];
 }
 
 void SpectralNsSolver::step(index_t steps) {
   TURB_TRACE_SCOPE("ns/step");
   static obs::Counter& counter = obs::counter("ns/steps");
   counter.add(steps);
+  ThreadPool& pool = ThreadPool::current();
+  fit_line_scratch(pool);
   for (index_t s = 0; s < steps; ++s) {
-    step_rk4();
+    step_rk4(pool);
     time_ += config_.dt;
   }
 }
 
-void SpectralNsSolver::step_rk4() {
+void SpectralNsSolver::step_rk4(ThreadPool& pool) {
+  // Classic RK4.
   const double dt = config_.dt;
-  {
-    // Classic RK4.
-    SpecD k1 = rhs(what_);
-    SpecD k2w = what_;
-    for (index_t i = 0; i < k2w.size(); ++i) k2w[i] += 0.5 * dt * k1[i];
-    SpecD k2 = rhs(k2w);
-    SpecD k3w = what_;
-    for (index_t i = 0; i < k3w.size(); ++i) k3w[i] += 0.5 * dt * k2[i];
-    SpecD k3 = rhs(k3w);
-    SpecD k4w = what_;
-    for (index_t i = 0; i < k4w.size(); ++i) k4w[i] += dt * k3[i];
-    SpecD k4 = rhs(k4w);
-    for (index_t i = 0; i < what_.size(); ++i) {
-      what_[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
+  const index_t size = what_.size();
+  rhs(pool, what_, k_[0]);
+  for (index_t i = 0; i < size; ++i) stage_[i] = what_[i] + 0.5 * dt * k_[0][i];
+  rhs(pool, stage_, k_[1]);
+  for (index_t i = 0; i < size; ++i) stage_[i] = what_[i] + 0.5 * dt * k_[1][i];
+  rhs(pool, stage_, k_[2]);
+  for (index_t i = 0; i < size; ++i) stage_[i] = what_[i] + dt * k_[2][i];
+  rhs(pool, stage_, k_[3]);
+  for (index_t i = 0; i < size; ++i) {
+    what_[i] += dt / 6.0 * (k_[0][i] + 2.0 * k_[1][i] + 2.0 * k_[2][i] +
+                            k_[3][i]);
   }
 }
 

@@ -5,7 +5,8 @@
 //
 // Two discretisations share one interface:
 //   * SpectralNsSolver — pseudo-spectral, 2/3-rule dealiased, RK4. The
-//     reference solution.
+//     reference solution, and the PDE of the hybrid emulator; its step is
+//     planned once per grid and runs allocation-free.
 //   * FdNsSolver — 2nd-order finite differences with the Arakawa Jacobian
 //     (conserves energy and enstrophy discretely) and an FFT Poisson solve,
 //     SSP-RK3. Stands in for the paper's finite-difference PR-DNS partner;
@@ -13,9 +14,14 @@
 //     paper's cross-solver generalisation setup.
 #pragma once
 
+#include <complex>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "fft/fftnd.hpp"
 #include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace turb::ns {
 
@@ -74,6 +80,10 @@ class NsSolver {
   double time_ = 0.0;
 };
 
+/// Pseudo-spectral solver with a planned step (DESIGN.md "Planned PDE
+/// step"). The constructor builds every table and buffer of the grid once;
+/// step() runs RK4 through src/fft's line drivers with zero heap
+/// allocations unless a pool wider than any before steps the solver.
 class SpectralNsSolver final : public NsSolver {
  public:
   explicit SpectralNsSolver(NsConfig config);
@@ -82,14 +92,33 @@ class SpectralNsSolver final : public NsSolver {
   [[nodiscard]] TensorD vorticity() const override;
 
  private:
-  using SpecD = Tensor<std::complex<double>>;
-  /// Nonlinear + forcing part: −dealias(FFT(u·∇ω)) + F̂.
-  SpecD nonlinear(const SpecD& what) const;
-  /// Full right-hand side: nonlinear(ω̂) − νk²ω̂.
-  SpecD rhs(const SpecD& what) const;
-  void step_rk4();
+  using cpx = std::complex<double>;
+  using SpecD = Tensor<cpx>;
+  /// out = −dealias(FFT(u·∇ω)) + F̂ − νk²ω̂ for the spectrum `what`.
+  void rhs(ThreadPool& pool, const SpecD& what, SpecD& out);
+  void step_rk4(ThreadPool& pool);
+  /// Grow the line scratch to `pool`'s slot count (never shrinks).
+  void fit_line_scratch(const ThreadPool& pool);
 
-  SpecD what_;  // ω̂, (n, n/2+1)
+  // Plan tables, (n, n/2+1) spectrum layout.
+  std::vector<double> kx_, ky_;  ///< 2π·deriv_freq per column / row
+  std::vector<double> nu_k2_;    ///< ν·k² (k from fft_freq) per element
+  std::vector<std::uint8_t> keep_;  ///< 2/3-rule flag per element
+  double forcing_coeff_ = 0.0;      ///< F̂ at rows ±k_f, column 0
+  std::vector<cpx> rfft_tw_, irfft_tw_;
+  fft::C2cStage c2c_;       ///< y-axis stage of one spectrum
+  fft::C2cStage grad_c2c_;  ///< y-axis stage of the gradient block
+
+  SpecD what_;       ///< ω̂, the state
+  SpecD k_[4];       ///< RK4 slopes k1–k4
+  SpecD stage_;      ///< RK4 stage input ω̂ + c·dt·k
+  SpecD grad_;       ///< (4, n, n/2+1): û₁, û₂, ω̂ₓ, ω̂ᵧ
+  TensorD fields_;   ///< (4, n, n): u₁, u₂, ωₓ, ωᵧ; u₁ then u·∇ω
+  /// fft::LineScratch per pool slot: z (n·kMaxLanes) then u
+  /// ((n/2+1)·kMaxLanes). Sized for the current pool by set_vorticity and
+  /// grown by step() only when a wider pool steps the solver.
+  std::vector<cpx> line_scratch_;
+  std::size_t slots_ = 0;
 };
 
 class FdNsSolver final : public NsSolver {

@@ -1,9 +1,13 @@
 // Spectral differential operators on periodic [0,1)² grids.
 //
-// Shared by the Navier–Stokes solvers (streamfunction inversion, spectral
-// derivatives) and by the analysis module (vorticity/divergence of predicted
-// velocity fields). Wavenumbers are 2π·m for integer mode m; fields are
-// (ny, nx) double tensors.
+// Used by the Navier–Stokes solvers' state I/O (NsSolver::set_velocity's
+// Leray projection and vorticity, NsSolver::velocity's Biot–Savart
+// readback) and by the analysis module (vorticity/divergence of predicted
+// velocity fields). The spectral solver's RK4 step does not call these
+// operators: it plans its own wavenumber, ν·k² and dealias tables from
+// fft_freq / deriv_freq once per grid (DESIGN.md "Planned PDE step").
+// Wavenumbers are 2π·m for integer mode m; fields are (ny, nx) double
+// tensors.
 #pragma once
 
 #include <complex>

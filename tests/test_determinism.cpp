@@ -10,6 +10,10 @@
 // determinism_weights_*.tnn; scripts/check_tier1.sh runs this suite under
 // TURBFNO_THREADS=1 and =4 and diffs the dumps across the two runs, which
 // extends the contract across processes.
+//
+// The PDE half of the contract: a forced spectral Navier–Stokes trajectory
+// is dumped the same way (determinism_ns_*.bin) at widths 1 and 4 and on the
+// global pool, and its scalar-ISA bytes are pinned by a CRC-32.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,8 +25,10 @@
 
 #include "fno/fno.hpp"
 #include "fno/trainer.hpp"
+#include "lbm/initializer.hpp"
 #include "nn/dataloader.hpp"
 #include "nn/serialize.hpp"
+#include "ns/solver.hpp"
 #include "util/checksum.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
@@ -190,6 +196,58 @@ TEST(Determinism, EvaluationBitwiseIdenticalAcrossThreadCounts) {
   const double e1 = eval_at(1);
   EXPECT_EQ(e1, eval_at(2));
   EXPECT_EQ(e1, eval_at(4));
+}
+
+/// A forced 32² spectral Navier–Stokes run from a fixed-seed vortex field
+/// (k_f = 4 Kolmogorov forcing, 100 RK4 steps) on whatever pool is current:
+/// the vorticity every 10 steps as raw doubles, also written to `dump_path`.
+std::string ns_trajectory(const std::string& dump_path) {
+  ns::NsConfig cfg;
+  cfg.n = 32;
+  cfg.viscosity = 1e-3;
+  cfg.dt = 1e-3;
+  cfg.forcing_amplitude = 0.5;
+  cfg.forcing_k = 4;
+  ns::SpectralNsSolver solver(cfg);
+  Rng rng(2409);
+  const auto field = lbm::random_vortex_velocity(cfg.n, cfg.n, 4.0, 1.0, rng);
+  solver.set_velocity(field.u1, field.u2);
+  std::string bytes;
+  for (int frame = 0; frame < 10; ++frame) {
+    solver.step(10);
+    const TensorD w = solver.vorticity();
+    bytes.append(reinterpret_cast<const char*>(w.data()),
+                 sizeof(double) * static_cast<std::size_t>(w.size()));
+  }
+  std::ofstream out(dump_path, std::ios::binary);
+  out << bytes;
+  EXPECT_TRUE(out.good()) << dump_path;
+  return bytes;
+}
+
+TEST(Determinism, SpectralNsTrajectory) {
+  const auto at_width = [](std::size_t width) {
+    ThreadPool::Scope scope(width);
+    return ns_trajectory("determinism_ns_t" + std::to_string(width) + ".bin");
+  };
+  const std::string t1 = at_width(1);
+  const std::string t4 = at_width(4);
+  const std::string global_run = ns_trajectory("determinism_ns_global.bin");
+  ASSERT_EQ(t1.size(), 10u * 32u * 32u * sizeof(double));
+  EXPECT_TRUE(t1 == t4) << "PDE trajectory differs between widths 1 and 4";
+  EXPECT_TRUE(t1 == global_run)
+      << "PDE trajectory differs between the global pool and width 1";
+  // The run must actually evolve: the first and last frames differ.
+  const std::size_t frame = t1.size() / 10;
+  EXPECT_NE(t1.compare(0, frame, t1, t1.size() - frame, frame), 0);
+
+  // Golden for the scalar tier, as for the training fixture above:
+  // regenerate it deliberately — never loosen it — when the PDE numerics
+  // change on purpose.
+  util::ScopedIsa forced(util::Isa::kScalar);
+  ThreadPool::Scope scope(1);
+  const std::string scalar = ns_trajectory("determinism_ns_scalar_golden.bin");
+  EXPECT_EQ(util::crc32(scalar.data(), scalar.size()), 0x45BAF821u);
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 //    replicas of the pre-engine algorithms stepped through model.forward().
 // 2. Zero allocation: a global operator-new counting hook asserts the
 //    engine's steady state (forward, rollout step, hybrid advance window)
-//    performs zero heap allocations after one warm-up call.
+//    and the spectral PDE step perform zero heap allocations after one
+//    warm-up call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include "infer/arena.hpp"
 #include "infer/engine.hpp"
 #include "nn/spectral_conv.hpp"
+#include "ns/solver.hpp"
 #include "obs/obs.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
@@ -631,6 +633,37 @@ TEST(InferZeroAlloc, PropagatorAdvanceWindow) {
   const std::int64_t n =
       count_allocs([&] { prop.advance_into(history, 4, out); });
   EXPECT_EQ(n, 0) << "hybrid advance window allocated";
+}
+
+TEST(NsZeroAlloc, SpectralStepSteadyState) {
+  // The planned RK4 step: after one warm-up step on the stepping pool (line
+  // scratch for its slots, FFT plans, obs statics) no step allocates, under
+  // either ISA and line batching mode, at widths 1 and 4.
+  ns::NsConfig cfg;
+  cfg.n = 32;
+  cfg.viscosity = 1e-3;
+  cfg.dt = 1e-3;
+  cfg.forcing_amplitude = 0.5;
+  cfg.forcing_k = 4;
+  Rng rng(89);
+  TensorD omega({cfg.n, cfg.n});
+  omega.fill_normal(rng, 0.0, 1.0);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::Scope scope(width);
+    ns::SpectralNsSolver solver(cfg);
+    solver.set_vorticity(omega);
+    for (const util::Isa isa : runnable_isas()) {
+      util::ScopedIsa forced(isa);
+      solver.step(1);  // warm-up
+      for (const bool batching : {true, false}) {
+        fft::ScopedLineBatching lanes(batching);
+        const std::int64_t n = count_allocs([&] { solver.step(10); });
+        EXPECT_EQ(n, 0) << util::isa_name(isa) << " width " << width
+                        << " spectral step allocated, line batching "
+                        << (batching ? "on" : "off");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstring>
 #include <numbers>
+#include <string>
+#include <vector>
 
+#include "fft/fftnd.hpp"
 #include "lbm/initializer.hpp"
 #include "ns/solver.hpp"
 #include "ns/spectral_ops.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace turb::ns {
 namespace {
@@ -284,9 +291,199 @@ TEST_P(NsScheme, ForcingWavenumberOutsideHalfGridRejected) {
   }
 }
 
+TEST_P(NsScheme, ForcingAboveTwoThirdsCutoffDrivesFlow) {
+  // From rest the forced vorticity grows as −A·2πk_f·cos(2πk_f y)·t (the
+  // shear flow it drives has no advection), so max|ω| ≈ A·2πk_f·t. This
+  // holds for any accepted k_f, including those above the 2/3-rule cutoff
+  // n/3 that dealiasing removes from the advection term.
+  NsConfig cfg;
+  cfg.n = 16;
+  cfg.viscosity = 1e-3;
+  cfg.dt = 1e-3;
+  cfg.forcing_amplitude = 0.5;
+  for (const index_t k : {index_t{6}, index_t{8}}) {
+    cfg.forcing_k = k;
+    auto solver = make_ns_solver(GetParam(), cfg);
+    solver->set_vorticity(TensorD({cfg.n, cfg.n}));
+    solver->step(10);
+    const double expected = cfg.forcing_amplitude * kTwoPi *
+                            static_cast<double>(k) * solver->time();
+    EXPECT_NEAR(solver->vorticity().max_abs() / expected, 1.0, 0.03)
+        << "forcing_k=" << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, NsScheme,
                          ::testing::Values(std::string("spectral"),
                                            std::string("fd")));
+
+// --- bitwise oracle for the planned spectral step -----------------------------
+
+/// The spectral RK4 step as it was before the solver planned its grid: every
+/// stage builds fresh tensors and runs fft::rfftn / fft::irfftn. Kept
+/// verbatim (per-element expressions, their order, the forcing added before
+/// the 2/3-rule mask) as the byte-level reference for SpectralNsSolver.
+/// Because of that forcing order it agrees with the solver only while
+/// k_f ≤ n/3 or dealiasing is off.
+class ReferenceSpectralStep {
+ public:
+  explicit ReferenceSpectralStep(NsConfig config)
+      : config_(config), what_({config.n, config.n / 2 + 1}) {}
+
+  void set_vorticity(const TensorD& omega) { what_ = fft::rfftn(omega, 2); }
+
+  void step(index_t steps) {
+    for (index_t s = 0; s < steps; ++s) step_rk4();
+  }
+
+  [[nodiscard]] TensorD vorticity() const {
+    return fft::irfftn(what_, 2, config_.n);
+  }
+
+ private:
+  using SpecD = Tensor<std::complex<double>>;
+
+  SpecD nonlinear(const SpecD& what) const {
+    const index_t n = config_.n;
+    const index_t nxr = n / 2 + 1;
+    SpecD u1h({n, nxr}), u2h({n, nxr}), wxh({n, nxr}), wyh({n, nxr});
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = kTwoPi * deriv_freq(iy, n);
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const double kx = kTwoPi * deriv_freq(ix, n);
+        const double k2 = kx * kx + ky * ky;
+        const std::complex<double> w = what(iy, ix);
+        const std::complex<double> psi = (k2 == 0.0) ? 0.0 : w / k2;
+        u1h(iy, ix) = std::complex<double>(0.0, ky) * psi;
+        u2h(iy, ix) = std::complex<double>(0.0, -kx) * psi;
+        wxh(iy, ix) = std::complex<double>(0.0, kx) * w;
+        wyh(iy, ix) = std::complex<double>(0.0, ky) * w;
+      }
+    }
+    const TensorD u1 = fft::irfftn(u1h, 2, n);
+    const TensorD u2 = fft::irfftn(u2h, 2, n);
+    const TensorD wx = fft::irfftn(wxh, 2, n);
+    const TensorD wy = fft::irfftn(wyh, 2, n);
+
+    TensorD adv({n, n});
+    for (index_t i = 0; i < adv.size(); ++i) {
+      adv[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
+    }
+    SpecD advh = fft::rfftn(adv, 2);
+
+    if (config_.forcing_amplitude != 0.0) {
+      const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
+      const double coeff = -config_.forcing_amplitude * kf *
+                           static_cast<double>(n) * static_cast<double>(n) /
+                           2.0;
+      advh(config_.forcing_k, index_t{0}) += coeff;
+      advh(n - config_.forcing_k, index_t{0}) += coeff;
+    }
+
+    const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
+                                        : static_cast<double>(n);
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double my = fft_freq(iy, n);
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const double mx = static_cast<double>(ix);
+        if (std::abs(my) > kcut || mx > kcut) {
+          advh(iy, ix) = 0.0;
+        }
+      }
+    }
+    return advh;
+  }
+
+  SpecD rhs(const SpecD& what) const {
+    const index_t n = config_.n;
+    SpecD out = nonlinear(what);
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = kTwoPi * fft_freq(iy, n);
+      for (index_t ix = 0; ix < n / 2 + 1; ++ix) {
+        const double kx = kTwoPi * static_cast<double>(ix);
+        out(iy, ix) -= config_.viscosity * (kx * kx + ky * ky) * what(iy, ix);
+      }
+    }
+    return out;
+  }
+
+  void step_rk4() {
+    const double dt = config_.dt;
+    SpecD k1 = rhs(what_);
+    SpecD k2w = what_;
+    for (index_t i = 0; i < k2w.size(); ++i) k2w[i] += 0.5 * dt * k1[i];
+    SpecD k2 = rhs(k2w);
+    SpecD k3w = what_;
+    for (index_t i = 0; i < k3w.size(); ++i) k3w[i] += 0.5 * dt * k2[i];
+    SpecD k3 = rhs(k3w);
+    SpecD k4w = what_;
+    for (index_t i = 0; i < k4w.size(); ++i) k4w[i] += dt * k3[i];
+    SpecD k4 = rhs(k4w);
+    for (index_t i = 0; i < what_.size(); ++i) {
+      what_[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    }
+  }
+
+  NsConfig config_;
+  SpecD what_;
+};
+
+/// The ISAs this host runs: scalar, plus avx2 where the CPU has it.
+std::vector<util::Isa> runnable_isas() {
+  std::vector<util::Isa> isas{util::Isa::kScalar};
+  if (util::cpu_supports_avx2()) isas.push_back(util::Isa::kAvx2);
+  return isas;
+}
+
+bool same_bytes(const TensorD& a, const TensorD& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(double) *
+                                             static_cast<std::size_t>(
+                                                 a.size())) == 0;
+}
+
+TEST(NsSolver, PlannedStepMatchesReferenceBitwise) {
+  // Trajectory bytes of the spectral solver are pinned to the reference
+  // step above: every runnable ISA, lane batching on and off, pool widths 1
+  // and 4, power-of-two grids and a Bluestein one (n = 48), both dealias
+  // settings, with and without forcing (k_f = 4 ≤ n/3).
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
+      Rng rng(101 + static_cast<std::uint64_t>(n));
+      const auto field = lbm::random_vortex_velocity(n, n, 3.0, 1.0, rng);
+      const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
+      for (const bool dealias : {true, false}) {
+        for (const double amplitude : {0.0, 0.5}) {
+          NsConfig cfg;
+          cfg.n = n;
+          cfg.viscosity = 1e-3;
+          cfg.dt = 1e-3;
+          cfg.dealias = dealias;
+          cfg.forcing_amplitude = amplitude;
+          cfg.forcing_k = 4;
+          ReferenceSpectralStep reference(cfg);
+          reference.set_vorticity(w0);
+          reference.step(50);
+          const TensorD expected = reference.vorticity();
+          for (const bool batching : {true, false}) {
+            fft::ScopedLineBatching lanes(batching);
+            for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+              ThreadPool::Scope scope(width);
+              SpectralNsSolver solver(cfg);
+              solver.set_vorticity(w0);
+              solver.step(50);
+              EXPECT_TRUE(same_bytes(solver.vorticity(), expected))
+                  << util::isa_name(isa) << " n=" << n
+                  << " dealias=" << dealias << " forcing=" << amplitude
+                  << " batching=" << batching << " width=" << width;
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(NsSolver, CrossSchemeAgreementShortTime) {
   // Both discretisations approximate the same PDE: after a short smooth
