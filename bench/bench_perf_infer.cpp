@@ -254,6 +254,7 @@ int main(int argc, char** argv) {
   const std::int64_t batched_lines = obs::counter("fft/batched_lines").value();
   const std::int64_t batch_tails =
       obs::counter("fft/batch_tail_lines").value();
+  const std::int64_t column_lines = obs::counter("fft/column_lines").value();
 
   const std::int64_t steady_allocs =
       obs::counter("infer/steady_state_allocs").value();
@@ -305,6 +306,7 @@ int main(int argc, char** argv) {
   counters.integer("infer/forward_calls", forward_calls);
   counters.integer("fft/batched_lines", batched_lines);
   counters.integer("fft/batch_tail_lines", batch_tails);
+  counters.integer("fft/column_lines", column_lines);
   counters.integer("fft/plan_cache_misses_steady_delta", plan_miss_delta);
   bench::JsonObject gauges;
   gauges.number("infer/arena_bytes", arena_bytes, "%.0f");

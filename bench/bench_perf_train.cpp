@@ -278,6 +278,7 @@ int main(int argc, char** argv) {
   const std::int64_t batched_lines = obs::counter("fft/batched_lines").value();
   const std::int64_t batch_tails =
       obs::counter("fft/batch_tail_lines").value();
+  const std::int64_t column_lines = obs::counter("fft/column_lines").value();
 
   // Human-readable summary.
   std::cout << "# bench_perf_train (min-seconds " << g_min_seconds << ")\n";
@@ -302,6 +303,7 @@ int main(int argc, char** argv) {
   counters.integer("fft/lines_total", total);
   counters.integer("fft/batched_lines", batched_lines);
   counters.integer("fft/batch_tail_lines", batch_tails);
+  counters.integer("fft/column_lines", column_lines);
   bench::JsonObject doc;
   doc.object("results_ns_per_op", std::move(res));
   doc.object("speedup", std::move(speed));

@@ -27,12 +27,15 @@
 #  3. A perf-harness smoke: bench_perf_train at a tiny measurement budget,
 #     asserting it produces a well-formed BENCH_spectral.json (the recorded
 #     numbers are non-gating; only the schema is checked here) and that the
-#     batched line-FFT path engaged (fft/batched_lines > 0).
+#     batched line-FFT path engaged (fft/batched_lines > 0) and, on avx2+fma
+#     hosts, ran strided c2c stages as in-place column runs
+#     (fft/column_lines > 0).
 #  4. An inference-engine smoke: bench_perf_infer at a tiny budget with
 #     --metrics-out, asserting the nn/infer_* spans are exported, the
 #     zero-steady-state-allocation contract holds
 #     (infer/steady_state_allocs == 0), the engine drove the batched FFT
-#     path (fft/batched_lines > 0), the plan-cache memo stayed hit-only
+#     path (fft/batched_lines > 0; on avx2+fma hosts also its column runs,
+#     fft/column_lines > 0), the plan-cache memo stayed hit-only
 #     across a steady-state repeat (fft/plan_cache_misses_steady_delta == 0),
 #     and the BENCH_inference.json schema is well formed. The GELU kernel's
 #     two tiers give identical bits, so only its dispatch counters show
@@ -174,7 +177,7 @@ PERF_JSON="$BUILD_DIR/check_tier1_bench_spectral.json"
 rm -f "$PERF_JSON"
 "$BUILD_DIR/bench/bench_perf_train" --min-seconds 0.01 --out "$PERF_JSON" \
     > /dev/null
-python3 - "$PERF_JSON" <<'EOF'
+python3 - "$PERF_JSON" "$HOST_AVX2_FMA" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["version"] == 1, "unexpected BENCH_spectral schema version"
@@ -186,6 +189,9 @@ assert "fft/lines_total" in d["counters"], "lines_total counter missing"
 assert d["counters"]["fft/batched_lines"] > 0, \
     "batched line-FFT path never engaged"
 assert "fft/batch_tail_lines" in d["counters"], "batch tail counter missing"
+if sys.argv[2] == "1":
+    assert d["counters"]["fft/column_lines"] > 0, \
+        "strided c2c stages never ran as column runs on an avx2+fma host"
 EOF
 
 # Inference-engine smoke: spans present, zero steady-state allocations,
@@ -210,7 +216,7 @@ if sys.argv[2] == "1":
     assert c.get("isa/gelu_dispatch_avx2", 0) > 0, \
         "the avx2 GELU kernel never ran on an avx2+fma host"
 EOF
-python3 - "$INFER_JSON" <<'EOF'
+python3 - "$INFER_JSON" "$HOST_AVX2_FMA" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["version"] == 1, "unexpected BENCH_inference schema version"
@@ -223,6 +229,9 @@ assert d["counters"]["infer/steady_state_allocs"] == 0, \
 assert d["gauges"]["infer/arena_bytes"] > 0, "arena gauge missing"
 assert d["counters"]["fft/batched_lines"] > 0, \
     "batched line-FFT path never engaged in the engine"
+if sys.argv[2] == "1":
+    assert d["counters"]["fft/column_lines"] > 0, \
+        "the engine's c2c stages never ran as column runs on an avx2+fma host"
 assert d["counters"]["fft/plan_cache_misses_steady_delta"] == 0, \
     "plan cache missed during the steady-state repeat (memo thrashing)"
 EOF

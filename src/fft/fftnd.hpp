@@ -65,11 +65,12 @@ namespace turb::fft {
 using ModeMask = std::vector<std::vector<std::uint8_t>>;
 
 /// Per-worker scratch a line driver takes from its caller's provider, once
-/// per chunk on the thread running the chunk. `z` holds at least
-/// len·kMaxLanes elements (len = n/2 for the row drivers, the line length
-/// for c2c_stage); `u` holds (n/2+1)·kMaxLanes and only the row drivers
-/// read it. Sized by kMaxLanes, a provider fits whatever lane count the
-/// live ISA selects.
+/// per chunk on the thread running the chunk. `z` holds (n/2)·kMaxLanes
+/// elements for the row drivers and one line (n) for c2c_stage, whose
+/// per-line arm gathers a strided line into it (its column runs need no
+/// scratch); `u` holds (n/2+1)·kMaxLanes and only the row drivers read it.
+/// Sized by kMaxLanes, a provider fits whatever lane count the live ISA
+/// selects.
 template <typename T>
 struct LineScratch {
   std::complex<T>* z = nullptr;
@@ -142,19 +143,23 @@ inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
 
 /// Lanes per batched row sweep: one per the live ISA, or 1 — the per-line
 /// reference arm — with line batching off.
-template <typename T>
-index_t row_lanes() {
-  return line_batching_enabled() ? lane_count<T>(util::active_isa()) : 1;
+inline index_t row_lanes() {
+  return line_batching_enabled() ? lane_count(util::active_isa()) : 1;
 }
 
-/// Publish one chunk's batching deltas. Drivers accumulate locally and
-/// publish once per chunk — a relaxed add per flush is still a shared cache
-/// line bouncing between every worker thread.
-inline void add_batch_counts(std::int64_t batched, std::int64_t tails) {
+/// Publish one chunk's batching deltas: `batched` lines through a lane
+/// kernel, `tails` of them in ragged row sweeps, `columns` of them in
+/// column runs. Drivers accumulate locally and publish once per chunk — a
+/// relaxed add per batch is still a shared cache line bouncing between
+/// every worker thread.
+inline void add_batch_counts(std::int64_t batched, std::int64_t tails,
+                             std::int64_t columns) {
   static obs::Counter& batched_lines = obs::counter("fft/batched_lines");
   static obs::Counter& tail_lines = obs::counter("fft/batch_tail_lines");
+  static obs::Counter& column_lines = obs::counter("fft/column_lines");
   batched_lines.add(batched);
   if (tails != 0) tail_lines.add(tails);
+  if (columns != 0) column_lines.add(columns);
 }
 
 }  // namespace detail
@@ -202,7 +207,7 @@ void rfft_rows(ThreadPool& pool, const T* in, std::complex<T>* out,
   const index_t out_row = n / 2 + 1;
   // Consecutive rows go through the lane-batched kernel B at a time within
   // each chunk; a batch of one (the per-line arm) is the single-line kernel.
-  const index_t batch = detail::row_lanes<T>();
+  const index_t batch = detail::row_lanes();
   pool.run_chunks(0, rows, [&](index_t rb, index_t re) {
     const LineScratch<T> s = scratch();
     std::int64_t batched = 0, tails = 0;
@@ -213,7 +218,7 @@ void rfft_rows(ThreadPool& pool, const T* in, std::complex<T>* out,
       batched += nl;
       if (nl < batch) tails += nl;
     }
-    if (batch > 1) detail::add_batch_counts(batched, tails);
+    if (batch > 1) detail::add_batch_counts(batched, tails, 0);
   });
 }
 
@@ -230,7 +235,7 @@ void irfft_rows(ThreadPool& pool, const std::complex<T>* in, T* out,
   lines_total.add(rows);
   util::fft_dispatch_counter(util::active_isa()).add(1);
   const index_t in_row = n / 2 + 1;
-  const index_t batch = detail::row_lanes<T>();
+  const index_t batch = detail::row_lanes();
   pool.run_chunks(0, rows, [&](index_t rb, index_t re) {
     const LineScratch<T> s = scratch();
     std::int64_t batched = 0, tails = 0;
@@ -241,15 +246,15 @@ void irfft_rows(ThreadPool& pool, const std::complex<T>* in, T* out,
       batched += nl;
       if (nl < batch) tails += nl;
     }
-    if (batch > 1) detail::add_batch_counts(batched, tails);
+    if (batch > 1) detail::add_batch_counts(batched, tails, 0);
   });
 }
 
 /// One complex stage: transforms the kept lines of `st` read from `src`
 /// into `dst` (forward unscaled, inverse scaled by 1/n), chunked over
-/// `pool`. `src` may differ from `dst`; lines skipped by `st.keep` then
-/// leave `dst` untouched. `scratch()` returns the running worker's
-/// LineScratch (only `z` is used).
+/// `pool`. `src` may differ from `dst` (the two must not overlap); lines
+/// skipped by `st.keep` then leave `dst` untouched. `scratch()` returns the
+/// running worker's LineScratch (only `z` is used).
 template <typename T, typename Scratch>
 void c2c_stage(ThreadPool& pool, const std::complex<T>* src,
                std::complex<T>* dst, const C2cStage& st, bool forward,
@@ -273,66 +278,61 @@ void c2c_stage(ThreadPool& pool, const std::complex<T>* src,
   }
   const PlanC2C<T>& p = plan<T>(n);
 
-  // Lines are independent (disjoint read/write slices), so each chunk
-  // transforms a contiguous run of them. Skip tests sit inside the chunk
-  // bodies and never move chunk boundaries, so the partition — and with it
-  // the thread-count determinism contract — does not depend on pruning.
-  // Contiguous lines transformed in place need no gather.
-  if (inner == 1 && src == dst) {
-    if (keep != nullptr && keep[0] == 0) return;
-    pool.run_chunks(0, st.outer, [&](index_t ob, index_t oe) {
-      for (index_t o = ob; o < oe; ++o) {
-        cpx* line = dst + o * n;
-        forward ? p.forward(line) : p.inverse(line);
+  // Lines are independent (disjoint read/write slices), so chunks run in
+  // any order. Skip tests sit inside the chunk bodies and never move chunk
+  // boundaries, so the partition — and with it the thread-count
+  // determinism contract — does not depend on pruning.
+  //
+  // Column runs: the lines of one outer block are the columns of an
+  // (n, inner) row-major block, so on the lane kernels each run of adjacent
+  // kept columns is one batch transformed in place (stride inner) — no
+  // gather, no scatter. Chunks are tiles of kMaxLanes columns, which caps
+  // a batch at the row-sweep width and keeps its n rows in L1; pruning
+  // only splits runs inside a tile. A line's bits do not depend on the run
+  // it lands in (see fft/plan.hpp), so the grouping is unobservable.
+  if (line_batching_enabled() && p.batch_wants_lanes()) {
+    const index_t tiles = (inner + kMaxLanes - 1) / kMaxLanes;
+    pool.run_chunks(0, st.outer * tiles, [&](index_t tb, index_t te) {
+      std::int64_t columns = 0;
+      for (index_t t = tb; t < te; ++t) {
+        const index_t block = (t / tiles) * n * inner;
+        const index_t first = (t % tiles) * kMaxLanes;
+        const index_t end = std::min(inner, first + kMaxLanes);
+        for (index_t i = first; i < end;) {
+          if (keep != nullptr && keep[i] == 0) {
+            ++i;
+            continue;
+          }
+          index_t width = 1;
+          while (i + width < end && (keep == nullptr || keep[i + width] != 0)) {
+            ++width;
+          }
+          const cpx* in = src + block + i;
+          cpx* out = dst + block + i;
+          forward ? p.forward_batch(in, out, width, inner)
+                  : p.inverse_batch(in, out, width, inner);
+          columns += width;
+          i += width;
+        }
       }
+      detail::add_batch_counts(columns, 0, columns);
     });
     return;
   }
 
-  // Strided lines: gather → transform → scatter. When the plan has lane
-  // kernels, kept lines are collected within each chunk into
-  // lane-interleaved batches of up to B; a line's bits do not depend on its
-  // batch occupancy (see fft/plan.hpp), so the grouping — which shifts with
-  // pruning gaps, chunk boundaries and ragged tails — is unobservable.
-  // Plans without lane kernels (scalar tier, Bluestein lengths) and the
-  // per-line reference arm run batches of one: exactly the single-line
-  // layout and kernel.
-  const index_t batch = line_batching_enabled() && p.batch_wants_lanes()
-                            ? lane_count<T>(util::active_isa())
-                            : 1;
+  // Per-line arm: plans without lane kernels (scalar tier, Bluestein
+  // lengths) and the TURBFNO_FFT_BATCH=0 reference gather each strided
+  // line into scratch, run the single-line kernel and scatter it back.
   pool.run_chunks(0, st.outer * inner, [&](index_t tb, index_t te) {
     cpx* work = scratch().z;
-    const cpx* in_lanes[kMaxLanes];
-    cpx* out_lanes[kMaxLanes];
-    index_t count = 0;
-    std::int64_t batched = 0, tails = 0;
-    const auto flush = [&] {
-      if (count == 0) return;
-      for (index_t l = 0; l < count; ++l) {
-        for (index_t j = 0; j < n; ++j) {
-          work[j * count + l] = in_lanes[l][j * inner];
-        }
-      }
-      forward ? p.forward_batch(work, count) : p.inverse_batch(work, count);
-      for (index_t l = 0; l < count; ++l) {
-        for (index_t j = 0; j < n; ++j) {
-          out_lanes[l][j * inner] = work[j * count + l];
-        }
-      }
-      batched += count;
-      if (count < batch) tails += count;
-      count = 0;
-    };
     for (index_t t = tb; t < te; ++t) {
       const index_t i = t % inner;
       if (keep != nullptr && keep[i] == 0) continue;
       const index_t offset = (t / inner) * n * inner + i;
-      in_lanes[count] = src + offset;
-      out_lanes[count] = dst + offset;
-      if (++count == batch) flush();
+      for (index_t j = 0; j < n; ++j) work[j] = src[offset + j * inner];
+      forward ? p.forward(work) : p.inverse(work);
+      for (index_t j = 0; j < n; ++j) dst[offset + j * inner] = work[j];
     }
-    flush();
-    if (batch > 1) detail::add_batch_counts(batched, tails);
   });
 }
 
@@ -355,7 +355,7 @@ void c2c_in_place(std::complex<T>* data, const C2cStage& st, bool forward) {
   TURB_TRACE_SCOPE("fft/c2c");
   c2c_stage(ThreadPool::current(), data, data, st, forward, [n = st.n] {
     return LineScratch<T>{
-        workspace<std::complex<T>>("fft/c2c_lanes", {n * kMaxLanes}).data()};
+        workspace<std::complex<T>>("fft/c2c_line", {n}).data()};
   });
 }
 

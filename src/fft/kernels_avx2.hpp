@@ -33,9 +33,10 @@
 //     re = fl(a·c − fl(b·d)), im = fl(a·d + fl(b·c)) (fmaddsub in vector
 //     code, cmul_fused below in scalar code). This makes a value's bits
 //     independent of which code shape computed it, which is what lets the
-//     lane-batched kernels (element j of lane l at x[j*nlanes + l], same
+//     lane-batched kernels (element j of lane l at x[j*stride + l], same
 //     broadcast twiddle for every lane) reproduce the within-line kernels
-//     bit-for-bit on full batches, ragged lane tails, and single lines.
+//     bit-for-bit on full batches, ragged lane tails, in-place column runs
+//     and single lines.
 #pragma once
 
 #include <bit>
@@ -359,18 +360,27 @@ namespace turb::fft::avx2 {
 
 // ---- Lane-batched kernels -------------------------------------------------
 //
-// Batched variants over `nl` independent lines held lane-interleaved
-// (element j of lane l at x[j*nl + l]). Each bin/butterfly broadcasts its
-// twiddle across lanes and evaluates the same fused expressions as the
+// Batched variants over `nl` independent lines held side by side. The rfft
+// unpack and irfft pack take a lane-interleaved scratch block (element j of
+// lane l at x[j*nl + l]); the butterfly stage takes a row stride, element j
+// of lane l at x[j*stride + l], so the same kernel runs a scratch block
+// (stride = nl) and a run of adjacent columns of a row-major array
+// transformed in place (stride = row length). Each bin/butterfly broadcasts
+// its twiddle across lanes and evaluates the same fused expressions as the
 // within-line kernels above, vectorizing over lanes (4 f32 / 2 f64 complex
-// per register) with a cmul_fused scalar loop for ragged lane tails — so a
-// lane's bits are independent of batch occupancy and identical to the
-// single-line avx2 result.
+// per register) — so a lane's bits are independent of batch occupancy and
+// identical to the single-line avx2 result. Ragged lane tails run one
+// masked vector in the butterflies (the masked-off lanes compute on zeros
+// and are never stored) and a cmul_fused scalar loop in the unpack/pack.
 
 [[gnu::target("avx2,fma")]] inline void radix2_stage_lanes(
     std::complex<float>* x, index_t n, index_t len,
-    const std::complex<float>* tw, index_t nl, bool inverse) {
+    const std::complex<float>* tw, index_t nl, index_t stride, bool inverse) {
   const index_t half = len / 2;
+  const index_t full = nl - nl % 4;
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(2 * (nl - full))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   float* xf = reinterpret_cast<float*>(x);
   for (index_t base = 0; base < n; base += len) {
     for (index_t j = 0; j < half; ++j) {
@@ -378,10 +388,9 @@ namespace turb::fft::avx2 {
       if (inverse) w = std::conj(w);
       const __m256 wr = _mm256_set1_ps(w.real());
       const __m256 wi = _mm256_set1_ps(w.imag());
-      float* top = xf + 2 * (base + j) * nl;
-      float* bot = xf + 2 * (base + j + half) * nl;
-      index_t l = 0;
-      for (; l + 4 <= nl; l += 4) {
+      float* top = xf + 2 * (base + j) * stride;
+      float* bot = xf + 2 * (base + j + half) * stride;
+      for (index_t l = 0; l < full; l += 4) {
         const __m256 u = _mm256_loadu_ps(top + 2 * l);
         const __m256 vin = _mm256_loadu_ps(bot + 2 * l);
         const __m256 vs = _mm256_permute_ps(vin, 0xB1);
@@ -389,13 +398,13 @@ namespace turb::fft::avx2 {
         _mm256_storeu_ps(top + 2 * l, _mm256_add_ps(u, v));
         _mm256_storeu_ps(bot + 2 * l, _mm256_sub_ps(u, v));
       }
-      std::complex<float>* topc = x + (base + j) * nl;
-      std::complex<float>* botc = x + (base + j + half) * nl;
-      for (; l < nl; ++l) {
-        const std::complex<float> u = topc[l];
-        const std::complex<float> v = cmul_fused(w, botc[l]);
-        topc[l] = u + v;
-        botc[l] = u - v;
+      if (full < nl) {
+        const __m256 u = _mm256_maskload_ps(top + 2 * full, tail);
+        const __m256 vin = _mm256_maskload_ps(bot + 2 * full, tail);
+        const __m256 vs = _mm256_permute_ps(vin, 0xB1);
+        const __m256 v = _mm256_fmaddsub_ps(wr, vin, _mm256_mul_ps(wi, vs));
+        _mm256_maskstore_ps(top + 2 * full, tail, _mm256_add_ps(u, v));
+        _mm256_maskstore_ps(bot + 2 * full, tail, _mm256_sub_ps(u, v));
       }
     }
   }
@@ -403,8 +412,11 @@ namespace turb::fft::avx2 {
 
 [[gnu::target("avx2,fma")]] inline void radix2_stage_lanes(
     std::complex<double>* x, index_t n, index_t len,
-    const std::complex<double>* tw, index_t nl, bool inverse) {
+    const std::complex<double>* tw, index_t nl, index_t stride,
+    bool inverse) {
   const index_t half = len / 2;
+  const index_t full = nl - nl % 2;
+  const __m256i tail = _mm256_setr_epi64x(-1, -1, 0, 0);
   double* xd = reinterpret_cast<double*>(x);
   for (index_t base = 0; base < n; base += len) {
     for (index_t j = 0; j < half; ++j) {
@@ -412,10 +424,9 @@ namespace turb::fft::avx2 {
       if (inverse) w = std::conj(w);
       const __m256d wr = _mm256_set1_pd(w.real());
       const __m256d wi = _mm256_set1_pd(w.imag());
-      double* top = xd + 2 * (base + j) * nl;
-      double* bot = xd + 2 * (base + j + half) * nl;
-      index_t l = 0;
-      for (; l + 2 <= nl; l += 2) {
+      double* top = xd + 2 * (base + j) * stride;
+      double* bot = xd + 2 * (base + j + half) * stride;
+      for (index_t l = 0; l < full; l += 2) {
         const __m256d u = _mm256_loadu_pd(top + 2 * l);
         const __m256d vin = _mm256_loadu_pd(bot + 2 * l);
         const __m256d vs = _mm256_permute_pd(vin, 0x5);
@@ -423,13 +434,13 @@ namespace turb::fft::avx2 {
         _mm256_storeu_pd(top + 2 * l, _mm256_add_pd(u, v));
         _mm256_storeu_pd(bot + 2 * l, _mm256_sub_pd(u, v));
       }
-      std::complex<double>* topc = x + (base + j) * nl;
-      std::complex<double>* botc = x + (base + j + half) * nl;
-      for (; l < nl; ++l) {
-        const std::complex<double> u = topc[l];
-        const std::complex<double> v = cmul_fused(w, botc[l]);
-        topc[l] = u + v;
-        botc[l] = u - v;
+      if (full < nl) {
+        const __m256d u = _mm256_maskload_pd(top + 2 * full, tail);
+        const __m256d vin = _mm256_maskload_pd(bot + 2 * full, tail);
+        const __m256d vs = _mm256_permute_pd(vin, 0x5);
+        const __m256d v = _mm256_fmaddsub_pd(wr, vin, _mm256_mul_pd(wi, vs));
+        _mm256_maskstore_pd(top + 2 * full, tail, _mm256_add_pd(u, v));
+        _mm256_maskstore_pd(bot + 2 * full, tail, _mm256_sub_pd(u, v));
       }
     }
   }

@@ -16,6 +16,7 @@
 // Bluestein lengths reach the dispatch through their power-of-two sub-plan.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <complex>
@@ -41,30 +42,35 @@ inline index_t next_pow2(index_t n) {
 
 // ---- Lane-per-line batching ------------------------------------------------
 //
-// The batched execution path transforms B independent lines at once from a
-// lane-interleaved workspace (element j of lane l at data[j*nlanes + l]):
-// every butterfly stage, Bluestein chirp multiply, and rfft/irfft pack/unpack
-// bin is evaluated across lanes with the per-position twiddle broadcast, so
-// each lane executes the identical per-line operation sequence. A line's
-// bits therefore do not depend on how many lanes share its batch (batch
-// occupancy invariance) — full batches, ragged tails, and the single-line
-// path all agree bitwise per ISA tier, which is what keeps the Tier A
-// determinism contract (and the scalar-tier golden dump) intact while the
-// line grouping changes with thread count and mode pruning.
+// The batched execution path transforms B independent lines at once, held
+// side by side: element j of lane l at x[j*stride + l]. stride = B is a
+// lane-interleaved scratch block (the rfft/irfft row drivers gather rows
+// into one); a larger stride is a run of B adjacent columns of a row-major
+// array, which fft::c2c_stage transforms in place with no gather at all.
+// Every butterfly stage, Bluestein chirp multiply, and rfft/irfft
+// pack/unpack bin is evaluated across lanes with the per-position twiddle
+// broadcast, so each lane executes the identical per-line operation
+// sequence. A line's bits therefore do not depend on how many lanes share
+// its batch (batch occupancy invariance) — full batches, ragged tails,
+// column runs and the single-line path all agree bitwise per ISA tier,
+// which is what keeps the Tier A determinism contract (and the scalar-tier
+// golden dump) intact while the line grouping changes with thread count
+// and mode pruning.
 
-/// Upper bound on lanes any batched path may request; batch scratch sized
-/// with this stays valid when the active ISA is switched after planning.
-inline constexpr index_t kMaxLanes = 8;
+/// Upper bound on lanes any batched path may request: the avx2 row-sweep
+/// width and the widest column run c2c_stage hands one batch (a 32-lane
+/// block of a length-32 f64 line is 16 KiB, inside L1). Batch scratch
+/// sized with this stays valid when the active ISA is switched after
+/// planning.
+inline constexpr index_t kMaxLanes = 32;
 
-/// Lanes per batched line sweep for element type T on the given ISA tier:
-/// one SIMD register of lanes on avx2 (8 f32 / 4 f64), a fixed 4-lane block
-/// on the scalar tier (gather/scatter locality still pays for itself).
-template <typename T>
-index_t lane_count(util::Isa isa) {
+/// Lanes per batched row sweep on the given ISA tier: kMaxLanes rows on
+/// avx2 (eight f32 / sixteen f64 registers of lanes per twiddle
+/// broadcast), a fixed 4-row block on the scalar tier, which runs the
+/// single-line kernel row by row either way.
+inline index_t lane_count(util::Isa isa) {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if (isa == util::Isa::kAvx2) {
-    return std::is_same_v<T, float> ? index_t{8} : index_t{4};
-  }
+  if (isa == util::Isa::kAvx2) return kMaxLanes;
 #else
   (void)isa;
 #endif
@@ -130,23 +136,30 @@ class PlanC2C {
   /// In-place inverse DFT (scaled by 1/n).
   void inverse(cpx* x) const { execute(x, /*inverse=*/true); }
 
-  /// Lane-per-line batched transforms over `nlanes` independent lines held
-  /// lane-interleaved in `x` (element j of lane l at x[j*nlanes + l]).
-  /// Every lane's result is bitwise identical to running forward()/inverse()
-  /// on that line alone under the same ISA tier (batch occupancy invariance;
-  /// see the header comment). nlanes must be in [1, kMaxLanes].
-  void forward_batch(cpx* x, index_t nlanes) const {
-    execute_batch(x, nlanes, /*inverse=*/false);
+  /// Lane-per-line batched transforms over `nlanes` independent lines,
+  /// element j of lane l read from src[j*stride + l] and written to
+  /// dst[j*stride + l]; stride = nlanes is a lane-interleaved block, a
+  /// larger stride a run of adjacent columns. src == dst transforms in
+  /// place; otherwise the bit-reversal pass copies the nlanes columns of
+  /// each row from src into dst and leaves dst's other columns untouched
+  /// (src and dst must not overlap). Every lane's result is bitwise
+  /// identical to running forward()/inverse() on that line alone under the
+  /// same ISA tier (batch occupancy invariance; see the header comment).
+  /// nlanes must be in [1, kMaxLanes] and stride >= nlanes.
+  void forward_batch(const cpx* src, cpx* dst, index_t nlanes,
+                     index_t stride) const {
+    execute_batch(src, dst, nlanes, stride, /*inverse=*/false);
   }
 
-  void inverse_batch(cpx* x, index_t nlanes) const {
-    execute_batch(x, nlanes, /*inverse=*/true);
+  void inverse_batch(const cpx* src, cpx* dst, index_t nlanes,
+                     index_t stride) const {
+    execute_batch(src, dst, nlanes, stride, /*inverse=*/true);
   }
 
-  /// Does this plan execute batches through lane-interleaved SIMD kernels
-  /// under the currently active ISA? When false, execute_batch would just
-  /// transpose to line-major and run per lane — fft::c2c_stage, which
-  /// controls the gather layout, runs batches of one line instead.
+  /// Does this plan execute batches through the SIMD lane kernels under
+  /// the currently active ISA? When false, execute_batch just transposes to
+  /// line-major and runs per lane — fft::c2c_stage then takes its per-line
+  /// arm instead of transforming column runs.
   [[nodiscard]] bool batch_wants_lanes() const {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
@@ -277,37 +290,44 @@ class PlanC2C {
   // single-line code (execute) running on a de-interleaved copy, so a line's
   // bits cannot depend on its batch. Exact operations (copies, swaps, conj,
   // componentwise scaling) round nothing and may be written freely.
-  void execute_batch(cpx* x, index_t nlanes, bool inverse) const {
-    TURB_CHECK_MSG(nlanes >= 1 && nlanes <= kMaxLanes,
-                   "batched FFT lane count " << nlanes << " out of range");
-    if (nlanes == 1) {
-      // A one-lane batch is exactly the single-line layout.
-      execute(x, inverse);
+  void execute_batch(const cpx* src, cpx* dst, index_t nlanes, index_t stride,
+                     bool inverse) const {
+    TURB_CHECK_MSG(nlanes >= 1 && nlanes <= kMaxLanes && stride >= nlanes,
+                   "batched FFT lanes " << nlanes << " / stride " << stride
+                                        << " out of range");
+    if (nlanes == 1 && stride == 1) {
+      // A one-lane block is exactly the single-line layout.
+      if (src != dst) std::copy(src, src + n_, dst);
+      execute(dst, inverse);
       return;
     }
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
       if (sub_ == nullptr && util::active_isa() == util::Isa::kAvx2) {
-        // Permute whole lane groups (exact swaps).
+        // Permute whole lane rows (exact): swaps in place, else a permuted
+        // copy of the lanes from src.
         for (index_t i = 0; i < n_; ++i) {
           const index_t r = bitrev_[static_cast<std::size_t>(i)];
-          if (i < r) {
-            cpx* a = x + i * nlanes;
-            cpx* b = x + r * nlanes;
-            for (index_t l = 0; l < nlanes; ++l) std::swap(a[l], b[l]);
+          cpx* a = dst + i * stride;
+          if (src != dst) {
+            std::copy(src + r * stride, src + r * stride + nlanes, a);
+          } else if (i < r) {
+            std::swap_ranges(a, a + nlanes, dst + r * stride);
           }
         }
         for (index_t len = 2; len <= n_; len <<= 1) {
           const index_t half = len / 2;
-          avx2::radix2_stage_lanes(x, n_, len, stage_tw_.data() + (half - 1),
-                                   nlanes, inverse);
+          avx2::radix2_stage_lanes(dst, n_, len, stage_tw_.data() + (half - 1),
+                                   nlanes, stride, inverse);
         }
         if (inverse) {
           // Componentwise scaling is exact arithmetic-shape-wise: one
           // rounding per component, independent of vectorization.
           const T scale = T{1} / static_cast<T>(n_);
-          const index_t total = n_ * nlanes;
-          for (index_t i = 0; i < total; ++i) x[i] *= scale;
+          for (index_t j = 0; j < n_; ++j) {
+            cpx* row = dst + j * stride;
+            for (index_t l = 0; l < nlanes; ++l) row[l] *= scale;
+          }
         }
         return;
       }
@@ -320,15 +340,15 @@ class PlanC2C {
     thread_local std::vector<cpx> lines;
     lines.resize(static_cast<std::size_t>(n_ * nlanes));
     for (index_t j = 0; j < n_; ++j) {
-      const cpx* src = x + j * nlanes;
-      for (index_t l = 0; l < nlanes; ++l) lines[l * n_ + j] = src[l];
+      const cpx* row = src + j * stride;
+      for (index_t l = 0; l < nlanes; ++l) lines[l * n_ + j] = row[l];
     }
     for (index_t l = 0; l < nlanes; ++l) {
       execute(lines.data() + l * n_, inverse);
     }
     for (index_t j = 0; j < n_; ++j) {
-      cpx* dst = x + j * nlanes;
-      for (index_t l = 0; l < nlanes; ++l) dst[l] = lines[l * n_ + j];
+      cpx* row = dst + j * stride;
+      for (index_t l = 0; l < nlanes; ++l) row[l] = lines[l * n_ + j];
     }
   }
 

@@ -170,7 +170,7 @@ void rfft_batch_scratch(const T* in, index_t in_stride, std::complex<T>* out,
           z_li[k * nl + l] = cpx(row[2 * k], row[2 * k + 1]);
         }
       }
-      plan<T>(h).forward_batch(z_li, nl);
+      plan<T>(h).forward_batch(z_li, z_li, nl, nl);
       avx2::rfft_unpack_lanes(z_li, u_li, h, keep_bins, tw, nl);
       for (index_t l = 0; l < nl; ++l) {
         cpx* orow = out + l * out_stride;
@@ -219,7 +219,7 @@ void irfft_batch_scratch(const std::complex<T>* in, index_t in_stride, T* out,
         for (index_t k = 0; k <= h; ++k) u_li[k * nl + l] = row[k];
       }
       avx2::irfft_pack_lanes(u_li, z_li, h, tw, nl);
-      plan<T>(h).inverse_batch(z_li, nl);
+      plan<T>(h).inverse_batch(z_li, z_li, nl, nl);
       for (index_t l = 0; l < nl; ++l) {
         T* orow = out + l * out_stride;
         for (index_t k = 0; k < h; ++k) {

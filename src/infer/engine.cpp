@@ -155,15 +155,15 @@ void InferenceEngine::plan(const Shape& in_shape) {
   off_xg_.assign(slots_, 0);
   off_fz_.assign(slots_, 0);
   off_fu_.assign(slots_, 0);
-  // fft::LineScratch: z serves the half-length row transforms and the c2c
-  // lines alike, so it is sized for the longer of the two.
+  // fft::LineScratch: z serves the half-length row sweeps and the one line
+  // a per-line c2c stage gathers, so it is sized for the larger of the two.
   const index_t h = n_last_ / 2;
-  index_t z_len = h;
+  index_t z_len = h * fft::kMaxLanes;
   for (const fft::C2cStage& st : stages_) z_len = std::max(z_len, st.n);
   for (std::size_t t = 0; t < slots_; ++t) {
     off_tile_[t] = arena_.reserve<float>(tile_rows_ * kColBlock);
     off_xg_[t] = arena_.reserve<cpxf>(w);
-    off_fz_[t] = arena_.reserve<cpxf>(z_len * fft::kMaxLanes);
+    off_fz_[t] = arena_.reserve<cpxf>(z_len);
     off_fu_[t] = arena_.reserve<cpxf>((h + 1) * fft::kMaxLanes);
   }
   arena_.commit();  // zero-fill: establishes the y_spec zero invariant

@@ -164,8 +164,8 @@ class InferenceEngine {
   std::size_t off_xspec_ = 0, off_yspec_ = 0, off_work_ = 0;
   std::size_t off_twf_ = 0, off_twi_ = 0;  // rfft/irfft twiddle tables
   std::vector<std::size_t> off_tile_, off_xg_;  // per slot
-  // Per-slot fft::LineScratch (z, u), sized for fft::kMaxLanes so the lane
-  // count the live ISA selects always fits without reallocation.
+  // Per-slot fft::LineScratch (z, u), sized for fft::kMaxLanes row lanes so
+  // the lane count the live ISA selects always fits without reallocation.
   std::vector<std::size_t> off_fz_, off_fu_;  // per slot
   index_t tile_rows_ = 0;   // max channel count staged in a tile
 

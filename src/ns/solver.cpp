@@ -96,7 +96,8 @@ void SpectralNsSolver::set_vorticity(const TensorD& omega) {
 void SpectralNsSolver::fit_line_scratch(const ThreadPool& pool) {
   if (pool.slot_count() <= slots_) return;
   slots_ = pool.slot_count();
-  const index_t per_slot = (config_.n + config_.n / 2 + 1) * fft::kMaxLanes;
+  const index_t h = config_.n / 2;
+  const index_t per_slot = (2 * h + 1) * fft::kMaxLanes;
   line_scratch_.resize(slots_ * static_cast<std::size_t>(per_slot));
 }
 
@@ -104,53 +105,67 @@ void SpectralNsSolver::rhs(ThreadPool& pool, const SpecD& what, SpecD& out) {
   const index_t n = config_.n;
   const index_t nxr = n / 2 + 1;
   const index_t plane = n * nxr;
-  const index_t z_len = n * fft::kMaxLanes;
+  const index_t z_len = (n / 2) * fft::kMaxLanes;
   const std::size_t per_slot = line_scratch_.size() / slots_;
   const auto scratch = [&] {
     cpx* z = line_scratch_.data() + pool.scratch_slot() * per_slot;
     return fft::LineScratch<double>{z, z + z_len};
   };
 
-  // Velocity and vorticity gradients in spectral space.
-  cpx* u1h = grad_.data();
-  cpx* u2h = u1h + plane;
-  cpx* wxh = u2h + plane;
-  cpx* wyh = wxh + plane;
-  for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = ky_[iy];
-    for (index_t ix = 0; ix < nxr; ++ix) {
-      const double kx = kx_[ix];
-      const double k2 = kx * kx + ky * ky;
-      const index_t i = iy * nxr + ix;
-      const cpx w = what[i];
-      const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
-      u1h[i] = cpx(0.0, ky) * psi;
-      u2h[i] = cpx(0.0, -kx) * psi;
-      wxh[i] = cpx(0.0, kx) * w;
-      wyh[i] = cpx(0.0, ky) * w;
+  // Phase spans, recorded here on the calling thread around the pool
+  // calls (never inside a worker).
+  {
+    // Velocity and vorticity gradients in spectral space.
+    TURB_TRACE_SCOPE("ns/grad");
+    cpx* u1h = grad_.data();
+    cpx* u2h = u1h + plane;
+    cpx* wxh = u2h + plane;
+    cpx* wyh = wxh + plane;
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = ky_[iy];
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const double kx = kx_[ix];
+        const double k2 = kx * kx + ky * ky;
+        const index_t i = iy * nxr + ix;
+        const cpx w = what[i];
+        const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
+        u1h[i] = cpx(0.0, ky) * psi;
+        u2h[i] = cpx(0.0, -kx) * psi;
+        wxh[i] = cpx(0.0, kx) * w;
+        wyh[i] = cpx(0.0, ky) * w;
+      }
     }
   }
-  // The four inverse transforms as one: the y stage over the whole block,
-  // then its 4n rows.
-  fft::c2c_stage(pool, grad_.data(), grad_.data(), grad_c2c_,
-                 /*forward=*/false, scratch);
-  fft::irfft_rows(pool, grad_.data(), fields_.data(), 4 * n, n,
-                  irfft_tw_.data(), scratch);
+  {
+    // The four inverse transforms as one: the y stage over the whole
+    // block, then its 4n rows.
+    TURB_TRACE_SCOPE("ns/inverse_fft");
+    fft::c2c_stage(pool, grad_.data(), grad_.data(), grad_c2c_,
+                   /*forward=*/false, scratch);
+    fft::irfft_rows(pool, grad_.data(), fields_.data(), 4 * n, n,
+                    irfft_tw_.data(), scratch);
+  }
 
   // Nonlinear term in physical space, over u₁ (each element is read before
   // it is written).
   const index_t area = n * n;
   double* adv = fields_.data();
-  const double* u2 = adv + area;
-  const double* wx = u2 + area;
-  const double* wy = wx + area;
-  for (index_t i = 0; i < area; ++i) {
-    adv[i] = -(adv[i] * wx[i] + u2[i] * wy[i]);
+  {
+    TURB_TRACE_SCOPE("ns/advect");
+    const double* u2 = adv + area;
+    const double* wx = u2 + area;
+    const double* wy = wx + area;
+    for (index_t i = 0; i < area; ++i) {
+      adv[i] = -(adv[i] * wx[i] + u2[i] * wy[i]);
+    }
   }
-  fft::rfft_rows(pool, adv, out.data(), n, n, nullptr, rfft_tw_.data(),
-                 scratch);
-  fft::c2c_stage(pool, out.data(), out.data(), c2c_, /*forward=*/true,
-                 scratch);
+  {
+    TURB_TRACE_SCOPE("ns/forward_fft");
+    fft::rfft_rows(pool, adv, out.data(), n, n, nullptr, rfft_tw_.data(),
+                   scratch);
+    fft::c2c_stage(pool, out.data(), out.data(), c2c_, /*forward=*/true,
+                   scratch);
+  }
 
   // 2/3-rule dealiasing, then the forcing — after the mask, so a k_f above
   // n/3 still drives the flow — then the viscous term.

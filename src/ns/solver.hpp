@@ -114,9 +114,10 @@ class SpectralNsSolver final : public NsSolver {
   SpecD stage_;      ///< RK4 stage input ω̂ + c·dt·k
   SpecD grad_;       ///< (4, n, n/2+1): û₁, û₂, ω̂ₓ, ω̂ᵧ
   TensorD fields_;   ///< (4, n, n): u₁, u₂, ωₓ, ωᵧ; u₁ then u·∇ω
-  /// fft::LineScratch per pool slot: z (n·kMaxLanes) then u
-  /// ((n/2+1)·kMaxLanes). Sized for the current pool by set_vorticity and
-  /// grown by step() only when a wider pool steps the solver.
+  /// fft::LineScratch per pool slot: z ((n/2)·kMaxLanes, which also holds
+  /// c2c_stage's one strided line) then u ((n/2+1)·kMaxLanes). Sized for
+  /// the current pool by set_vorticity and grown by step() only when a
+  /// wider pool steps the solver.
   std::vector<cpx> line_scratch_;
   std::size_t slots_ = 0;
 };

@@ -252,12 +252,17 @@ bool RolloutServer::step() {
     session.state = SessionState::finished;
     session.latency_seconds =
         std::chrono::duration<double>(now - session.admitted_at).count();
-    completed_latencies_.push_back(session.latency_seconds);
+    completed_latencies_.insert(
+        std::upper_bound(completed_latencies_.begin(),
+                         completed_latencies_.end(), session.latency_seconds),
+        session.latency_seconds);
     completed.add();
     session_latency.record(session.latency_seconds);
   }
+  const bool retired = active_.size() != still_active.size();
   active_ = std::move(still_active);
   update_gauges_locked();
+  if (retired) update_latency_gauges_locked();
   return !active_.empty() || !pending_.empty();
 }
 
@@ -269,16 +274,15 @@ void RolloutServer::drain() {
 void RolloutServer::update_gauges_locked() {
   static obs::Gauge& queue_depth = obs::gauge("serve/queue_depth");
   static obs::Gauge& active = obs::gauge("serve/active_sessions");
-  static obs::Gauge& p50 = obs::gauge("serve/latency_p50_ms");
-  static obs::Gauge& p99 = obs::gauge("serve/latency_p99_ms");
   queue_depth.set(static_cast<double>(pending_.size()));
   active.set(static_cast<double>(active_.size()));
-  if (!completed_latencies_.empty()) {
-    std::vector<double> sorted = completed_latencies_;
-    std::sort(sorted.begin(), sorted.end());
-    p50.set(nearest_rank_percentile(sorted, 0.50) * 1e3);
-    p99.set(nearest_rank_percentile(sorted, 0.99) * 1e3);
-  }
+}
+
+void RolloutServer::update_latency_gauges_locked() {
+  static obs::Gauge& p50 = obs::gauge("serve/latency_p50_ms");
+  static obs::Gauge& p99 = obs::gauge("serve/latency_p99_ms");
+  p50.set(nearest_rank_percentile(completed_latencies_, 0.50) * 1e3);
+  p99.set(nearest_rank_percentile(completed_latencies_, 0.99) * 1e3);
 }
 
 std::vector<SessionId> RolloutServer::finished() const {
@@ -356,11 +360,9 @@ RolloutServer::LatencyStats RolloutServer::latency_stats() const {
   LatencyStats stats;
   stats.completed = static_cast<std::int64_t>(completed_latencies_.size());
   if (completed_latencies_.empty()) return stats;
-  std::vector<double> sorted = completed_latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  stats.p50_ms = nearest_rank_percentile(sorted, 0.50) * 1e3;
-  stats.p99_ms = nearest_rank_percentile(sorted, 0.99) * 1e3;
-  stats.max_ms = sorted.back() * 1e3;
+  stats.p50_ms = nearest_rank_percentile(completed_latencies_, 0.50) * 1e3;
+  stats.p99_ms = nearest_rank_percentile(completed_latencies_, 0.99) * 1e3;
+  stats.max_ms = completed_latencies_.back() * 1e3;
   return stats;
 }
 

@@ -177,7 +177,10 @@ class RolloutServer {
                          core::Propagator* primary,
                          core::Propagator* fallback, bool solo);
   Admission reject_locked(const std::string& reason);
+  /// Queue-depth and active-session gauges (every admission and round).
   void update_gauges_locked();
+  /// p50/p99 latency gauges, refreshed only when a session retires.
+  void update_latency_gauges_locked();
   [[nodiscard]] SessionSnapshot snapshot_locked(const Session& s) const;
 
   core::FnoPropagator* primary_;
@@ -190,7 +193,7 @@ class RolloutServer {
   std::deque<SessionId> pending_;  ///< admission order
   std::vector<SessionId> active_;  ///< admission order
   SessionId next_id_ = 0;
-  std::vector<double> completed_latencies_;
+  std::vector<double> completed_latencies_;  ///< seconds, kept ascending
   std::int64_t batches_ = 0;
   std::int64_t batched_streams_ = 0;
 };

@@ -611,13 +611,15 @@ TEST(FftPruned, MaskShapeMismatchRejected) {
 // the plan level (forward_batch/inverse_batch against per-line forward/inverse
 // at lane counts 1, B-1, B, B+1) and through the drivers (c2c_axis and
 // rfftn/irfftn with line batching toggled, line counts 1, B-1, B, B+1, 3B+2,
-// pruned and unpruned, pool widths 1/2/4), for f32 and f64, on every ISA tier
+// pruned and unpruned, pool widths 1/2/4; c2c_stage's in-place column runs
+// at run widths 1–68 with gapped keep patterns and src != dst; the row
+// drivers at 1, B-1, B, B+1, 3B+2 rows), for f32 and f64, on every ISA tier
 // the host supports. B is the tier's lane count.
 
 /// Line counts that exercise full batches and every ragged-tail shape.
 template <typename T>
 std::vector<index_t> ragged_line_counts() {
-  const index_t b = lane_count<T>(util::active_isa());
+  const index_t b = lane_count(util::active_isa());
   std::vector<index_t> counts;
   for (const index_t c : {index_t{1}, b - 1, b, b + 1, 3 * b + 2}) {
     if (c >= 1 && std::find(counts.begin(), counts.end(), c) == counts.end()) {
@@ -630,7 +632,7 @@ std::vector<index_t> ragged_line_counts() {
 template <typename T>
 void expect_plan_batch_bitwise() {
   using cpx = std::complex<T>;
-  const index_t b = lane_count<T>(util::active_isa());
+  const index_t b = lane_count(util::active_isa());
   // 16/64 take the radix-2 path, 10/12/15 the Bluestein path.
   for (const index_t n : {index_t{16}, index_t{64}, index_t{10}, index_t{12},
                           index_t{15}}) {
@@ -653,10 +655,10 @@ void expect_plan_batch_bitwise() {
         auto got = batched;
         auto want = ref;
         if (inverse) {
-          plan.inverse_batch(got.data(), nl);
+          plan.inverse_batch(got.data(), got.data(), nl, nl);
           for (index_t l = 0; l < nl; ++l) plan.inverse(want.data() + l * n);
         } else {
-          plan.forward_batch(got.data(), nl);
+          plan.forward_batch(got.data(), got.data(), nl, nl);
           for (index_t l = 0; l < nl; ++l) plan.forward(want.data() + l * n);
         }
         for (index_t l = 0; l < nl; ++l) {
@@ -832,6 +834,236 @@ TEST(FftBatched, RfftnIrfftnBatchedMatchesPerLineBitwiseAvx2) {
   expect_real_batch_bitwise<double>();
 }
 
+/// Per-pool-slot line scratch for direct line-driver calls: z holds
+/// max(n, (n/2)·kMaxLanes), u (n/2+1)·kMaxLanes.
+template <typename T>
+struct SlotScratch {
+  SlotScratch(const ThreadPool& pool, index_t n)
+      : pool(&pool),
+        z_len(std::max(n, (n / 2) * kMaxLanes)),
+        u_len((n / 2 + 1) * kMaxLanes),
+        buf(pool.slot_count() * static_cast<std::size_t>(z_len + u_len)) {}
+  LineScratch<T> operator()() const {
+    std::complex<T>* z =
+        buf.data() + pool->scratch_slot() *
+                         static_cast<std::size_t>(z_len + u_len);
+    return {z, z + z_len};
+  }
+  const ThreadPool* pool;
+  index_t z_len, u_len;
+  mutable std::vector<std::complex<T>> buf;
+};
+
+/// Keep flags for runs of the given widths, each followed by a gap of one
+/// or two pruned columns (alternating).
+std::vector<std::uint8_t> gapped_keep(const std::vector<index_t>& runs) {
+  std::vector<std::uint8_t> keep;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    keep.insert(keep.end(), static_cast<std::size_t>(runs[r]), 1);
+    keep.insert(keep.end(), 1 + r % 2, 0);
+  }
+  return keep;
+}
+
+template <typename T>
+void expect_column_stage_bitwise() {
+  using cpx = std::complex<T>;
+  struct Layout {
+    index_t inner;
+    std::vector<std::uint8_t> keep;  // empty = every column kept
+  };
+  std::vector<Layout> layouts;
+  // Unpruned: one run as wide as the stage (split at kMaxLanes tiles).
+  for (const index_t w : {1, 2, 3, 4, 5, 7, 8, 9, 17, 33, 68}) {
+    layouts.push_back({w, {}});
+  }
+  // Gapped runs, one of them straddling the first tile boundary.
+  for (const std::vector<index_t>& runs :
+       {std::vector<index_t>{3, 1, 5, 9, 2, 7},
+        std::vector<index_t>{17, 8, 33, 4}, std::vector<index_t>{1, 1, 1}}) {
+    std::vector<std::uint8_t> keep = gapped_keep(runs);
+    const auto inner = static_cast<index_t>(keep.size());
+    layouts.push_back({inner, std::move(keep)});
+  }
+  std::uint64_t seed = 90;
+  for (const Layout& layout : layouts) {
+    for (const index_t n : {index_t{16}, index_t{32}, index_t{12}}) {
+      for (const index_t outer : {index_t{1}, index_t{3}}) {
+        const C2cStage st{n, outer, layout.inner, layout.keep};
+        const index_t size = outer * n * layout.inner;
+        Rng rng(++seed);
+        std::vector<cpx> src(static_cast<std::size_t>(size));
+        for (cpx& v : src) {
+          v = {static_cast<T>(rng.normal()), static_cast<T>(rng.normal())};
+        }
+        const cpx sentinel(T{-7}, T{3});
+        for (const bool forward : {true, false}) {
+          for (const std::size_t width : kWidths) {
+            ThreadPool::Scope scope(width);
+            ThreadPool& pool = ThreadPool::current();
+            const SlotScratch<T> scratch(pool, n);
+            const auto run = [&](bool batching, bool in_place) {
+              ScopedLineBatching lanes(batching);
+              std::vector<cpx> dst(src.size(), sentinel);
+              if (in_place) {
+                dst = src;
+                c2c_stage(pool, dst.data(), dst.data(), st, forward, scratch);
+              } else {
+                c2c_stage(pool, src.data(), dst.data(), st, forward, scratch);
+              }
+              return dst;
+            };
+            const std::vector<cpx> ref = run(false, true);
+            for (const bool in_place : {true, false}) {
+              const std::vector<cpx> got = run(true, in_place);
+              for (index_t e = 0; e < size; ++e) {
+                const auto i = static_cast<std::size_t>(e);
+                const bool kept =
+                    layout.keep.empty() ||
+                    layout.keep[static_cast<std::size_t>(e % layout.inner)];
+                // Skipped columns keep what dst held: the input in place,
+                // the sentinel when the stage wrote from src.
+                const cpx want = kept ? ref[i] : (in_place ? src[i] : sentinel);
+                ASSERT_EQ(got[i].real(), want.real())
+                    << "n=" << n << " inner=" << layout.inner
+                    << " outer=" << outer << " forward=" << forward
+                    << " width=" << width << " in_place=" << in_place
+                    << " e=" << e;
+                ASSERT_EQ(got[i].imag(), want.imag())
+                    << "n=" << n << " inner=" << layout.inner
+                    << " outer=" << outer << " forward=" << forward
+                    << " width=" << width << " in_place=" << in_place
+                    << " e=" << e;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FftBatched, ColumnStageMatchesPerLineBitwiseScalar) {
+  util::ScopedIsa forced(util::Isa::kScalar);
+  expect_column_stage_bitwise<float>();
+  expect_column_stage_bitwise<double>();
+}
+
+TEST(FftBatched, ColumnStageMatchesPerLineBitwiseAvx2) {
+  if (!util::cpu_supports_avx2()) GTEST_SKIP() << "host lacks avx2";
+  util::ScopedIsa forced(util::Isa::kAvx2);
+  expect_column_stage_bitwise<float>();
+  expect_column_stage_bitwise<double>();
+}
+
+template <typename T>
+void expect_row_drivers_bitwise() {
+  using cpx = std::complex<T>;
+  const index_t b = lane_count(util::active_isa());
+  // 16 runs a radix-2 half-length plan, 20 a Bluestein one (h = 10).
+  for (const index_t n : {index_t{16}, index_t{20}}) {
+    const index_t bins = n / 2 + 1;
+    std::vector<cpx> rtw(static_cast<std::size_t>(bins));
+    std::vector<cpx> itw(static_cast<std::size_t>(n / 2));
+    fill_rfft_twiddles(rtw.data(), n);
+    fill_irfft_twiddles(itw.data(), n);
+    std::vector<std::uint8_t> keep_bins(static_cast<std::size_t>(bins), 0);
+    for (index_t k = 0; k < bins; k += 3) {
+      keep_bins[static_cast<std::size_t>(k)] = 1;
+    }
+    for (const index_t rows : {index_t{1}, b - 1, b, b + 1, 3 * b + 2}) {
+      if (rows < 1) continue;
+      Rng rng(120 + static_cast<std::uint64_t>(n * 128 + rows));
+      std::vector<T> x(static_cast<std::size_t>(rows * n));
+      for (T& v : x) v = static_cast<T>(rng.normal());
+      std::vector<cpx> spec(static_cast<std::size_t>(rows * bins));
+      for (cpx& v : spec) {
+        v = {static_cast<T>(rng.normal()), static_cast<T>(rng.normal())};
+      }
+      const cpx sentinel(T{5}, T{-2});
+      for (const std::size_t width : kWidths) {
+        ThreadPool::Scope scope(width);
+        ThreadPool& pool = ThreadPool::current();
+        const SlotScratch<T> scratch(pool, n);
+        for (const std::uint8_t* kb :
+             {static_cast<const std::uint8_t*>(nullptr),
+              static_cast<const std::uint8_t*>(keep_bins.data())}) {
+          const auto forward = [&](bool batching) {
+            ScopedLineBatching lanes(batching);
+            std::vector<cpx> out(spec.size(), sentinel);
+            rfft_rows(pool, x.data(), out.data(), rows, n, kb, rtw.data(),
+                      scratch);
+            return out;
+          };
+          const std::vector<cpx> ref = forward(false);
+          const std::vector<cpx> got = forward(true);
+          for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(got[i].real(), ref[i].real())
+                << "n=" << n << " rows=" << rows << " width=" << width
+                << " keep_bins=" << (kb != nullptr) << " i=" << i;
+            ASSERT_EQ(got[i].imag(), ref[i].imag())
+                << "n=" << n << " rows=" << rows << " width=" << width
+                << " keep_bins=" << (kb != nullptr) << " i=" << i;
+            if (kb != nullptr && kb[i % static_cast<std::size_t>(bins)] == 0) {
+              ASSERT_EQ(got[i], sentinel) << "skipped bin written, i=" << i;
+            }
+          }
+        }
+        const auto inverse = [&](bool batching) {
+          ScopedLineBatching lanes(batching);
+          std::vector<T> out(x.size());
+          irfft_rows(pool, spec.data(), out.data(), rows, n, itw.data(),
+                     scratch);
+          return out;
+        };
+        const std::vector<T> ref = inverse(false);
+        const std::vector<T> got = inverse(true);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(got[i], ref[i]) << "n=" << n << " rows=" << rows
+                                    << " width=" << width << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FftBatched, RowDriversMatchPerLineBitwiseScalar) {
+  util::ScopedIsa forced(util::Isa::kScalar);
+  expect_row_drivers_bitwise<float>();
+  expect_row_drivers_bitwise<double>();
+}
+
+TEST(FftBatched, RowDriversMatchPerLineBitwiseAvx2) {
+  if (!util::cpu_supports_avx2()) GTEST_SKIP() << "host lacks avx2";
+  util::ScopedIsa forced(util::Isa::kAvx2);
+  expect_row_drivers_bitwise<float>();
+  expect_row_drivers_bitwise<double>();
+}
+
+TEST(FftBatched, ColumnLineCounterCountsColumnRunsOnly) {
+  // A pruned strided stage on the avx2 lane kernels runs its kept lines as
+  // column runs; the per-line arm and the scalar tier run none.
+  if (!util::cpu_supports_avx2()) GTEST_SKIP() << "host lacks avx2";
+  auto& columns = obs::counter("fft/column_lines");
+  Tensor<std::complex<float>> x({3, 16, 9});
+  for (index_t i = 0; i < x.size(); ++i) {
+    x[i] = {static_cast<float>(i % 7), static_cast<float>(i % 5)};
+  }
+  const std::vector<std::uint8_t> keep = {1, 1, 0, 1, 1, 1, 0, 0, 1};
+  ThreadPool::Scope scope(2);
+  for (const util::Isa isa : {util::Isa::kAvx2, util::Isa::kScalar}) {
+    for (const bool batching : {true, false}) {
+      util::ScopedIsa forced(isa);
+      ScopedLineBatching lanes(batching);
+      const auto before = columns.value();
+      c2c_axis(x, 1, /*forward=*/true, &keep);
+      const bool column_path = isa == util::Isa::kAvx2 && batching;
+      EXPECT_EQ(columns.value() - before, column_path ? 3 * 6 : 0)
+          << util::isa_name(isa) << " batching=" << batching;
+    }
+  }
+}
+
 TEST(FftBatched, BatchedLineCountersAdvance) {
   // The rfft row stage batches on every ISA tier (c2c stages batch only
   // where the plan has lane kernels), so the scalar tier drives it here.
@@ -841,7 +1073,7 @@ TEST(FftBatched, BatchedLineCountersAdvance) {
   auto& tails = obs::counter("fft/batch_tail_lines");
   const auto batched0 = batched.value();
   const auto tails0 = tails.value();
-  const index_t b = lane_count<double>(util::Isa::kScalar);
+  const index_t b = lane_count(util::Isa::kScalar);
   Tensor<double> x({3 * b + 2, 16});
   Rng rng(81);
   for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();

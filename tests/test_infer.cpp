@@ -308,8 +308,9 @@ TEST(Arena, GrowOnlyReuse) {
 
 /// The fft/* line counters a forward pass advances.
 constexpr const char* kFftLineCounters[] = {
-    "fft/lines_total",   "fft/pruned_lines_skipped", "fft/r2c_lines",
-    "fft/c2r_lines",     "fft/batched_lines",        "fft/batch_tail_lines"};
+    "fft/lines_total",     "fft/pruned_lines_skipped", "fft/r2c_lines",
+    "fft/c2r_lines",       "fft/batched_lines",        "fft/batch_tail_lines",
+    "fft/column_lines"};
 
 std::vector<std::int64_t> fft_line_counts() {
   std::vector<std::int64_t> counts;

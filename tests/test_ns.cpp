@@ -11,6 +11,7 @@
 #include "lbm/initializer.hpp"
 #include "ns/solver.hpp"
 #include "ns/spectral_ops.hpp"
+#include "obs/obs.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -483,6 +484,48 @@ TEST(NsSolver, PlannedStepMatchesReferenceBitwise) {
       }
     }
   }
+}
+
+TEST(NsSolver, PhaseSpansCountFourPerStepWithinStep) {
+  // Each RK4 stage records its four phases once, on the calling thread, so
+  // every span counts 4 per step at any pool width, and the phases nest
+  // inside ns/step.
+  constexpr const char* kPhases[] = {"ns/grad", "ns/inverse_fft",
+                                     "ns/advect", "ns/forward_fft"};
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  NsConfig cfg;
+  cfg.n = 32;
+  cfg.viscosity = 1e-3;
+  cfg.dt = 1e-3;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::Scope scope(width);
+    SpectralNsSolver solver(cfg);
+    solver.set_vorticity(taylor_green_vorticity(cfg.n, 0.1));
+    solver.step(1);  // registers the spans
+    obs::TimerStat& step = obs::timer("ns/step");
+    const std::int64_t step_count0 = step.count();
+    const double step_total0 = step.total_seconds();
+    std::int64_t count0[4];
+    double total0[4];
+    for (int p = 0; p < 4; ++p) {
+      count0[p] = obs::timer(kPhases[p]).count();
+      total0[p] = obs::timer(kPhases[p]).total_seconds();
+    }
+    constexpr index_t kSteps = 5;
+    solver.step(kSteps);
+    EXPECT_EQ(step.count() - step_count0, 1);
+    double phases = 0.0;
+    for (int p = 0; p < 4; ++p) {
+      const obs::TimerStat& t = obs::timer(kPhases[p]);
+      EXPECT_EQ(t.count() - count0[p], 4 * kSteps)
+          << kPhases[p] << " width " << width;
+      phases += t.total_seconds() - total0[p];
+    }
+    EXPECT_GT(phases, 0.0);
+    EXPECT_LE(phases, step.total_seconds() - step_total0) << "width " << width;
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(NsSolver, CrossSchemeAgreementShortTime) {

@@ -368,6 +368,37 @@ TEST_F(ServeFixture, AdmissionRejectsAtQueueCapAndRecovers) {
   EXPECT_GE(latency.p99_ms, latency.p50_ms);
 }
 
+TEST_F(ServeFixture, LatencyGaugesMatchStatsAfterStaggeredCompletions) {
+  // Sessions of one, two and three scheduling windows, admitted in two
+  // waves, retire in different rounds; after every round the p50/p99
+  // gauges equal latency_stats() read off the sorted history.
+  serve::RolloutServer server(fno_prop_, &pde_prop_, serve::ServeConfig{});
+  const obs::Gauge& p50 = obs::gauge("serve/latency_p50_ms");
+  const obs::Gauge& p99 = obs::gauge("serve/latency_p99_ms");
+  for (const index_t steps : {index_t{30}, index_t{10}, index_t{20}}) {
+    ASSERT_TRUE(server.submit(request_for(401 + steps, steps)).admitted);
+  }
+  std::int64_t completed = 0;
+  for (int round = 0; server.step(); ++round) {
+    if (round == 0) {
+      ASSERT_TRUE(server.submit(request_for(457, 10)).admitted);
+      ASSERT_TRUE(server.submit(request_for(461, 30)).admitted);
+    }
+    const serve::RolloutServer::LatencyStats stats = server.latency_stats();
+    EXPECT_GE(stats.completed, completed);
+    completed = stats.completed;
+    if (completed == 0) continue;
+    EXPECT_EQ(p50.value(), stats.p50_ms) << "round " << round;
+    EXPECT_EQ(p99.value(), stats.p99_ms) << "round " << round;
+    EXPECT_LE(stats.p50_ms, stats.p99_ms);
+    EXPECT_LE(stats.p99_ms, stats.max_ms);
+  }
+  const serve::RolloutServer::LatencyStats stats = server.latency_stats();
+  EXPECT_EQ(stats.completed, 5);
+  EXPECT_EQ(p50.value(), stats.p50_ms);
+  EXPECT_EQ(p99.value(), stats.p99_ms);
+}
+
 TEST_F(ServeFixture, InvalidRequestsRejectWithReasonInsteadOfThrowing) {
   // One validator: every invalid request is rejected by submit() and throws
   // from run_rollout() with the same reason.
