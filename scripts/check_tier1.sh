@@ -58,6 +58,10 @@
 #     a divergent hybrid rollout (guard must trip, trajectory must stay
 #     finite, PDE fallback windows must appear); the exported robust/*
 #     counters are asserted, fallback windows and fallback snapshots both.
+#     The fallback windows restart the spectral solver from finite
+#     snapshots, so its gradient kernel must never drop to the pinned loop
+#     (ns/grad_fallbacks == 0); ns/steps > 0 shows that a spectral solver
+#     stepped, so that count means something.
 #  7. Optionally (TURBFNO_TIER1_SANITIZE=1), an AddressSanitizer + UBSan
 #     build of the test suite in a sibling build dir, with ctest run once.
 #
@@ -304,6 +308,9 @@ assert c["robust/guard_trips"] >= 1, "rollout guard never tripped"
 assert c["robust/fallback_windows"] >= 1, "no PDE fallback windows recorded"
 assert c["robust/fallback_snapshots"] >= 1, "no PDE fallback snapshots recorded"
 assert c["robust/checkpoint_writes"] >= 1, "no atomic checkpoint writes recorded"
+assert c.get("ns/steps", 0) > 0, "no spectral solver stepped"
+assert c["ns/grad_fallbacks"] == 0, \
+    "the gradient kernel fell back to the pinned loop on finite snapshots"
 EOF
 
 if [[ "${TURBFNO_TIER1_SANITIZE:-0}" == "1" ]]; then

@@ -18,6 +18,11 @@
 //     scalar path) and every (base, j) butterfly touches only its own pair,
 //     so results are independent of threading (plans already run per line)
 //     and identical for every caller of the same plan.
+//   * Stage pairs: the lane-batched path runs two consecutive stages per
+//     pass (radix2_pair_lanes). Each butterfly keeps its inputs, twiddle,
+//     expression (butterfly_lanes, shared with radix2_stage_lanes) and
+//     stage order; only the rows' round trip to memory between the two
+//     stages is gone, so a pair has the bits of two single stages.
 //   * rfft unpack: every bin k in [1, h-1] is computed by the same code
 //     regardless of the ModeMask — the vector body evaluates all lanes and
 //     _mm256_maskstore writes only the kept bins, leaving skipped slots
@@ -372,6 +377,44 @@ namespace turb::fft::avx2 {
 // identical to the single-line avx2 result. Ragged lane tails run one
 // masked vector in the butterflies (the masked-off lanes compute on zeros
 // and are never stored) and a cmul_fused scalar loop in the unpack/pack.
+// PlanC2C::execute_batch runs the butterfly stages as fused pairs
+// (radix2_pair_lanes, below), then one radix2_stage_lanes stage when
+// log2 n is odd.
+
+// w (conjugated when inverse) as broadcast real and imaginary parts.
+[[gnu::target("avx2,fma")]] inline void broadcast_twiddle(
+    std::complex<float> w, bool inverse, __m256& wr, __m256& wi) {
+  if (inverse) w = std::conj(w);
+  wr = _mm256_set1_ps(w.real());
+  wi = _mm256_set1_ps(w.imag());
+}
+
+[[gnu::target("avx2,fma")]] inline void broadcast_twiddle(
+    std::complex<double> w, bool inverse, __m256d& wr, __m256d& wi) {
+  if (inverse) w = std::conj(w);
+  wr = _mm256_set1_pd(w.real());
+  wi = _mm256_set1_pd(w.imag());
+}
+
+// One butterfly across lanes: (u, v) ← (u + w·v, u − w·v), with w·v the
+// fmaddsub product of the within-line kernels.
+[[gnu::target("avx2,fma")]] inline void butterfly_lanes(__m256& u, __m256& v,
+                                                       __m256 wr, __m256 wi) {
+  const __m256 vs = _mm256_permute_ps(v, 0xB1);
+  const __m256 t = _mm256_fmaddsub_ps(wr, v, _mm256_mul_ps(wi, vs));
+  v = _mm256_sub_ps(u, t);
+  u = _mm256_add_ps(u, t);
+}
+
+[[gnu::target("avx2,fma")]] inline void butterfly_lanes(__m256d& u,
+                                                       __m256d& v,
+                                                       __m256d wr,
+                                                       __m256d wi) {
+  const __m256d vs = _mm256_permute_pd(v, 0x5);
+  const __m256d t = _mm256_fmaddsub_pd(wr, v, _mm256_mul_pd(wi, vs));
+  v = _mm256_sub_pd(u, t);
+  u = _mm256_add_pd(u, t);
+}
 
 [[gnu::target("avx2,fma")]] inline void radix2_stage_lanes(
     std::complex<float>* x, index_t n, index_t len,
@@ -384,27 +427,23 @@ namespace turb::fft::avx2 {
   float* xf = reinterpret_cast<float*>(x);
   for (index_t base = 0; base < n; base += len) {
     for (index_t j = 0; j < half; ++j) {
-      std::complex<float> w = tw[j];
-      if (inverse) w = std::conj(w);
-      const __m256 wr = _mm256_set1_ps(w.real());
-      const __m256 wi = _mm256_set1_ps(w.imag());
+      __m256 wr, wi;
+      broadcast_twiddle(tw[j], inverse, wr, wi);
       float* top = xf + 2 * (base + j) * stride;
       float* bot = xf + 2 * (base + j + half) * stride;
       for (index_t l = 0; l < full; l += 4) {
-        const __m256 u = _mm256_loadu_ps(top + 2 * l);
-        const __m256 vin = _mm256_loadu_ps(bot + 2 * l);
-        const __m256 vs = _mm256_permute_ps(vin, 0xB1);
-        const __m256 v = _mm256_fmaddsub_ps(wr, vin, _mm256_mul_ps(wi, vs));
-        _mm256_storeu_ps(top + 2 * l, _mm256_add_ps(u, v));
-        _mm256_storeu_ps(bot + 2 * l, _mm256_sub_ps(u, v));
+        __m256 u = _mm256_loadu_ps(top + 2 * l);
+        __m256 v = _mm256_loadu_ps(bot + 2 * l);
+        butterfly_lanes(u, v, wr, wi);
+        _mm256_storeu_ps(top + 2 * l, u);
+        _mm256_storeu_ps(bot + 2 * l, v);
       }
       if (full < nl) {
-        const __m256 u = _mm256_maskload_ps(top + 2 * full, tail);
-        const __m256 vin = _mm256_maskload_ps(bot + 2 * full, tail);
-        const __m256 vs = _mm256_permute_ps(vin, 0xB1);
-        const __m256 v = _mm256_fmaddsub_ps(wr, vin, _mm256_mul_ps(wi, vs));
-        _mm256_maskstore_ps(top + 2 * full, tail, _mm256_add_ps(u, v));
-        _mm256_maskstore_ps(bot + 2 * full, tail, _mm256_sub_ps(u, v));
+        __m256 u = _mm256_maskload_ps(top + 2 * full, tail);
+        __m256 v = _mm256_maskload_ps(bot + 2 * full, tail);
+        butterfly_lanes(u, v, wr, wi);
+        _mm256_maskstore_ps(top + 2 * full, tail, u);
+        _mm256_maskstore_ps(bot + 2 * full, tail, v);
       }
     }
   }
@@ -420,27 +459,133 @@ namespace turb::fft::avx2 {
   double* xd = reinterpret_cast<double*>(x);
   for (index_t base = 0; base < n; base += len) {
     for (index_t j = 0; j < half; ++j) {
-      std::complex<double> w = tw[j];
-      if (inverse) w = std::conj(w);
-      const __m256d wr = _mm256_set1_pd(w.real());
-      const __m256d wi = _mm256_set1_pd(w.imag());
+      __m256d wr, wi;
+      broadcast_twiddle(tw[j], inverse, wr, wi);
       double* top = xd + 2 * (base + j) * stride;
       double* bot = xd + 2 * (base + j + half) * stride;
       for (index_t l = 0; l < full; l += 2) {
-        const __m256d u = _mm256_loadu_pd(top + 2 * l);
-        const __m256d vin = _mm256_loadu_pd(bot + 2 * l);
-        const __m256d vs = _mm256_permute_pd(vin, 0x5);
-        const __m256d v = _mm256_fmaddsub_pd(wr, vin, _mm256_mul_pd(wi, vs));
-        _mm256_storeu_pd(top + 2 * l, _mm256_add_pd(u, v));
-        _mm256_storeu_pd(bot + 2 * l, _mm256_sub_pd(u, v));
+        __m256d u = _mm256_loadu_pd(top + 2 * l);
+        __m256d v = _mm256_loadu_pd(bot + 2 * l);
+        butterfly_lanes(u, v, wr, wi);
+        _mm256_storeu_pd(top + 2 * l, u);
+        _mm256_storeu_pd(bot + 2 * l, v);
       }
       if (full < nl) {
-        const __m256d u = _mm256_maskload_pd(top + 2 * full, tail);
-        const __m256d vin = _mm256_maskload_pd(bot + 2 * full, tail);
-        const __m256d vs = _mm256_permute_pd(vin, 0x5);
-        const __m256d v = _mm256_fmaddsub_pd(wr, vin, _mm256_mul_pd(wi, vs));
-        _mm256_maskstore_pd(top + 2 * full, tail, _mm256_add_pd(u, v));
-        _mm256_maskstore_pd(bot + 2 * full, tail, _mm256_sub_pd(u, v));
+        __m256d u = _mm256_maskload_pd(top + 2 * full, tail);
+        __m256d v = _mm256_maskload_pd(bot + 2 * full, tail);
+        butterfly_lanes(u, v, wr, wi);
+        _mm256_maskstore_pd(top + 2 * full, tail, u);
+        _mm256_maskstore_pd(bot + 2 * full, tail, v);
+      }
+    }
+  }
+}
+
+// Two consecutive butterfly stages in one pass: stage `len` (half h,
+// twiddles tw_a) then stage 2·len (half 2h, twiddles tw_b). Rows j, j+h,
+// j+2h, j+3h of each 4h block are closed under both stages, so they are
+// loaded once, run the four butterflies of the two radix2_stage_lanes
+// calls (the same broadcast twiddles and butterfly_lanes, in the same
+// stage order) in registers, and are stored once: half the loads and
+// stores, and the bits of the two calls.
+
+[[gnu::target("avx2,fma")]] inline void radix2_pair_lanes(
+    std::complex<float>* x, index_t n, index_t len,
+    const std::complex<float>* tw_a, const std::complex<float>* tw_b,
+    index_t nl, index_t stride, bool inverse) {
+  const index_t h = len / 2;
+  const index_t full = nl - nl % 4;
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(2 * (nl - full))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  float* xf = reinterpret_cast<float*>(x);
+  for (index_t base = 0; base < n; base += 2 * len) {
+    for (index_t j = 0; j < h; ++j) {
+      __m256 ar, ai, br, bi, cr, ci;
+      broadcast_twiddle(tw_a[j], inverse, ar, ai);
+      broadcast_twiddle(tw_b[j], inverse, br, bi);
+      broadcast_twiddle(tw_b[j + h], inverse, cr, ci);
+      float* r0 = xf + 2 * (base + j) * stride;
+      float* r1 = r0 + 2 * h * stride;
+      float* r2 = r1 + 2 * h * stride;
+      float* r3 = r2 + 2 * h * stride;
+      for (index_t l = 0; l < full; l += 4) {
+        __m256 x0 = _mm256_loadu_ps(r0 + 2 * l);
+        __m256 x1 = _mm256_loadu_ps(r1 + 2 * l);
+        __m256 x2 = _mm256_loadu_ps(r2 + 2 * l);
+        __m256 x3 = _mm256_loadu_ps(r3 + 2 * l);
+        butterfly_lanes(x0, x1, ar, ai);
+        butterfly_lanes(x2, x3, ar, ai);
+        butterfly_lanes(x0, x2, br, bi);
+        butterfly_lanes(x1, x3, cr, ci);
+        _mm256_storeu_ps(r0 + 2 * l, x0);
+        _mm256_storeu_ps(r1 + 2 * l, x1);
+        _mm256_storeu_ps(r2 + 2 * l, x2);
+        _mm256_storeu_ps(r3 + 2 * l, x3);
+      }
+      if (full < nl) {
+        __m256 x0 = _mm256_maskload_ps(r0 + 2 * full, tail);
+        __m256 x1 = _mm256_maskload_ps(r1 + 2 * full, tail);
+        __m256 x2 = _mm256_maskload_ps(r2 + 2 * full, tail);
+        __m256 x3 = _mm256_maskload_ps(r3 + 2 * full, tail);
+        butterfly_lanes(x0, x1, ar, ai);
+        butterfly_lanes(x2, x3, ar, ai);
+        butterfly_lanes(x0, x2, br, bi);
+        butterfly_lanes(x1, x3, cr, ci);
+        _mm256_maskstore_ps(r0 + 2 * full, tail, x0);
+        _mm256_maskstore_ps(r1 + 2 * full, tail, x1);
+        _mm256_maskstore_ps(r2 + 2 * full, tail, x2);
+        _mm256_maskstore_ps(r3 + 2 * full, tail, x3);
+      }
+    }
+  }
+}
+
+[[gnu::target("avx2,fma")]] inline void radix2_pair_lanes(
+    std::complex<double>* x, index_t n, index_t len,
+    const std::complex<double>* tw_a, const std::complex<double>* tw_b,
+    index_t nl, index_t stride, bool inverse) {
+  const index_t h = len / 2;
+  const index_t full = nl - nl % 2;
+  const __m256i tail = _mm256_setr_epi64x(-1, -1, 0, 0);
+  double* xd = reinterpret_cast<double*>(x);
+  for (index_t base = 0; base < n; base += 2 * len) {
+    for (index_t j = 0; j < h; ++j) {
+      __m256d ar, ai, br, bi, cr, ci;
+      broadcast_twiddle(tw_a[j], inverse, ar, ai);
+      broadcast_twiddle(tw_b[j], inverse, br, bi);
+      broadcast_twiddle(tw_b[j + h], inverse, cr, ci);
+      double* r0 = xd + 2 * (base + j) * stride;
+      double* r1 = r0 + 2 * h * stride;
+      double* r2 = r1 + 2 * h * stride;
+      double* r3 = r2 + 2 * h * stride;
+      for (index_t l = 0; l < full; l += 2) {
+        __m256d x0 = _mm256_loadu_pd(r0 + 2 * l);
+        __m256d x1 = _mm256_loadu_pd(r1 + 2 * l);
+        __m256d x2 = _mm256_loadu_pd(r2 + 2 * l);
+        __m256d x3 = _mm256_loadu_pd(r3 + 2 * l);
+        butterfly_lanes(x0, x1, ar, ai);
+        butterfly_lanes(x2, x3, ar, ai);
+        butterfly_lanes(x0, x2, br, bi);
+        butterfly_lanes(x1, x3, cr, ci);
+        _mm256_storeu_pd(r0 + 2 * l, x0);
+        _mm256_storeu_pd(r1 + 2 * l, x1);
+        _mm256_storeu_pd(r2 + 2 * l, x2);
+        _mm256_storeu_pd(r3 + 2 * l, x3);
+      }
+      if (full < nl) {
+        __m256d x0 = _mm256_maskload_pd(r0 + 2 * full, tail);
+        __m256d x1 = _mm256_maskload_pd(r1 + 2 * full, tail);
+        __m256d x2 = _mm256_maskload_pd(r2 + 2 * full, tail);
+        __m256d x3 = _mm256_maskload_pd(r3 + 2 * full, tail);
+        butterfly_lanes(x0, x1, ar, ai);
+        butterfly_lanes(x2, x3, ar, ai);
+        butterfly_lanes(x0, x2, br, bi);
+        butterfly_lanes(x1, x3, cr, ci);
+        _mm256_maskstore_pd(r0 + 2 * full, tail, x0);
+        _mm256_maskstore_pd(r1 + 2 * full, tail, x1);
+        _mm256_maskstore_pd(r2 + 2 * full, tail, x2);
+        _mm256_maskstore_pd(r3 + 2 * full, tail, x3);
       }
     }
   }

@@ -14,6 +14,11 @@
 // per-stage contiguous twiddle tables (stage_tw_, copied bitwise from
 // twiddle_ at plan build) instead of the strided twiddle_[j*step] walk.
 // Bluestein lengths reach the dispatch through their power-of-two sub-plan.
+// The lane-batched avx2 path (forward_batch / inverse_batch) runs the
+// stages two at a time, stages len and 2·len in one pass over the rows
+// (avx2::radix2_pair_lanes), and the last stage alone when log2 n is odd:
+// the same butterflies in the same order, so the bits of one stage per
+// pass, at half the row loads and stores.
 #pragma once
 
 #include <algorithm>
@@ -315,10 +320,18 @@ class PlanC2C {
             std::swap_ranges(a, a + nlanes, dst + r * stride);
           }
         }
-        for (index_t len = 2; len <= n_; len <<= 1) {
-          const index_t half = len / 2;
-          avx2::radix2_stage_lanes(dst, n_, len, stage_tw_.data() + (half - 1),
-                                   nlanes, stride, inverse);
+        // Stages in pairs (len, 2·len), each pair one pass over the rows;
+        // a lone last stage when log2 n is odd.
+        // Stage len's twiddles start at stage_tw_[len/2 - 1].
+        const cpx* tw = stage_tw_.data();
+        index_t len = 2;
+        for (; 2 * len <= n_; len <<= 2) {
+          avx2::radix2_pair_lanes(dst, n_, len, tw + (len / 2 - 1),
+                                  tw + (len - 1), nlanes, stride, inverse);
+        }
+        if (len <= n_) {
+          avx2::radix2_stage_lanes(dst, n_, len, tw + (len / 2 - 1), nlanes,
+                                   stride, inverse);
         }
         if (inverse) {
           // Componentwise scaling is exact arithmetic-shape-wise: one

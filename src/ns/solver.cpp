@@ -5,6 +5,7 @@
 #include <string>
 
 #include "fft/fftnd.hpp"
+#include "ns/gradient.hpp"
 #include "ns/spectral_ops.hpp"
 #include "obs/obs.hpp"
 
@@ -50,21 +51,24 @@ SpectralNsSolver::SpectralNsSolver(NsConfig config)
   for (index_t ix = 0; ix < nxr; ++ix) kx_[ix] = kTwoPi * deriv_freq(ix, n);
   for (index_t iy = 0; iy < n; ++iy) ky_[iy] = kTwoPi * deriv_freq(iy, n);
 
-  // ν·k² and the 2/3-rule flags take the signed frequency, Nyquist
-  // included; only the derivative tables above zero the Nyquist mode.
+  // ν·k² and the 2/3 rule take the signed frequency, Nyquist included;
+  // only the derivative tables above zero the Nyquist mode. The rule keeps
+  // element (iy, ix) when |my| ≤ kcut and mx ≤ kcut: a prefix of each row.
   const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
                                       : static_cast<double>(n);
   nu_k2_.resize(static_cast<std::size_t>(n * nxr));
-  keep_.resize(static_cast<std::size_t>(n * nxr));
+  kept_cols_.assign(static_cast<std::size_t>(n), 0);
   for (index_t iy = 0; iy < n; ++iy) {
     const double my = fft_freq(iy, n);
     const double ky = kTwoPi * my;
     for (index_t ix = 0; ix < nxr; ++ix) {
       const double mx = static_cast<double>(ix);
       const double kx = kTwoPi * mx;
-      const auto i = static_cast<std::size_t>(iy * nxr + ix);
-      nu_k2_[i] = config_.viscosity * (kx * kx + ky * ky);
-      keep_[i] = (std::abs(my) > kcut || mx > kcut) ? 0 : 1;
+      nu_k2_[static_cast<std::size_t>(iy * nxr + ix)] =
+          config_.viscosity * (kx * kx + ky * ky);
+      if (std::abs(my) <= kcut && mx <= kcut) {
+        ++kept_cols_[static_cast<std::size_t>(iy)];
+      }
     }
   }
 
@@ -104,7 +108,6 @@ void SpectralNsSolver::fit_line_scratch(const ThreadPool& pool) {
 void SpectralNsSolver::rhs(ThreadPool& pool, const SpecD& what, SpecD& out) {
   const index_t n = config_.n;
   const index_t nxr = n / 2 + 1;
-  const index_t plane = n * nxr;
   const index_t z_len = (n / 2) * fft::kMaxLanes;
   const std::size_t per_slot = line_scratch_.size() / slots_;
   const auto scratch = [&] {
@@ -117,24 +120,7 @@ void SpectralNsSolver::rhs(ThreadPool& pool, const SpecD& what, SpecD& out) {
   {
     // Velocity and vorticity gradients in spectral space.
     TURB_TRACE_SCOPE("ns/grad");
-    cpx* u1h = grad_.data();
-    cpx* u2h = u1h + plane;
-    cpx* wxh = u2h + plane;
-    cpx* wyh = wxh + plane;
-    for (index_t iy = 0; iy < n; ++iy) {
-      const double ky = ky_[iy];
-      for (index_t ix = 0; ix < nxr; ++ix) {
-        const double kx = kx_[ix];
-        const double k2 = kx * kx + ky * ky;
-        const index_t i = iy * nxr + ix;
-        const cpx w = what[i];
-        const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
-        u1h[i] = cpx(0.0, ky) * psi;
-        u2h[i] = cpx(0.0, -kx) * psi;
-        wxh[i] = cpx(0.0, kx) * w;
-        wyh[i] = cpx(0.0, ky) * w;
-      }
-    }
+    spectral_gradients(what.data(), kx_.data(), ky_.data(), n, grad_.data());
   }
   {
     // The four inverse transforms as one: the y stage over the whole
@@ -167,16 +153,29 @@ void SpectralNsSolver::rhs(ThreadPool& pool, const SpecD& what, SpecD& out) {
                    scratch);
   }
 
-  // 2/3-rule dealiasing, then the forcing — after the mask, so a k_f above
-  // n/3 still drives the flow — then the viscous term.
-  for (index_t i = 0; i < plane; ++i) {
-    if (keep_[i] == 0) out[i] = 0.0;
+  // One pass per element: the 2/3-rule select, then the forcing — after
+  // the mask, so a k_f above n/3 still drives the flow, and twice at
+  // (n/2, 0) when k_f = n/2 makes rows k_f and n − k_f one row — then the
+  // viscous term. The rule keeps a prefix of each row.
+  const bool forced = config_.forcing_amplitude != 0.0;
+  const index_t kf = config_.forcing_k;
+  for (index_t iy = 0; iy < n; ++iy) {
+    cpx* o = out.data() + iy * nxr;
+    const cpx* w = what.data() + iy * nxr;
+    const double* nu = nu_k2_.data() + iy * nxr;
+    const index_t kept = kept_cols_[static_cast<std::size_t>(iy)];
+    const int hits = forced ? int{iy == kf} + int{iy == n - kf} : 0;
+    index_t ix = 0;
+    if (hits > 0) {
+      cpx v = kept > 0 ? o[0] : cpx(0.0);
+      for (int h = 0; h < hits; ++h) v += forcing_coeff_;
+      v -= nu[0] * w[0];
+      o[0] = v;
+      ix = 1;
+    }
+    for (; ix < kept; ++ix) o[ix] -= nu[ix] * w[ix];
+    for (; ix < nxr; ++ix) o[ix] = cpx(0.0) - nu[ix] * w[ix];
   }
-  if (config_.forcing_amplitude != 0.0) {
-    out(config_.forcing_k, index_t{0}) += forcing_coeff_;
-    out(n - config_.forcing_k, index_t{0}) += forcing_coeff_;
-  }
-  for (index_t i = 0; i < plane; ++i) out[i] -= nu_k2_[i] * what[i];
 }
 
 void SpectralNsSolver::step(index_t steps) {

@@ -103,7 +103,7 @@ class SpectralNsSolver final : public NsSolver {
   // Plan tables, (n, n/2+1) spectrum layout.
   std::vector<double> kx_, ky_;  ///< 2π·deriv_freq per column / row
   std::vector<double> nu_k2_;    ///< ν·k² (k from fft_freq) per element
-  std::vector<std::uint8_t> keep_;  ///< 2/3-rule flag per element
+  std::vector<index_t> kept_cols_;  ///< per row, columns the 2/3 rule keeps
   double forcing_coeff_ = 0.0;      ///< F̂ at rows ±k_f, column 0
   std::vector<cpx> rfft_tw_, irfft_tw_;
   fft::C2cStage c2c_;       ///< y-axis stage of one spectrum

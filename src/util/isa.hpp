@@ -2,13 +2,15 @@
 //
 // The library ships two implementations of every hot kernel family (the GEMM
 // register panels in tensor/gemm.hpp, the radix-2 c2c butterflies in
-// fft/plan.hpp, the rfft/irfft unpack in fft/real.hpp, and the GELU
-// epilogue nn::gelu_tile in nn/activation.cpp):
+// fft/plan.hpp, the rfft/irfft unpack in fft/real.hpp, the GELU epilogue
+// nn::gelu_tile in nn/activation.cpp, and the spectral PDE step's gradient
+// pass ns::spectral_gradients in ns/gradient.cpp):
 //
 //   * scalar — the portable C++ kernels. Always available, and the
 //     reference the determinism fixture dumps are pinned to (see
 //     tests/test_determinism.cpp).
-//   * avx2   — explicit AVX2/FMA intrinsics (AVX2 without FMA for GELU),
+//   * avx2   — explicit AVX2/FMA intrinsics (AVX2 without FMA for GELU and
+//     the gradient pass),
 //     compiled with per-function target attributes so the translation
 //     units themselves stay portable.
 //
@@ -28,9 +30,11 @@
 //     caller.
 //   Tier B (bounded, cross-ISA) — scalar and avx2 agree within a tested
 //     relative-error bound on every kernel (tests/test_isa.cpp); they are
-//     NOT bitwise identical (FMA fuses the multiply-add rounding). GELU is
-//     the exception: both tiers use plain multiplies and adds and an IEEE
-//     divide, so they are bitwise equal.
+//     NOT bitwise identical (FMA fuses the multiply-add rounding). GELU and
+//     the PDE gradient pass are the exceptions, bitwise equal across tiers:
+//     both GELU tiers use plain multiplies, adds and an IEEE divide, and
+//     the gradient pass's avx2 lanes give the bits of the pinned loop that
+//     its scalar tier runs (and fall back to it on NaN).
 //
 // Observability: the resolved choice is exported as the `isa/active` gauge
 // (0 = scalar, 1 = avx2) and every dispatch site bumps a per-family counter

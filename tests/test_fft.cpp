@@ -4,6 +4,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -629,48 +631,72 @@ std::vector<index_t> ragged_line_counts() {
   return counts;
 }
 
+/// Bitwise equality of two results, except that any NaN matches any NaN:
+/// which input NaN a NaN result carries depends on operand order, which
+/// is not part of the contract. Signed zeros and infinities must match.
+template <typename T>
+bool same_bits(std::complex<T> a, std::complex<T> b) {
+  const auto part = [](T x, T y) {
+    return (std::isnan(x) && std::isnan(y)) ||
+           std::memcmp(&x, &y, sizeof(T)) == 0;
+  };
+  return part(a.real(), b.real()) && part(a.imag(), b.imag());
+}
+
 template <typename T>
 void expect_plan_batch_bitwise() {
   using cpx = std::complex<T>;
   const index_t b = lane_count(util::active_isa());
-  // 16/64 take the radix-2 path, 10/12/15 the Bluestein path.
-  for (const index_t n : {index_t{16}, index_t{64}, index_t{10}, index_t{12},
-                          index_t{15}}) {
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  // Radix-2 lengths with even (4, 16, 64) and odd (2, 8, 32, 128) stage
+  // counts: the lane kernels run stage pairs, then one lone stage when the
+  // count is odd. 10/12/15 take the Bluestein path.
+  for (const index_t n :
+       {index_t{2}, index_t{4}, index_t{8}, index_t{16}, index_t{32},
+        index_t{64}, index_t{128}, index_t{10}, index_t{12}, index_t{15}}) {
     const PlanC2C<T> plan(n);
     for (const index_t nl :
          {index_t{1}, b - 1, b, std::min(b + 1, kMaxLanes)}) {
       if (nl < 1) continue;
-      Rng rng(50 + static_cast<std::uint64_t>(n * 16 + nl));
-      std::vector<cpx> batched(static_cast<std::size_t>(n * nl));
-      std::vector<cpx> ref(static_cast<std::size_t>(n * nl));
-      for (index_t l = 0; l < nl; ++l) {
-        for (index_t j = 0; j < n; ++j) {
-          const cpx v(static_cast<T>(rng.normal()),
-                      static_cast<T>(rng.normal()));
-          batched[static_cast<std::size_t>(j * nl + l)] = v;  // lane-interleaved
-          ref[static_cast<std::size_t>(l * n + j)] = v;       // line-major
-        }
-      }
-      for (const bool inverse : {false, true}) {
-        auto got = batched;
-        auto want = ref;
-        if (inverse) {
-          plan.inverse_batch(got.data(), got.data(), nl, nl);
-          for (index_t l = 0; l < nl; ++l) plan.inverse(want.data() + l * n);
-        } else {
-          plan.forward_batch(got.data(), got.data(), nl, nl);
-          for (index_t l = 0; l < nl; ++l) plan.forward(want.data() + l * n);
-        }
+      for (const bool special : {false, true}) {
+        Rng rng(50 + static_cast<std::uint64_t>(n * 16 + nl));
+        std::vector<cpx> batched(static_cast<std::size_t>(n * nl));
+        std::vector<cpx> ref(static_cast<std::size_t>(n * nl));
         for (index_t l = 0; l < nl; ++l) {
           for (index_t j = 0; j < n; ++j) {
-            const cpx g = got[static_cast<std::size_t>(j * nl + l)];
-            const cpx w = want[static_cast<std::size_t>(l * n + j)];
-            ASSERT_EQ(g.real(), w.real())
-                << "n=" << n << " nl=" << nl << " l=" << l << " j=" << j
-                << " inverse=" << inverse;
-            ASSERT_EQ(g.imag(), w.imag())
-                << "n=" << n << " nl=" << nl << " l=" << l << " j=" << j
-                << " inverse=" << inverse;
+            cpx v(static_cast<T>(rng.normal()), static_cast<T>(rng.normal()));
+            // Special lanes: every third lane holds one NaN, +inf or −inf
+            // element, the next lane only signed zeros.
+            if (special && l % 3 == 1 && j == l % n) {
+              const T s = (l % 9 == 1) ? nan : (l % 9 == 4 ? inf : -inf);
+              v = (l % 2 == 0) ? cpx(s, v.imag()) : cpx(v.real(), s);
+            } else if (special && l % 3 == 2) {
+              v = cpx((j % 2 == 0) ? T{0} : -T{0}, (j % 3 == 0) ? -T{0} : T{0});
+            }
+            batched[static_cast<std::size_t>(j * nl + l)] = v;  // interleaved
+            ref[static_cast<std::size_t>(l * n + j)] = v;       // line-major
+          }
+        }
+        for (const bool inverse : {false, true}) {
+          auto got = batched;
+          auto want = ref;
+          if (inverse) {
+            plan.inverse_batch(got.data(), got.data(), nl, nl);
+            for (index_t l = 0; l < nl; ++l) plan.inverse(want.data() + l * n);
+          } else {
+            plan.forward_batch(got.data(), got.data(), nl, nl);
+            for (index_t l = 0; l < nl; ++l) plan.forward(want.data() + l * n);
+          }
+          for (index_t l = 0; l < nl; ++l) {
+            for (index_t j = 0; j < n; ++j) {
+              const cpx g = got[static_cast<std::size_t>(j * nl + l)];
+              const cpx w = want[static_cast<std::size_t>(l * n + j)];
+              ASSERT_TRUE(same_bits(g, w))
+                  << "n=" << n << " nl=" << nl << " l=" << l << " j=" << j
+                  << " inverse=" << inverse << " special=" << special
+                  << " got=" << g << " want=" << w;
+            }
           }
         }
       }
@@ -887,7 +913,10 @@ void expect_column_stage_bitwise() {
   }
   std::uint64_t seed = 90;
   for (const Layout& layout : layouts) {
-    for (const index_t n : {index_t{16}, index_t{32}, index_t{12}}) {
+    // 2, 8, 32 and 128 have odd stage counts (stage pairs, then a lone
+    // stage on avx2), 16 an even one, 12 is Bluestein.
+    for (const index_t n : {index_t{16}, index_t{32}, index_t{12}, index_t{2},
+                            index_t{8}, index_t{128}}) {
       for (const index_t outer : {index_t{1}, index_t{3}}) {
         const C2cStage st{n, outer, layout.inner, layout.keep};
         const index_t size = outer * n * layout.inner;

@@ -3,12 +3,15 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <numbers>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fft/fftnd.hpp"
 #include "lbm/initializer.hpp"
+#include "ns/gradient.hpp"
 #include "ns/solver.hpp"
 #include "ns/spectral_ops.hpp"
 #include "obs/obs.hpp"
@@ -320,16 +323,23 @@ INSTANTIATE_TEST_SUITE_P(Schemes, NsScheme,
 
 // --- bitwise oracle for the planned spectral step -----------------------------
 
+/// Where ReferenceSpectralStep adds the forcing: before the 2/3-rule mask,
+/// as the pre-plan step did (the verbatim default), or after it, the
+/// solver's mask → forcing → viscous order.
+enum class ForcingOrder { kBeforeMask, kAfterMask };
+
 /// The spectral RK4 step as it was before the solver planned its grid: every
 /// stage builds fresh tensors and runs fft::rfftn / fft::irfftn. Kept
 /// verbatim (per-element expressions, their order, the forcing added before
 /// the 2/3-rule mask) as the byte-level reference for SpectralNsSolver.
 /// Because of that forcing order it agrees with the solver only while
-/// k_f ≤ n/3 or dealiasing is off.
+/// k_f ≤ n/3 or dealiasing is off; ForcingOrder::kAfterMask moves the
+/// forcing block after the mask and covers the rest.
 class ReferenceSpectralStep {
  public:
-  explicit ReferenceSpectralStep(NsConfig config)
-      : config_(config), what_({config.n, config.n / 2 + 1}) {}
+  explicit ReferenceSpectralStep(NsConfig config,
+                                 ForcingOrder order = ForcingOrder::kBeforeMask)
+      : config_(config), order_(order), what_({config.n, config.n / 2 + 1}) {}
 
   void set_vorticity(const TensorD& omega) { what_ = fft::rfftn(omega, 2); }
 
@@ -372,14 +382,17 @@ class ReferenceSpectralStep {
     }
     SpecD advh = fft::rfftn(adv, 2);
 
-    if (config_.forcing_amplitude != 0.0) {
-      const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
-      const double coeff = -config_.forcing_amplitude * kf *
-                           static_cast<double>(n) * static_cast<double>(n) /
-                           2.0;
-      advh(config_.forcing_k, index_t{0}) += coeff;
-      advh(n - config_.forcing_k, index_t{0}) += coeff;
-    }
+    const auto add_forcing = [&] {
+      if (config_.forcing_amplitude != 0.0) {
+        const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
+        const double coeff = -config_.forcing_amplitude * kf *
+                             static_cast<double>(n) * static_cast<double>(n) /
+                             2.0;
+        advh(config_.forcing_k, index_t{0}) += coeff;
+        advh(n - config_.forcing_k, index_t{0}) += coeff;
+      }
+    };
+    if (order_ == ForcingOrder::kBeforeMask) add_forcing();
 
     const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
                                         : static_cast<double>(n);
@@ -392,6 +405,7 @@ class ReferenceSpectralStep {
         }
       }
     }
+    if (order_ == ForcingOrder::kAfterMask) add_forcing();
     return advh;
   }
 
@@ -426,6 +440,7 @@ class ReferenceSpectralStep {
   }
 
   NsConfig config_;
+  ForcingOrder order_;
   SpecD what_;
 };
 
@@ -443,11 +458,34 @@ bool same_bytes(const TensorD& a, const TensorD& b) {
                                                  a.size())) == 0;
 }
 
+/// Runs SpectralNsSolver from `w0` for `steps` steps with lane batching on
+/// and off at pool widths 1 and 4, and compares its vorticity bytes with
+/// `expected`.
+void expect_planned_step_bytes(const NsConfig& cfg, const TensorD& w0,
+                               index_t steps, const TensorD& expected,
+                               const std::string& label) {
+  for (const bool batching : {true, false}) {
+    fft::ScopedLineBatching lanes(batching);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool::Scope scope(width);
+      SpectralNsSolver solver(cfg);
+      solver.set_vorticity(w0);
+      solver.step(steps);
+      EXPECT_TRUE(same_bytes(solver.vorticity(), expected))
+          << label << " batching=" << batching << " width=" << width;
+    }
+  }
+}
+
 TEST(NsSolver, PlannedStepMatchesReferenceBitwise) {
   // Trajectory bytes of the spectral solver are pinned to the reference
   // step above: every runnable ISA, lane batching on and off, pool widths 1
   // and 4, power-of-two grids and a Bluestein one (n = 48), both dealias
-  // settings, with and without forcing (k_f = 4 ≤ n/3).
+  // settings, forcing off and on at k_f = 4 ≤ n/3, and with dealiasing off
+  // at k_f = n/2, where rows k_f and n − k_f are one row and take F̂ twice.
+  // The fields are finite, so the gradient kernel never falls back.
+  obs::Counter& fallbacks = obs::counter("ns/grad_fallbacks");
+  const std::int64_t fallbacks0 = fallbacks.value();
   for (const util::Isa isa : runnable_isas()) {
     util::ScopedIsa forced(isa);
     for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
@@ -455,33 +493,207 @@ TEST(NsSolver, PlannedStepMatchesReferenceBitwise) {
       const auto field = lbm::random_vortex_velocity(n, n, 3.0, 1.0, rng);
       const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
       for (const bool dealias : {true, false}) {
-        for (const double amplitude : {0.0, 0.5}) {
+        std::vector<std::pair<double, index_t>> forcings = {{0.0, 4},
+                                                            {0.5, 4}};
+        if (!dealias) forcings.emplace_back(0.5, n / 2);
+        for (const auto& [amplitude, kf] : forcings) {
           NsConfig cfg;
           cfg.n = n;
           cfg.viscosity = 1e-3;
           cfg.dt = 1e-3;
           cfg.dealias = dealias;
           cfg.forcing_amplitude = amplitude;
-          cfg.forcing_k = 4;
+          cfg.forcing_k = kf;
           ReferenceSpectralStep reference(cfg);
           reference.set_vorticity(w0);
           reference.step(50);
-          const TensorD expected = reference.vorticity();
-          for (const bool batching : {true, false}) {
-            fft::ScopedLineBatching lanes(batching);
-            for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-              ThreadPool::Scope scope(width);
-              SpectralNsSolver solver(cfg);
-              solver.set_vorticity(w0);
-              solver.step(50);
-              EXPECT_TRUE(same_bytes(solver.vorticity(), expected))
-                  << util::isa_name(isa) << " n=" << n
-                  << " dealias=" << dealias << " forcing=" << amplitude
-                  << " batching=" << batching << " width=" << width;
+          std::ostringstream label;
+          label << util::isa_name(isa) << " n=" << n << " dealias=" << dealias
+                << " forcing=" << amplitude << " k_f=" << kf;
+          expect_planned_step_bytes(cfg, w0, 50, reference.vorticity(),
+                                    label.str());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(fallbacks.value() - fallbacks0, 0);
+}
+
+TEST(NsSolver, PlannedStepMatchesMaskFirstOracleAboveCutoff) {
+  // With dealiasing on, a k_f above n/3 sits in the masked band, where the
+  // verbatim reference zeroes its forcing. The mask-first oracle (the
+  // select, then F̂, then −νk²ŵ) pins the solver's one-pass epilogue there:
+  // at k_f = n/3 + 1, and at k_f = n/2, where F̂ lands twice on row n/2.
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
+      Rng rng(201 + static_cast<std::uint64_t>(n));
+      const auto field = lbm::random_vortex_velocity(n, n, 3.0, 1.0, rng);
+      const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
+      for (const index_t kf : {n / 3 + 1, n / 2}) {
+        NsConfig cfg;
+        cfg.n = n;
+        cfg.viscosity = 1e-3;
+        cfg.dt = 1e-3;
+        cfg.forcing_amplitude = 0.5;
+        cfg.forcing_k = kf;
+        ReferenceSpectralStep oracle(cfg, ForcingOrder::kAfterMask);
+        oracle.set_vorticity(w0);
+        oracle.step(50);
+        std::ostringstream label;
+        label << util::isa_name(isa) << " n=" << n << " k_f=" << kf;
+        expect_planned_step_bytes(cfg, w0, 50, oracle.vorticity(),
+                                  label.str());
+      }
+    }
+  }
+}
+
+// --- the gradient kernel ------------------------------------------------------
+
+using cpx = std::complex<double>;
+
+/// The gradient loop as SpectralNsSolver ran it before the lane kernel,
+/// verbatim: GCC's complex products, __muldc3 branch included.
+void pinned_gradient_loop(const cpx* what, const double* kx_tab,
+                          const double* ky_tab, index_t n, cpx* grad) {
+  const index_t nxr = n / 2 + 1;
+  const index_t plane = n * nxr;
+  cpx* u1h = grad;
+  cpx* u2h = u1h + plane;
+  cpx* wxh = u2h + plane;
+  cpx* wyh = wxh + plane;
+  for (index_t iy = 0; iy < n; ++iy) {
+    const double ky = ky_tab[iy];
+    for (index_t ix = 0; ix < nxr; ++ix) {
+      const double kx = kx_tab[ix];
+      const double k2 = kx * kx + ky * ky;
+      const index_t i = iy * nxr + ix;
+      const cpx w = what[i];
+      const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
+      u1h[i] = cpx(0.0, ky) * psi;
+      u2h[i] = cpx(0.0, -kx) * psi;
+      wxh[i] = cpx(0.0, kx) * w;
+      wyh[i] = cpx(0.0, ky) * w;
+    }
+  }
+}
+
+/// Whether the fast path of those products, as plain real arithmetic
+/// ((0·zr − b·zi, 0·zi + b·zr), ψ as two real divisions), holds a NaN on
+/// the columns the avx2 lanes cover: each row's whole pairs.
+bool lane_gradients_hold_nan(const cpx* what, const double* kx_tab,
+                             const double* ky_tab, index_t n) {
+  const index_t nxr = n / 2 + 1;
+  const auto times_i = [](double b, cpx z) {
+    return cpx(0.0 * z.real() - b * z.imag(), 0.0 * z.imag() + b * z.real());
+  };
+  const auto nan = [](cpx z) {
+    return std::isnan(z.real()) || std::isnan(z.imag());
+  };
+  for (index_t iy = 0; iy < n; ++iy) {
+    const double ky = ky_tab[iy];
+    for (index_t ix = 0; ix < nxr - nxr % 2; ++ix) {
+      const double kx = kx_tab[ix];
+      const double k2 = kx * kx + ky * ky;
+      const cpx w = what[iy * nxr + ix];
+      const cpx psi = (k2 == 0.0) ? cpx(0.0, 0.0)
+                                  : cpx(w.real() / k2, w.imag() / k2);
+      if (nan(times_i(ky, psi)) || nan(times_i(-kx, psi)) ||
+          nan(times_i(kx, w)) || nan(times_i(ky, w))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(NsGradient, KernelMatchesPinnedLoopBitwise) {
+  // spectral_gradients against the pinned loop, byte for byte, on every
+  // runnable ISA. n/2+1 is 6 (whole pairs), 9 and 17 (a row tail). Each
+  // special value goes into the real part, the imaginary part or both, at
+  // both lane positions of the first pairs (column 0 of rows 0 and n/2 is
+  // k² = 0), the last pair and the tail, of the first, the Nyquist and the
+  // last row. On avx2 the fallback counter must advance exactly when the
+  // lanes' plain arithmetic would hold a NaN; the scalar tier runs the
+  // pinned loop and never counts.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             inf,
+                             -inf,
+                             0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -3.0e-310,
+                             std::numeric_limits<double>::max(),
+                             -1.0e300};
+  obs::Counter& fallbacks = obs::counter("ns/grad_fallbacks");
+  for (const util::Isa isa : runnable_isas()) {
+    util::ScopedIsa forced(isa);
+    std::int64_t fallback_cases = 0, recovered_cases = 0;
+    for (const index_t n : {index_t{10}, index_t{16}, index_t{32}}) {
+      const index_t nxr = n / 2 + 1;
+      const index_t plane = n * nxr;
+      std::vector<double> kx(static_cast<std::size_t>(nxr));
+      std::vector<double> ky(static_cast<std::size_t>(n));
+      for (index_t ix = 0; ix < nxr; ++ix) kx[ix] = kTwoPi * deriv_freq(ix, n);
+      for (index_t iy = 0; iy < n; ++iy) ky[iy] = kTwoPi * deriv_freq(iy, n);
+      Rng rng(300 + static_cast<std::uint64_t>(n));
+      std::vector<cpx> base(static_cast<std::size_t>(plane));
+      for (cpx& v : base) v = {10.0 * rng.normal(), 10.0 * rng.normal()};
+      std::vector<cpx> got(static_cast<std::size_t>(4 * plane));
+      std::vector<cpx> want(got.size());
+
+      const auto check = [&](const std::vector<cpx>& what,
+                             const std::string& label) {
+        const bool lane_nan =
+            isa == util::Isa::kAvx2 &&
+            lane_gradients_hold_nan(what.data(), kx.data(), ky.data(), n);
+        const std::int64_t before = fallbacks.value();
+        spectral_gradients(what.data(), kx.data(), ky.data(), n, got.data());
+        pinned_gradient_loop(what.data(), kx.data(), ky.data(), n,
+                             want.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(cpx) * got.size()),
+                  0)
+            << util::isa_name(isa) << " n=" << n << " " << label;
+        EXPECT_EQ(fallbacks.value() - before, lane_nan ? 1 : 0)
+            << util::isa_name(isa) << " n=" << n << " " << label;
+        if (lane_nan) {
+          ++fallback_cases;
+          bool pinned_nan = false;
+          for (const cpx& v : want) {
+            pinned_nan |= std::isnan(v.real()) || std::isnan(v.imag());
+          }
+          if (!pinned_nan) ++recovered_cases;
+        }
+      };
+
+      check(base, "finite");
+      const index_t cols[] = {0, 1, 2, 3, nxr - 2, nxr - 1};
+      const index_t rows[] = {0, n / 2, n - 1};
+      for (const double v : specials) {
+        for (int part = 0; part < 3; ++part) {
+          for (const index_t iy : rows) {
+            for (const index_t ix : cols) {
+              std::vector<cpx> what = base;
+              cpx& z = what[static_cast<std::size_t>(iy * nxr + ix)];
+              z = {part == 1 ? z.real() : v, part == 0 ? z.imag() : v};
+              std::ostringstream label;
+              label << "value=" << v << " part=" << part << " row=" << iy
+                    << " col=" << ix;
+              check(what, label.str());
             }
           }
         }
       }
+    }
+    // On avx2, non-finite inputs do reach the fallback, and (z = (±inf,
+    // ±inf), where __muldc3 recovers infinities from the fast path's NaN)
+    // it changes bits there.
+    if (isa == util::Isa::kAvx2) {
+      EXPECT_GT(fallback_cases, 0);
+      EXPECT_GT(recovered_cases, 0);
     }
   }
 }
