@@ -41,7 +41,9 @@
 #     two tiers give identical bits, so only its dispatch counters show
 #     which one ran: isa/gelu_dispatch_scalar must be exported, and on
 #     avx2+fma hosts isa/gelu_dispatch_avx2 must be > 0 (the bench forces
-#     each ISA the host runs).
+#     each ISA the host runs). On those hosts isa/gemm_dispatch_avx2 and
+#     isa/fft_dispatch_avx2 must be > 0 too, so the run shows that the
+#     templated avx2 GEMM and FFT kernels (util/avx2.hpp) ran.
 #  5. A serving smoke: bench_perf_serve at a tiny grid/horizon, asserting
 #     concurrent sessions are bitwise identical to sequential rollouts at
 #     pool widths 1 and 4, the saturation exercise bumps
@@ -219,6 +221,10 @@ c = json.load(open(sys.argv[1]))["counters"]
 if sys.argv[2] == "1":
     assert c.get("isa/gelu_dispatch_avx2", 0) > 0, \
         "the avx2 GELU kernel never ran on an avx2+fma host"
+    assert c.get("isa/gemm_dispatch_avx2", 0) > 0, \
+        "the avx2 GEMM kernels never ran on an avx2+fma host"
+    assert c.get("isa/fft_dispatch_avx2", 0) > 0, \
+        "the avx2 FFT kernels never ran on an avx2+fma host"
 EOF
 python3 - "$INFER_JSON" "$HOST_AVX2_FMA" <<'EOF'
 import json, sys

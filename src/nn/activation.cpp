@@ -3,13 +3,9 @@
 #include <cmath>
 
 #include "obs/obs.hpp"
+#include "util/avx2.hpp"
 #include "util/isa.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define TURBFNO_HAS_AVX2_KERNELS 1
-#include <immintrin.h>
-#endif
 
 namespace turb::nn {
 

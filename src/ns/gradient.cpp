@@ -1,12 +1,8 @@
 #include "ns/gradient.hpp"
 
 #include "obs/obs.hpp"
+#include "util/avx2.hpp"
 #include "util/isa.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define TURBFNO_HAS_AVX2_KERNELS 1
-#include <immintrin.h>
-#endif
 
 namespace turb::ns {
 

@@ -4,6 +4,8 @@
 // Compiled with per-function target attributes, so this header is safe to
 // include from TUs built without -mavx2; the functions must only be CALLED
 // when util::cpu_supports_avx2() is true (util::active_isa() guarantees it).
+// Each kernel is one template over float and double; util::Lanes<T>
+// (util/avx2.hpp) supplies the registers and intrinsics of each type.
 //
 // Determinism properties (DESIGN.md "Determinism tiers"):
 //
@@ -18,18 +20,16 @@
 //     fuses the multiply-add rounding the scalar kernels perform in two
 //     steps. tests/test_isa.cpp bounds the difference (Tier B).
 //
-// Column treatment mirrors the scalar panel layout: vector panels from
-// column 0 (grouped 4-wide for ILP — the grouping does not affect per-lane
-// arithmetic), then the scalar kernel's tail loop for the last n mod 8
-// (float) / n mod 4 (double) columns.
+// Column treatment mirrors the scalar panel layout: vector panels of
+// Lanes<T>::kReal columns from column 0 (grouped four registers wide for
+// ILP — the grouping does not affect per-lane arithmetic), then the scalar
+// kernel's tail loop for the last n mod kReal columns.
 #pragma once
 
+#include "util/avx2.hpp"
 #include "util/common.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#define TURBFNO_HAS_AVX2_KERNELS 1
-
-#include <immintrin.h>
+#if defined(TURBFNO_HAS_AVX2_KERNELS)
 
 namespace turb::detail::avx2 {
 
@@ -38,208 +38,89 @@ namespace turb::detail::avx2 {
 // ci[j] (+)= alpha * Σ_p a_of_p(p) * b[p·ldb + j]; one fused multiply-add
 // per (j, p) in ascending-p order.
 
-template <typename AOf>
-[[gnu::target("avx2,fma")]] inline void row_panels_f32(
-    index_t n, index_t k, float alpha, const AOf& a_of_p, const float* b,
-    index_t ldb, float beta, float* ci) {
-  index_t j0 = 0;
-  for (; j0 + 32 <= n; j0 += 32) {
-    float* c0 = ci + j0;
-    __m256 acc0, acc1, acc2, acc3;
-    if (beta == 0.0f) {
-      acc0 = acc1 = acc2 = acc3 = _mm256_setzero_ps();
-    } else if (beta == 1.0f) {
-      acc0 = _mm256_loadu_ps(c0);
-      acc1 = _mm256_loadu_ps(c0 + 8);
-      acc2 = _mm256_loadu_ps(c0 + 16);
-      acc3 = _mm256_loadu_ps(c0 + 24);
-    } else {
-      const __m256 vb = _mm256_set1_ps(beta);
-      acc0 = _mm256_mul_ps(vb, _mm256_loadu_ps(c0));
-      acc1 = _mm256_mul_ps(vb, _mm256_loadu_ps(c0 + 8));
-      acc2 = _mm256_mul_ps(vb, _mm256_loadu_ps(c0 + 16));
-      acc3 = _mm256_mul_ps(vb, _mm256_loadu_ps(c0 + 24));
-    }
-    for (index_t p = 0; p < k; ++p) {
-      const __m256 va = _mm256_set1_ps(alpha * a_of_p(p));
-      const float* bp = b + p * ldb + j0;
-      acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp), acc0);
-      acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 8), acc1);
-      acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 16), acc2);
-      acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 24), acc3);
-    }
-    _mm256_storeu_ps(c0, acc0);
-    _mm256_storeu_ps(c0 + 8, acc1);
-    _mm256_storeu_ps(c0 + 16, acc2);
-    _mm256_storeu_ps(c0 + 24, acc3);
+// G adjacent registers of C from column j0, each one accumulator held in a
+// register across the whole p loop.
+template <index_t G, typename T, typename AOf>
+[[gnu::target("avx2,fma")]] inline void panel_group(index_t j0, index_t k,
+                                                    T alpha, const AOf& a_of_p,
+                                                    const T* b, index_t ldb,
+                                                    T beta, T* ci) {
+  using L = util::Lanes<T>;
+  constexpr index_t w = L::kReal;
+  T* c0 = ci + j0;
+  typename L::reg acc[G];
+  if (beta == T{0}) {
+    for (index_t r = 0; r < G; ++r) acc[r] = L::zero();
+  } else if (beta == T{1}) {
+    for (index_t r = 0; r < G; ++r) acc[r] = L::load(c0 + r * w);
+  } else {
+    const auto vb = L::set1(beta);
+    for (index_t r = 0; r < G; ++r) acc[r] = L::mul(vb, L::load(c0 + r * w));
   }
-  for (; j0 + 8 <= n; j0 += 8) {
-    float* c0 = ci + j0;
-    __m256 acc;
-    if (beta == 0.0f) {
-      acc = _mm256_setzero_ps();
-    } else if (beta == 1.0f) {
-      acc = _mm256_loadu_ps(c0);
-    } else {
-      acc = _mm256_mul_ps(_mm256_set1_ps(beta), _mm256_loadu_ps(c0));
+  for (index_t p = 0; p < k; ++p) {
+    const auto va = L::set1(alpha * a_of_p(p));
+    const T* bp = b + p * ldb + j0;
+    for (index_t r = 0; r < G; ++r) {
+      acc[r] = L::fmadd(va, L::load(bp + r * w), acc[r]);
     }
-    for (index_t p = 0; p < k; ++p) {
-      const __m256 va = _mm256_set1_ps(alpha * a_of_p(p));
-      acc = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + p * ldb + j0), acc);
-    }
-    _mm256_storeu_ps(c0, acc);
+  }
+  for (index_t r = 0; r < G; ++r) L::store(c0 + r * w, acc[r]);
+}
+
+template <typename T, typename AOf>
+[[gnu::target("avx2,fma")]] inline void row_panels(index_t n, index_t k,
+                                                   T alpha, const AOf& a_of_p,
+                                                   const T* b, index_t ldb,
+                                                   T beta, T* ci) {
+  constexpr index_t w = util::Lanes<T>::kReal;
+  index_t j0 = 0;
+  for (; j0 + 4 * w <= n; j0 += 4 * w) {
+    panel_group<4>(j0, k, alpha, a_of_p, b, ldb, beta, ci);
+  }
+  for (; j0 + w <= n; j0 += w) {
+    panel_group<1>(j0, k, alpha, a_of_p, b, ldb, beta, ci);
   }
   if (j0 < n) {
     // Tail columns: the scalar kernel's in-memory tail loop.
     const index_t tail = n - j0;
-    float* ct = ci + j0;
-    if (beta == 0.0f) {
-      for (index_t j = 0; j < tail; ++j) ct[j] = 0.0f;
-    } else if (beta != 1.0f) {
+    T* ct = ci + j0;
+    if (beta == T{0}) {
+      for (index_t j = 0; j < tail; ++j) ct[j] = T{0};
+    } else if (beta != T{1}) {
       for (index_t j = 0; j < tail; ++j) ct[j] *= beta;
     }
     for (index_t p = 0; p < k; ++p) {
-      const float aip = alpha * a_of_p(p);
-      const float* bp = b + p * ldb + j0;
+      const T aip = alpha * a_of_p(p);
+      const T* bp = b + p * ldb + j0;
       for (index_t j = 0; j < tail; ++j) ct[j] += aip * bp[j];
     }
-  }
-}
-
-template <typename AOf>
-[[gnu::target("avx2,fma")]] inline void row_panels_f64(
-    index_t n, index_t k, double alpha, const AOf& a_of_p, const double* b,
-    index_t ldb, double beta, double* ci) {
-  index_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) {
-    double* c0 = ci + j0;
-    __m256d acc0, acc1, acc2, acc3;
-    if (beta == 0.0) {
-      acc0 = acc1 = acc2 = acc3 = _mm256_setzero_pd();
-    } else if (beta == 1.0) {
-      acc0 = _mm256_loadu_pd(c0);
-      acc1 = _mm256_loadu_pd(c0 + 4);
-      acc2 = _mm256_loadu_pd(c0 + 8);
-      acc3 = _mm256_loadu_pd(c0 + 12);
-    } else {
-      const __m256d vb = _mm256_set1_pd(beta);
-      acc0 = _mm256_mul_pd(vb, _mm256_loadu_pd(c0));
-      acc1 = _mm256_mul_pd(vb, _mm256_loadu_pd(c0 + 4));
-      acc2 = _mm256_mul_pd(vb, _mm256_loadu_pd(c0 + 8));
-      acc3 = _mm256_mul_pd(vb, _mm256_loadu_pd(c0 + 12));
-    }
-    for (index_t p = 0; p < k; ++p) {
-      const __m256d va = _mm256_set1_pd(alpha * a_of_p(p));
-      const double* bp = b + p * ldb + j0;
-      acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(bp), acc0);
-      acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(bp + 4), acc1);
-      acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(bp + 8), acc2);
-      acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(bp + 12), acc3);
-    }
-    _mm256_storeu_pd(c0, acc0);
-    _mm256_storeu_pd(c0 + 4, acc1);
-    _mm256_storeu_pd(c0 + 8, acc2);
-    _mm256_storeu_pd(c0 + 12, acc3);
-  }
-  for (; j0 + 4 <= n; j0 += 4) {
-    double* c0 = ci + j0;
-    __m256d acc;
-    if (beta == 0.0) {
-      acc = _mm256_setzero_pd();
-    } else if (beta == 1.0) {
-      acc = _mm256_loadu_pd(c0);
-    } else {
-      acc = _mm256_mul_pd(_mm256_set1_pd(beta), _mm256_loadu_pd(c0));
-    }
-    for (index_t p = 0; p < k; ++p) {
-      const __m256d va = _mm256_set1_pd(alpha * a_of_p(p));
-      acc = _mm256_fmadd_pd(va, _mm256_loadu_pd(b + p * ldb + j0), acc);
-    }
-    _mm256_storeu_pd(c0, acc);
-  }
-  if (j0 < n) {
-    const index_t tail = n - j0;
-    double* ct = ci + j0;
-    if (beta == 0.0) {
-      for (index_t j = 0; j < tail; ++j) ct[j] = 0.0;
-    } else if (beta != 1.0) {
-      for (index_t j = 0; j < tail; ++j) ct[j] *= beta;
-    }
-    for (index_t p = 0; p < k; ++p) {
-      const double aip = alpha * a_of_p(p);
-      const double* bp = b + p * ldb + j0;
-      for (index_t j = 0; j < tail; ++j) ct[j] += aip * bp[j];
-    }
-  }
-}
-
-/// Type-dispatched front door for the row-panel update.
-template <typename T, typename AOf>
-inline void row_panels(index_t n, index_t k, T alpha, const AOf& a_of_p,
-                       const T* b, index_t ldb, T beta, T* ci) {
-  if constexpr (sizeof(T) == sizeof(float)) {
-    row_panels_f32(n, k, alpha, a_of_p, b, ldb, beta, ci);
-  } else {
-    row_panels_f64(n, k, alpha, a_of_p, b, ldb, beta, ci);
   }
 }
 
 // ---- Dot-product row (gemm_nt shape) ---------------------------------------
 //
 // ci[j] = alpha · dot(ai, b_j) (+ beta·ci[j]); both operand rows are
-// contiguous along k. The dot runs two independent FMA chains over 8-wide
-// (float) / 4-wide (double) lanes, folds them in a fixed lane order, then
-// adds the scalar remainder — a deterministic order that does not depend on
-// threads or the caller, but differs from the scalar kernel's single
-// ascending-p chain (Tier B).
+// contiguous along k. The dot runs two independent FMA chains of one
+// register each, folds them in a fixed lane order, then adds the scalar
+// remainder — a deterministic order that does not depend on threads or the
+// caller, but differs from the scalar kernel's single ascending-p chain
+// (Tier B).
 
-[[gnu::target("avx2,fma")]] inline float dot_f32(const float* a,
-                                                 const float* b, index_t k) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
+template <typename T>
+[[gnu::target("avx2,fma")]] inline T dot(const T* a, const T* b, index_t k) {
+  using L = util::Lanes<T>;
+  constexpr index_t w = L::kReal;
+  auto acc0 = L::zero();
+  auto acc1 = L::zero();
   index_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8),
-                           _mm256_loadu_ps(b + p + 8), acc1);
+  for (; p + 2 * w <= k; p += 2 * w) {
+    acc0 = L::fmadd(L::load(a + p), L::load(b + p), acc0);
+    acc1 = L::fmadd(L::load(a + p + w), L::load(b + p + w), acc1);
   }
-  for (; p + 8 <= k; p += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p),
-                           acc0);
+  for (; p + w <= k; p += w) {
+    acc0 = L::fmadd(L::load(a + p), L::load(b + p), acc0);
   }
-  const __m256 acc = _mm256_add_ps(acc0, acc1);
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
-  const __m128 s4 = _mm_add_ps(lo, hi);
-  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-  const __m128 s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x55));
-  float r = _mm_cvtss_f32(s1);
-  for (; p < k; ++p) r += a[p] * b[p];
-  return r;
-}
-
-[[gnu::target("avx2,fma")]] inline double dot_f64(const double* a,
-                                                  const double* b, index_t k) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  index_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + p), _mm256_loadu_pd(b + p),
-                           acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + p + 4),
-                           _mm256_loadu_pd(b + p + 4), acc1);
-  }
-  for (; p + 4 <= k; p += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + p), _mm256_loadu_pd(b + p),
-                           acc0);
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d s2 = _mm_add_pd(lo, hi);
-  const __m128d s1 = _mm_add_sd(s2, _mm_unpackhi_pd(s2, s2));
-  double r = _mm_cvtsd_f64(s1);
+  T r = L::hsum(L::add(acc0, acc1));
   for (; p < k; ++p) r += a[p] * b[p];
   return r;
 }
@@ -248,17 +129,11 @@ template <typename T>
 inline void nt_row(index_t n, index_t k, T alpha, const T* ai, const T* b,
                    index_t ldb, T beta, T* ci) {
   for (index_t j = 0; j < n; ++j) {
-    const T* bj = b + j * ldb;
-    T acc;
-    if constexpr (sizeof(T) == sizeof(float)) {
-      acc = dot_f32(ai, bj, k);
-    } else {
-      acc = dot_f64(ai, bj, k);
-    }
+    const T acc = dot(ai, b + j * ldb, k);
     ci[j] = beta == T{0} ? alpha * acc : alpha * acc + beta * ci[j];
   }
 }
 
 }  // namespace turb::detail::avx2
 
-#endif  // x86
+#endif  // TURBFNO_HAS_AVX2_KERNELS

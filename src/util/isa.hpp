@@ -12,7 +12,11 @@
 //   * avx2   — explicit AVX2/FMA intrinsics (AVX2 without FMA for GELU and
 //     the gradient pass),
 //     compiled with per-function target attributes so the translation
-//     units themselves stay portable.
+//     units themselves stay portable. The GEMM and FFT kernels
+//     (tensor/gemm_avx2.hpp, fft/kernels_avx2.hpp) are one template per
+//     kernel for float and double, written over util/avx2.hpp's Lanes<T>
+//     traits; that header is the only per-type code and defines
+//     TURBFNO_HAS_AVX2_KERNELS for all five families.
 //
 // The choice is process-wide and resolved once, at the first dispatched
 // kernel call, from the TURBFNO_ISA environment variable

@@ -13,7 +13,9 @@
 //
 // The PDE half of the contract: a forced spectral Navier–Stokes trajectory
 // is dumped the same way (determinism_ns_*.bin) at widths 1 and 4 and on the
-// global pool, and its scalar-ISA bytes are pinned by a CRC-32.
+// global pool, and its scalar-ISA bytes are pinned by a CRC-32. On hosts
+// with avx2+fma the fixture dump and the trajectory are pinned under the
+// avx2 tier too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -248,6 +250,31 @@ TEST(Determinism, SpectralNsTrajectory) {
   ThreadPool::Scope scope(1);
   const std::string scalar = ns_trajectory("determinism_ns_scalar_golden.bin");
   EXPECT_EQ(util::crc32(scalar.data(), scalar.size()), 0x45BAF821u);
+}
+
+// Goldens for the avx2 tier. The f32 fixture run drives the avx2 GEMM and
+// f32 FFT kernels; the PDE trajectory drives the f64 FFT kernels and the
+// gradient pass. Each avx2 kernel is one template over util/avx2.hpp's lane
+// traits, and these bytes were recorded on the per-type kernels it
+// replaced, so they pin every instantiation to its old intrinsic sequence.
+// As for the scalar goldens: regenerate deliberately — never loosen — when
+// the avx2 numerics change on purpose.
+
+TEST(Determinism, Avx2IsaReproducesPinnedFixtureDump) {
+  if (!util::cpu_supports_avx2()) GTEST_SKIP() << "host lacks avx2+fma";
+  util::ScopedIsa forced(util::Isa::kAvx2);
+  ThreadPool::Scope scope(1);
+  const RunArtifacts run = train_once("determinism_weights_avx2_golden.tnn");
+  ASSERT_EQ(run.weight_bytes.size(), 43656u);
+  EXPECT_EQ(dump_fingerprint(run.weight_bytes), 0xFAB66675u);
+}
+
+TEST(Determinism, Avx2SpectralNsTrajectoryPinned) {
+  if (!util::cpu_supports_avx2()) GTEST_SKIP() << "host lacks avx2+fma";
+  util::ScopedIsa forced(util::Isa::kAvx2);
+  ThreadPool::Scope scope(1);
+  const std::string avx2 = ns_trajectory("determinism_ns_avx2_golden.bin");
+  EXPECT_EQ(util::crc32(avx2.data(), avx2.size()), 0x51463242u);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 //     results are bitwise identical across pool widths 1/2/4, and masked
 //     (mode-pruned) rfft transforms are bitwise identical to unmasked ones
 //     on the kept bins.
+//   * Pinned avx2 bytes: the outputs of every avx2 FFT and GEMM entry point
+//     on seeded inputs feed one CRC-32 that must equal a recorded constant.
 //   * GELU (nn::gelu_tile) is bitwise equal across ISAs, not just bounded:
 //     both tiers evaluate the same rational erf without FMA, and every
 //     element equals the scalar expression wherever it sits in a row
@@ -35,6 +37,7 @@
 #include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
+#include "util/checksum.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -471,6 +474,157 @@ TEST(IsaTierA, RfftnBitwiseAcrossThreadsScalar) {
 TEST(IsaTierA, RfftnBitwiseAcrossThreadsAvx2) {
   SKIP_WITHOUT_AVX2();
   check_rfftn_thread_invariance(util::Isa::kAvx2);
+}
+
+// ---------------------------------------------------------------------------
+// Tier A: the avx2 FFT and GEMM kernels' bytes pinned to a recorded CRC
+// ---------------------------------------------------------------------------
+//
+// The suites above compare the avx2 kernels with each other or with scalar
+// within a bound, so a change that moved both sides the same way would pass
+// them. This one feeds the outputs of seeded inputs through every avx2 FFT
+// and GEMM entry point into one CRC-32 and compares it with a constant.
+
+template <typename V>
+void feed(util::Crc32& crc, const std::vector<V>& v) {
+  crc.update(v.data(), v.size() * sizeof(V));
+}
+
+template <typename T>
+std::vector<std::complex<T>> random_complex(Rng& rng, index_t n) {
+  std::vector<std::complex<T>> v(static_cast<std::size_t>(n));
+  for (auto& x : v) {
+    x = {static_cast<T>(rng.normal()), static_cast<T>(rng.normal())};
+  }
+  return v;
+}
+
+template <typename T>
+void fingerprint_c2c(util::Crc32& crc) {
+  using cpx = std::complex<T>;
+  Rng rng(4100 + sizeof(T));
+  // Single lines: every length, so each stage narrower than a vector and
+  // every Bluestein sub-plan runs.
+  for (index_t n = 2; n <= 256; ++n) {
+    const fft::PlanC2C<T> plan(n);
+    const std::vector<cpx> x = random_complex<T>(rng, n);
+    for (const bool inverse : {false, true}) {
+      std::vector<cpx> y = x;
+      inverse ? plan.inverse(y.data()) : plan.forward(y.data());
+      feed(crc, y);
+    }
+  }
+  // Lane batches: full and ragged lane groups, a scratch block (stride nl)
+  // and a column run (stride nl + 5), in place and src != dst.
+  for (const index_t n : {2, 8, 32, 128}) {
+    const fft::PlanC2C<T> plan(n);
+    for (const index_t nl : {1, 3, 4, 5, 17, 32}) {
+      for (const index_t stride : {nl, nl + 5}) {
+        const std::vector<cpx> src = random_complex<T>(rng, n * stride);
+        for (const bool inverse : {false, true}) {
+          for (const bool in_place : {true, false}) {
+            std::vector<cpx> dst =
+                in_place ? src : random_complex<T>(rng, n * stride);
+            const cpx* from = in_place ? dst.data() : src.data();
+            inverse ? plan.inverse_batch(from, dst.data(), nl, stride)
+                    : plan.forward_batch(from, dst.data(), nl, stride);
+            feed(crc, dst);
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void fingerprint_real(util::Crc32& crc) {
+  using cpx = std::complex<T>;
+  Rng rng(4200 + sizeof(T));
+  const cpx sentinel(T{7}, T{-7});  // what skipped bins leave behind
+  for (const index_t n : {4, 8, 10, 16, 64, 256}) {
+    const index_t h = n / 2;
+    std::vector<cpx> tw_r(static_cast<std::size_t>(h + 1));
+    std::vector<cpx> tw_i(static_cast<std::size_t>(h));
+    fft::fill_rfft_twiddles(tw_r.data(), n);
+    fft::fill_irfft_twiddles(tw_i.data(), n);
+    std::vector<std::uint8_t> keep(static_cast<std::size_t>(h + 1));
+    for (index_t k = 0; k <= h; ++k) {
+      keep[static_cast<std::size_t>(k)] = k % 3 != 1;
+    }
+    for (const index_t nl : {1, 3, 32}) {
+      // Rows wider than the data, as the line drivers hand them in.
+      const index_t rs = n + 3, cs = h + 3;
+      std::vector<T> real_in(static_cast<std::size_t>(nl * rs));
+      for (auto& v : real_in) v = static_cast<T>(rng.normal());
+      const std::vector<cpx> spec_in = random_complex<T>(rng, nl * cs);
+      std::vector<cpx> z(static_cast<std::size_t>(h * nl));
+      std::vector<cpx> u(static_cast<std::size_t>((h + 1) * nl));
+      const std::uint8_t* const masks[] = {nullptr, keep.data()};
+      for (const std::uint8_t* mask : masks) {
+        std::vector<cpx> rows(static_cast<std::size_t>(nl * cs), sentinel);
+        for (index_t l = 0; l < nl; ++l) {
+          fft::rfft_scratch(real_in.data() + l * rs, rows.data() + l * cs, n,
+                            mask, z.data(), tw_r.data());
+        }
+        feed(crc, rows);
+        std::vector<cpx> batch(static_cast<std::size_t>(nl * cs), sentinel);
+        fft::rfft_batch_scratch(real_in.data(), rs, batch.data(), cs, n, nl,
+                                mask, z.data(), u.data(), tw_r.data());
+        feed(crc, batch);
+      }
+      std::vector<T> rows(static_cast<std::size_t>(nl * rs), T{0});
+      for (index_t l = 0; l < nl; ++l) {
+        fft::irfft_scratch(spec_in.data() + l * cs, rows.data() + l * rs, n,
+                           z.data(), tw_i.data());
+      }
+      feed(crc, rows);
+      std::vector<T> batch(static_cast<std::size_t>(nl * rs), T{0});
+      fft::irfft_batch_scratch(spec_in.data(), cs, batch.data(), rs, n, nl,
+                               z.data(), u.data(), tw_i.data());
+      feed(crc, batch);
+    }
+  }
+}
+
+template <typename T>
+void fingerprint_gemm(util::Crc32& crc) {
+  Rng rng(4300 + sizeof(T));
+  // n covers the 4-register groups (32 floats / 16 doubles), single panels
+  // (8 / 4) and the scalar tail; k covers the dot's two-chain, one-chain
+  // and scalar-remainder steps (16 / 8 / rest floats, 8 / 4 / rest doubles).
+  const GemmShape shapes[] = {
+      {2, 3, 7}, {3, 8, 27}, {2, 13, 1}, {3, 45, 37}, {2, 70, 20}};
+  for (const GemmShape& s : shapes) {
+    std::vector<T> a(static_cast<std::size_t>(s.m * s.k));
+    std::vector<T> b(static_cast<std::size_t>(s.k * s.n));
+    std::vector<T> c0(static_cast<std::size_t>(s.m * s.n));
+    for (auto& v : a) v = static_cast<T>(rng.normal());
+    for (auto& v : b) v = static_cast<T>(rng.normal());
+    for (auto& v : c0) v = static_cast<T>(rng.normal());
+    for (const GemmKind kind : {GemmKind::kNn, GemmKind::kTn, GemmKind::kNt}) {
+      for (const T beta : {T{0}, T{1}, T{0.5}}) {
+        std::vector<T> c = c0;
+        run_gemm(kind, s, T{1.25}, beta, a, b, c);
+        feed(crc, c);
+      }
+    }
+  }
+}
+
+TEST(IsaTierA, Avx2KernelBytesPinned) {
+  SKIP_WITHOUT_AVX2();
+  util::ScopedIsa forced(util::Isa::kAvx2);
+  util::Crc32 crc;
+  fingerprint_c2c<float>(crc);
+  fingerprint_c2c<double>(crc);
+  fingerprint_real<float>(crc);
+  fingerprint_real<double>(crc);
+  fingerprint_gemm<float>(crc);
+  fingerprint_gemm<double>(crc);
+  // Recorded on the per-type avx2 kernels that the util/avx2.hpp templates
+  // replaced. Regenerate deliberately — never loosen — when the avx2
+  // numerics change on purpose.
+  EXPECT_EQ(crc.value(), 0x2A5F027Du);
 }
 
 // ---------------------------------------------------------------------------
