@@ -35,7 +35,9 @@
 #     zero-steady-state-allocation contract holds
 #     (infer/steady_state_allocs == 0), the engine drove the batched FFT
 #     path (fft/batched_lines > 0; on avx2+fma hosts also its column runs,
-#     fft/column_lines > 0), the plan-cache memo stayed hit-only
+#     fft/column_lines > 0), every row sweep was a whole lane batch
+#     (fft/batch_tail_lines == 0: the bench's 64² row counts are multiples
+#     of the lane count), the plan-cache memo stayed hit-only
 #     across a steady-state repeat (fft/plan_cache_misses_steady_delta == 0),
 #     and the BENCH_inference.json schema is well formed. The GELU kernel's
 #     two tiers give identical bits, so only its dispatch counters show
@@ -66,6 +68,8 @@
 #     stepped, so that count means something.
 #  7. Optionally (TURBFNO_TIER1_SANITIZE=1), an AddressSanitizer + UBSan
 #     build of the test suite in a sibling build dir, with ctest run once.
+#     The build sets -fno-sanitize-recover=undefined, so a UBSan finding
+#     fails its test.
 #
 # Usage: scripts/check_tier1.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -239,6 +243,10 @@ assert d["counters"]["infer/steady_state_allocs"] == 0, \
 assert d["gauges"]["infer/arena_bytes"] > 0, "arena gauge missing"
 assert d["counters"]["fft/batched_lines"] > 0, \
     "batched line-FFT path never engaged in the engine"
+# Every row count of the bench's 64² grids is a multiple of the lane count,
+# and the row drivers dispatch whole lane batches, so no sweep is ragged.
+assert d["counters"]["fft/batch_tail_lines"] == 0, \
+    "the engine's row sweeps were cut below a whole lane batch"
 if sys.argv[2] == "1":
     assert d["counters"]["fft/column_lines"] > 0, \
         "the engine's c2c stages never ran as column runs on an avx2+fma host"

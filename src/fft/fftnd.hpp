@@ -162,6 +162,28 @@ inline void add_batch_counts(std::int64_t batched, std::int64_t tails,
   if (columns != 0) column_lines.add(columns);
 }
 
+/// The row drivers' partition: sweep(scratch, first_row, lanes_in_batch) for
+/// each lane batch of `rows` rows, dispatched over `pool` by batch, so a
+/// chunk always holds whole batches. Batch b covers rows
+/// [b·B, min(rows, (b+1)·B)) for B = row_lanes(); only the last is ragged,
+/// and a one-batch sweep runs on the caller.
+template <typename Scratch, typename Sweep>
+void for_each_row_batch(ThreadPool& pool, index_t rows, const Scratch& scratch,
+                        const Sweep& sweep) {
+  const index_t lanes = row_lanes();
+  pool.run_chunks(0, (rows + lanes - 1) / lanes, [&](index_t bb, index_t be) {
+    const auto s = scratch();
+    std::int64_t batched = 0, tails = 0;
+    for (index_t b = bb; b < be; ++b) {
+      const index_t nl = std::min(lanes, rows - b * lanes);
+      sweep(s, b * lanes, nl);
+      batched += nl;
+      if (nl < lanes) tails += nl;
+    }
+    if (lanes > 1) add_batch_counts(batched, tails, 0);
+  });
+}
+
 }  // namespace detail
 
 /// Geometry of the c2c stages of a transform over the trailing `ndim` axes
@@ -191,7 +213,8 @@ inline std::vector<C2cStage> c2c_stages(const Shape& spec_shape, int ndim,
 }
 
 /// Real stage of a forward transform: rfft of `rows` contiguous length-n
-/// rows of `in` into rows of n/2+1 bins of `out`, chunked over `pool`.
+/// rows of `in` into rows of n/2+1 bins of `out`, in whole lane batches
+/// over `pool` (detail::for_each_row_batch).
 /// Bins not flagged in `keep_bins` (nullptr = all) are skipped and their
 /// slots left untouched. `tw` is the fill_rfft_twiddles table; `scratch()`
 /// returns the running worker's LineScratch.
@@ -205,21 +228,14 @@ void rfft_rows(ThreadPool& pool, const T* in, std::complex<T>* out,
   lines_total.add(rows);
   util::fft_dispatch_counter(util::active_isa()).add(1);
   const index_t out_row = n / 2 + 1;
-  // Consecutive rows go through the lane-batched kernel B at a time within
-  // each chunk; a batch of one (the per-line arm) is the single-line kernel.
-  const index_t batch = detail::row_lanes();
-  pool.run_chunks(0, rows, [&](index_t rb, index_t re) {
-    const LineScratch<T> s = scratch();
-    std::int64_t batched = 0, tails = 0;
-    for (index_t r = rb; r < re; r += batch) {
-      const index_t nl = std::min(batch, re - r);
-      rfft_batch_scratch(in + r * n, n, out + r * out_row, out_row, n, nl,
-                         keep_bins, s.z, s.u, tw);
-      batched += nl;
-      if (nl < batch) tails += nl;
-    }
-    if (batch > 1) detail::add_batch_counts(batched, tails, 0);
-  });
+  // Consecutive rows go through the lane-batched kernel B at a time; a
+  // batch of one (the per-line arm) is the single-line kernel.
+  detail::for_each_row_batch(
+      pool, rows, scratch,
+      [&](const LineScratch<T>& s, index_t r, index_t nl) {
+        rfft_batch_scratch(in + r * n, n, out + r * out_row, out_row, n, nl,
+                           keep_bins, s.z, s.u, tw);
+      });
 }
 
 /// Real stage of an inverse transform: irfft of `rows` contiguous rows of
@@ -235,19 +251,12 @@ void irfft_rows(ThreadPool& pool, const std::complex<T>* in, T* out,
   lines_total.add(rows);
   util::fft_dispatch_counter(util::active_isa()).add(1);
   const index_t in_row = n / 2 + 1;
-  const index_t batch = detail::row_lanes();
-  pool.run_chunks(0, rows, [&](index_t rb, index_t re) {
-    const LineScratch<T> s = scratch();
-    std::int64_t batched = 0, tails = 0;
-    for (index_t r = rb; r < re; r += batch) {
-      const index_t nl = std::min(batch, re - r);
-      irfft_batch_scratch(in + r * in_row, in_row, out + r * n, n, n, nl,
-                          s.z, s.u, tw);
-      batched += nl;
-      if (nl < batch) tails += nl;
-    }
-    if (batch > 1) detail::add_batch_counts(batched, tails, 0);
-  });
+  detail::for_each_row_batch(
+      pool, rows, scratch,
+      [&](const LineScratch<T>& s, index_t r, index_t nl) {
+        irfft_batch_scratch(in + r * in_row, in_row, out + r * n, n, n, nl,
+                            s.z, s.u, tw);
+      });
 }
 
 /// One complex stage: transforms the kept lines of `st` read from `src`

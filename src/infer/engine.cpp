@@ -94,7 +94,7 @@ void InferenceEngine::plan(std::initializer_list<index_t> dims) {
 void InferenceEngine::plan(const Shape& in_shape) {
   TURB_TRACE_SCOPE("nn/infer_plan");
   ThreadPool& pool = ThreadPool::current();
-  if (planned_ && in_shape == in_shape_ && slots_ == pool.slot_count()) {
+  if (planned_ && in_shape == in_shape_ && slots_ == pool.size()) {
     // Same layout — only refresh the captured pool (a Scope may have
     // switched to a different pool object of the same width).
     pool_ = &pool;
@@ -139,7 +139,7 @@ void InferenceEngine::plan(const Shape& in_shape) {
   const index_t w = cfg_.width;
   const index_t spec_elems = batch_ * w * slab_;
   tile_rows_ = std::max({cfg_.lifting_channels, cfg_.projection_channels, w});
-  slots_ = pool.slot_count();
+  slots_ = pool.size();
   arena_.begin_layout();
   off_h0_ = arena_.reserve<float>(batch_ * w * s_);
   off_h1_ = arena_.reserve<float>(batch_ * w * s_);

@@ -155,7 +155,7 @@ class InferenceEngine {
   std::vector<std::uint8_t> keep_bins_;   // rfft-axis unpack mask
   std::vector<fft::C2cStage> stages_;     // index = spatial axis a
   ThreadPool* pool_ = nullptr;            // captured at plan()
-  std::size_t slots_ = 0;                 // pool_->slot_count() at layout time
+  std::size_t slots_ = 0;                 // pool_->size() at layout time
 
   // Arena slices (byte offsets; pointers resolved after commit()).
   Arena arena_;

@@ -98,8 +98,8 @@ void SpectralNsSolver::set_vorticity(const TensorD& omega) {
 }
 
 void SpectralNsSolver::fit_line_scratch(const ThreadPool& pool) {
-  if (pool.slot_count() <= slots_) return;
-  slots_ = pool.slot_count();
+  if (pool.size() <= slots_) return;
+  slots_ = pool.size();
   const index_t h = config_.n / 2;
   const index_t per_slot = (2 * h + 1) * fft::kMaxLanes;
   line_scratch_.resize(slots_ * static_cast<std::size_t>(per_slot));

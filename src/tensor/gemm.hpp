@@ -72,15 +72,14 @@ inline bool gemm_dispatch_avx2() {
 inline constexpr index_t kPanel = 8;
 
 /// Run body(row_begin, row_end) over [0, m), row-tiled on the pool when the
-/// call is large enough and not already inside a parallel region (nested
-/// calls — e.g. the per-sample GEMMs of a batch-parallel layer — run
-/// serially). Every C row is produced by exactly one task with an unchanged
-/// inner-loop order, so the result is bitwise identical to the serial kernel
-/// at every thread count.
+/// call is large enough (the pool itself runs a one-row range, or a nested
+/// call such as the per-sample GEMMs of a batch-parallel layer, as one
+/// serial call). Every C row is produced by exactly one task with an
+/// unchanged inner-loop order, so the result is bitwise identical to the
+/// serial kernel at every thread count.
 template <typename Body>
 inline void gemm_rows(index_t m, index_t n, index_t k, const Body& body) {
-  if (m >= 2 && m * n * k >= kParallelGemmFlops &&
-      !ThreadPool::in_parallel_region()) {
+  if (m * n * k >= kParallelGemmFlops) {
     parallel_for_chunked(0, m, body);
   } else {
     body(0, m);

@@ -1,21 +1,12 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <string>
+#include <system_error>
 
 namespace turb {
 
 namespace {
-
-std::size_t default_thread_count() {
-  if (const char* env = std::getenv("TURBFNO_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 // Explicit width requested via set_global_threads (0 = not requested) and
 // whether the global pool has been materialised (after which a request is a
@@ -26,10 +17,10 @@ std::atomic<bool> g_global_created{false};
 // Innermost Scope override on this thread (nullptr = use the global pool).
 thread_local ThreadPool* t_scope_pool = nullptr;
 
-// Depth of parallel_for bodies executing on this thread. Non-zero means a
-// nested parallel_for must run serially (single-task pool → deadlock) and,
-// by design, always does — so a kernel's numeric result never depends on
-// whether it was reached from inside another parallel region.
+// Depth of bodies executing on this thread. Non-zero means a nested dispatch
+// must run serially (single-task pool → deadlock) and, by design, always
+// does — so a kernel's numeric result never depends on whether it was
+// reached from inside another parallel region.
 thread_local int t_parallel_depth = 0;
 
 struct ParallelRegionGuard {
@@ -45,13 +36,17 @@ thread_local std::size_t t_worker_slot = 0;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) num_threads = default_thread_count();
-  // The calling thread participates in every parallel_for, so spawn one
-  // fewer worker than the requested parallel width.
-  const std::size_t workers = num_threads > 0 ? num_threads - 1 : 0;
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
+  if (num_threads == 0) {
+    const char* env = std::getenv("TURBFNO_THREADS");
+    num_threads = env != nullptr ? parse_thread_count(env)
+                                 : std::thread::hardware_concurrency();
+  }
+  // The calling thread participates in every dispatch, so spawn one fewer
+  // worker than the requested parallel width (none when the hardware count
+  // is unknown, 0); worker i holds scratch slot i.
+  workers_.reserve(num_threads);
+  for (std::size_t i = 1; i < num_threads; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -105,21 +100,8 @@ void ThreadPool::worker_loop(std::size_t slot) {
   }
 }
 
-void ThreadPool::parallel_for_chunked(
-    index_t begin, index_t end,
-    const std::function<void(index_t, index_t)>& body) {
-  parallel_for_chunked(
-      begin, end,
-      [](void* ctx, index_t b, index_t e) {
-        (*static_cast<const std::function<void(index_t, index_t)>*>(ctx))(b,
-                                                                          e);
-      },
-      const_cast<void*>(static_cast<const void*>(&body)));
-}
-
-void ThreadPool::parallel_for_chunked(index_t begin, index_t end,
-                                      void (*fn)(void*, index_t, index_t),
-                                      void* ctx) {
+void ThreadPool::dispatch(index_t begin, index_t end, const void* ctx,
+                          ChunkFn fn) {
   if (begin >= end) return;
   const index_t n = end - begin;
   if (workers_.empty() || n == 1 || t_parallel_depth > 0) {
@@ -133,7 +115,6 @@ void ThreadPool::parallel_for_chunked(index_t begin, index_t end,
   Task task;
   task.invoke = fn;
   task.ctx = ctx;
-  task.begin = begin;
   task.end = end;
   // ~4 chunks per thread for load balance without excessive contention.
   const index_t target_chunks = static_cast<index_t>(size()) * 4;
@@ -162,27 +143,15 @@ void ThreadPool::parallel_for_chunked(index_t begin, index_t end,
   if (task.error) std::rethrow_exception(task.error);
 }
 
-void ThreadPool::parallel_for(index_t begin, index_t end,
-                              const std::function<void(index_t)>& body) {
-  const std::function<void(index_t, index_t)> chunked =
-      [&body](index_t b, index_t e) {
-        for (index_t i = b; i < e; ++i) body(i);
-      };
-  parallel_for_chunked(begin, end, chunked);
-}
-
 std::size_t ThreadPool::scratch_slot() const {
   return t_worker_pool == this ? t_worker_slot : 0;
 }
 
-ThreadPool& ThreadPool::global() {
-  g_global_created.store(true, std::memory_order_release);
-  static ThreadPool pool(g_requested_threads.load(std::memory_order_acquire));
-  return pool;
-}
-
 ThreadPool& ThreadPool::current() {
-  return t_scope_pool != nullptr ? *t_scope_pool : global();
+  if (t_scope_pool != nullptr) return *t_scope_pool;
+  g_global_created.store(true, std::memory_order_release);
+  static ThreadPool global(g_requested_threads.load(std::memory_order_acquire));
+  return global;
 }
 
 bool ThreadPool::in_parallel_region() noexcept { return t_parallel_depth > 0; }
@@ -191,10 +160,6 @@ ThreadPool::Scope::Scope(std::size_t num_threads)
     : owned_(std::make_unique<ThreadPool>(num_threads)),
       previous_(t_scope_pool) {
   t_scope_pool = owned_.get();
-}
-
-ThreadPool::Scope::Scope(ThreadPool& pool) : previous_(t_scope_pool) {
-  t_scope_pool = &pool;
 }
 
 ThreadPool::Scope::~Scope() { t_scope_pool = previous_; }
@@ -207,37 +172,16 @@ void set_global_threads(std::size_t num_threads) {
   g_requested_threads.store(num_threads, std::memory_order_release);
 }
 
-void parallel_for(index_t begin, index_t end,
-                  const std::function<void(index_t)>& body) {
-  ThreadPool::current().parallel_for(begin, end, body);
-}
-
-void parallel_for_chunked(index_t begin, index_t end,
-                          const std::function<void(index_t, index_t)>& body) {
-  ThreadPool::current().parallel_for_chunked(begin, end, body);
-}
-
-index_t slab_count(index_t begin, index_t end, index_t slots) {
-  if (end <= begin) return 0;
-  return std::min<index_t>(slots, end - begin);
-}
-
-void parallel_for_slabs(
-    index_t begin, index_t end, index_t slots,
-    const std::function<void(index_t, index_t, index_t)>& body) {
-  const index_t slabs = slab_count(begin, end, slots);
-  if (slabs <= 0) return;
-  const index_t n = end - begin;
-  const index_t q = n / slabs;
-  const index_t r = n % slabs;
-  // Slab s covers q indices (q+1 for the first r slabs) — a function of
-  // (n, slots) only, so the reduction tree built on top of it is identical
-  // at every pool width.
-  parallel_for(0, slabs, [&](index_t s) {
-    const index_t b = begin + s * q + std::min<index_t>(s, r);
-    const index_t e = b + q + (s < r ? 1 : 0);
-    body(s, b, e);
-  });
+std::size_t parse_thread_count(const std::string& spec) {
+  // from_chars into an unsigned type takes digits only: no sign, no
+  // whitespace, and an out-of-range value is an error, not a clamp.
+  std::size_t n = 0;
+  const char* last = spec.data() + spec.size();
+  const auto [ptr, ec] = std::from_chars(spec.data(), last, n);
+  TURB_CHECK_MSG(ec == std::errc() && ptr == last && n >= 1,
+                 "TURBFNO_THREADS must be a whole number >= 1, got '"
+                     << spec << "'");
+  return n;
 }
 
 }  // namespace turb

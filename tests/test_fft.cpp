@@ -868,7 +868,7 @@ struct SlotScratch {
       : pool(&pool),
         z_len(std::max(n, (n / 2) * kMaxLanes)),
         u_len((n / 2 + 1) * kMaxLanes),
-        buf(pool.slot_count() * static_cast<std::size_t>(z_len + u_len)) {}
+        buf(pool.size() * static_cast<std::size_t>(z_len + u_len)) {}
   LineScratch<T> operator()() const {
     std::complex<T>* z =
         buf.data() + pool->scratch_slot() *
@@ -1114,6 +1114,53 @@ TEST(FftBatched, BatchedLineCountersAdvance) {
   // 3B+2 total lines: however the range is chunked, at least one flush group
   // is ragged, so the tail counter must advance too.
   EXPECT_GT(tails.value() - tails0, 0);
+}
+
+/// fft/batch_tail_lines added by one rfft_rows (`forward`) or irfft_rows
+/// sweep over `rows` rows of n = 32 at pool width `width`.
+template <typename T>
+std::int64_t tail_lines_added(std::size_t width, index_t rows, bool forward) {
+  using cpx = std::complex<T>;
+  constexpr index_t n = 32;
+  ThreadPool::Scope scope(width);
+  ThreadPool& pool = ThreadPool::current();
+  const SlotScratch<T> scratch(pool, n);
+  std::vector<cpx> tw(n / 2 + 1);
+  std::vector<T> x(static_cast<std::size_t>(rows * n));
+  std::vector<cpx> spec(static_cast<std::size_t>(rows * (n / 2 + 1)));
+  auto& tails = obs::counter("fft/batch_tail_lines");
+  const auto before = tails.value();
+  if (forward) {
+    fill_rfft_twiddles(tw.data(), n);
+    rfft_rows(pool, x.data(), spec.data(), rows, n, nullptr, tw.data(),
+              scratch);
+  } else {
+    fill_irfft_twiddles(tw.data(), n);
+    irfft_rows(pool, spec.data(), x.data(), rows, n, tw.data(), scratch);
+  }
+  return tails.value() - before;
+}
+
+TEST(FftBatched, RowSweepsAreWholeLaneBatchesAtAnyWidth) {
+  // The row drivers dispatch lane batches, not rows, so no pool chunk cuts
+  // a sweep short: only a sweep's last batch can be ragged.
+  if (!util::cpu_supports_avx2()) GTEST_SKIP() << "host lacks avx2";
+  util::ScopedIsa forced(util::Isa::kAvx2);
+  ScopedLineBatching on(true);
+  ASSERT_EQ(lane_count(util::Isa::kAvx2), 32);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool forward : {true, false}) {
+      // The PDE step's 128 gradient rows (and its rfft rows, as one shape).
+      EXPECT_EQ(tail_lines_added<double>(width, 128, forward), 0)
+          << "f64 128 rows, width " << width << " forward " << forward;
+      // The batch-2 engine's 2·12·32 rows.
+      EXPECT_EQ(tail_lines_added<float>(width, 768, forward), 0)
+          << "f32 768 rows, width " << width << " forward " << forward;
+      // 100 = 3·32 + 4: the last batch's 4 rows, at every width.
+      EXPECT_EQ(tail_lines_added<double>(width, 100, forward), 4)
+          << "f64 100 rows, width " << width << " forward " << forward;
+    }
+  }
 }
 
 // --- workspace cache ---------------------------------------------------------

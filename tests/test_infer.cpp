@@ -34,6 +34,7 @@
 #include "nn/spectral_conv.hpp"
 #include "ns/solver.hpp"
 #include "obs/obs.hpp"
+#include "tensor/gemm.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -634,6 +635,56 @@ TEST(InferZeroAlloc, PropagatorAdvanceWindow) {
   const std::int64_t n =
       count_allocs([&] { prop.advance_into(history, 4, out); });
   EXPECT_EQ(n, 0) << "hybrid advance window allocated";
+}
+
+TEST(PoolZeroAlloc, DispatchAllocatesNothing) {
+  // Every dispatch passes its body by address through run_chunks, so after
+  // a warm-up call (obs statics) none touches the heap, at widths 1 and 4,
+  // however much its body captures.
+  constexpr index_t dim = 64;
+  std::vector<float> a(dim * dim, 0.5f), b(dim * dim, 0.25f), c(dim * dim);
+  std::vector<double> out(256);
+  const double scale = 2.0;
+  std::atomic<index_t> seen{0};
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::Scope scope(width);
+    const auto expect_none = [&](const char* what, const auto& dispatch) {
+      dispatch();  // warm-up
+      const std::int64_t n = count_allocs([&] {
+        for (int call = 0; call < 100; ++call) dispatch();
+      });
+      EXPECT_EQ(n, 0) << what << " allocated " << n
+                      << " times in 100 calls at width " << width;
+    };
+    expect_none("parallel_for", [&] {
+      parallel_for(0, 256, [&out, &scale, &seen](index_t i) {
+        out[static_cast<std::size_t>(i)] = scale * static_cast<double>(i);
+        seen.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    expect_none("parallel_for_chunked", [&] {
+      parallel_for_chunked(0, 256, [&out, &scale, &seen](index_t lo,
+                                                         index_t hi) {
+        for (index_t i = lo; i < hi; ++i) {
+          out[static_cast<std::size_t>(i)] += scale;
+        }
+        seen.fetch_add(hi - lo, std::memory_order_relaxed);
+      });
+    });
+    expect_none("parallel_for_slabs", [&] {
+      parallel_for_slabs(0, 256, 8, [&](index_t slab, index_t lo, index_t hi) {
+        for (index_t i = lo; i < hi; ++i) {
+          out[static_cast<std::size_t>(i)] = static_cast<double>(slab);
+        }
+      });
+    });
+    expect_none("64^3 gemm_nn", [&] {
+      gemm_nn<float>(dim, dim, dim, 1.0f, a.data(), dim, b.data(), dim, 0.0f,
+                     c.data(), dim);
+    });
+  }
+  // Two entries count their indices, 101 calls each, at two widths.
+  EXPECT_EQ(seen.load(), 2 * 2 * 101 * 256);
 }
 
 TEST(NsZeroAlloc, SpectralStepSteadyState) {

@@ -214,16 +214,16 @@ TEST(TrainerCallback, TrainEmitsObsSpans) {
 TEST(ThreadPoolRegression, ParallelForRethrowsBodyException) {
   ThreadPool pool(4);
   try {
-    pool.parallel_for(0, 64, [](index_t i) {
-      if (i == 17) throw std::runtime_error("body failure at 17");
+    pool.run_chunks(0, 64, [](index_t b, index_t e) {
+      if (b <= 17 && 17 < e) throw std::runtime_error("body failure at 17");
     });
     FAIL() << "expected the body exception to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "body failure at 17");
   }
   // The pool must stay usable after the throw.
-  std::atomic<int> count{0};
-  pool.parallel_for(0, 32, [&](index_t) { count.fetch_add(1); });
+  std::atomic<index_t> count{0};
+  pool.run_chunks(0, 32, [&](index_t b, index_t e) { count.fetch_add(e - b); });
   EXPECT_EQ(count.load(), 32);
 }
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -113,10 +114,19 @@ TEST(Rng, SplitStreamsIndependent) {
   EXPECT_LT(same, 2);
 }
 
+/// body(i) for every i in [begin, end) through the pool's one dispatch
+/// entry.
+template <typename Body>
+void run_each(ThreadPool& pool, index_t begin, index_t end, const Body& body) {
+  pool.run_chunks(begin, end, [&](index_t b, index_t e) {
+    for (index_t i = b; i < e; ++i) body(i);
+  });
+}
+
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](index_t i) {
+  run_each(pool, 0, 1000, [&](index_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -125,43 +135,58 @@ TEST(ThreadPool, ParallelForCoversRange) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(5, 5, [&](index_t) { called = true; });
+  pool.run_chunks(5, 5, [&](index_t, index_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, ChunkedCoversRangeOnce) {
   ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(537);
   std::atomic<index_t> total{0};
-  pool.parallel_for_chunked(10, 537, [&](index_t b, index_t e) {
-    EXPECT_LE(b, e);
+  pool.run_chunks(10, 537, [&](index_t b, index_t e) {
+    EXPECT_LT(b, e);
+    for (index_t i = b; i < e; ++i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    }
     total.fetch_add(e - b);
   });
   EXPECT_EQ(total.load(), 527);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), i < 10 ? 0 : 1) << "i=" << i;
+  }
 }
 
 TEST(ThreadPool, SingleThreadFallback) {
+  // Width 1 runs the whole range as one serial call on the caller.
   ThreadPool pool(1);
   index_t sum = 0;
-  pool.parallel_for(0, 100, [&](index_t i) { sum += i; });
+  int calls = 0;
+  pool.run_chunks(0, 100, [&](index_t b, index_t e) {
+    ++calls;
+    EXPECT_EQ(b, 0);
+    EXPECT_EQ(e, 100);
+    for (index_t i = b; i < e; ++i) sum += i;
+  });
+  EXPECT_EQ(calls, 1);
   EXPECT_EQ(sum, 4950);
 }
 
 TEST(ThreadPool, ExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [&](index_t i) {
-                                   if (i == 57) throw std::runtime_error("x");
-                                 }),
+  EXPECT_THROW(run_each(pool, 0, 100,
+                        [&](index_t i) {
+                          if (i == 57) throw std::runtime_error("x");
+                        }),
                std::runtime_error);
 }
 
 TEST(ThreadPool, ReusableAfterException) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      pool.parallel_for(0, 10, [](index_t) { throw std::runtime_error("x"); }),
+      run_each(pool, 0, 10, [](index_t) { throw std::runtime_error("x"); }),
       std::runtime_error);
   std::atomic<int> count{0};
-  pool.parallel_for(0, 10, [&](index_t) { count.fetch_add(1); });
+  run_each(pool, 0, 10, [&](index_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
 }
 
@@ -169,7 +194,7 @@ TEST(ThreadPool, ManySequentialDispatches) {
   ThreadPool pool(4);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> count{0};
-    pool.parallel_for(0, 37, [&](index_t) { count.fetch_add(1); });
+    run_each(pool, 0, 37, [&](index_t) { count.fetch_add(1); });
     ASSERT_EQ(count.load(), 37);
   }
 }
@@ -242,6 +267,26 @@ TEST(ThreadPool, SlabCountClampsToRange) {
   EXPECT_EQ(slab_count(0, 100, 8), 8);
   EXPECT_EQ(slab_count(5, 5, 8), 0);
   EXPECT_EQ(slab_count(7, 5, 8), 0);
+}
+
+TEST(ThreadPool, ParseThreadCountAcceptsWholeNumbers) {
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("016"), 16u);
+}
+
+TEST(ThreadPool, ParseThreadCountRejectsEverythingElse) {
+  for (const char* bad : {"", "x", "4x", "x4", "0", "00", "-2", "+4", " 4",
+                          "4 ", "2.5", "1e3", "99999999999999999999999"}) {
+    try {
+      (void)parse_thread_count(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("TURBFNO_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cli, ParsesKeyValueForms) {
