@@ -66,7 +66,10 @@
 #     snapshots, so its gradient kernel must never drop to the pinned loop
 #     (ns/grad_fallbacks == 0); ns/steps > 0 shows that a spectral solver
 #     stepped, so that count means something.
-#  7. Optionally (TURBFNO_TIER1_SANITIZE=1), an AddressSanitizer + UBSan
+#  7. A rejected-input smoke: examples/quickstart run with --threads 0,
+#     --threads 2x and TURBFNO_THREADS=0 must each exit with status 2 and
+#     print "error: <reason>" on stderr, not abort (SIGABRT, status 134).
+#  8. Optionally (TURBFNO_TIER1_SANITIZE=1), an AddressSanitizer + UBSan
 #     build of the test suite in a sibling build dir, with ctest run once.
 #     The build sets -fno-sanitize-recover=undefined, so a UBSan finding
 #     fails its test.
@@ -327,6 +330,29 @@ assert c["ns/grad_fallbacks"] == 0, \
     "the gradient kernel fell back to the pinned loop on finite snapshots"
 EOF
 
+# Rejected-input smoke: apply_runtime_flags makes an uncaught error exit with
+# status 2 and "error: <reason>" on stderr in every example and bench.
+REJECT_ERR="$BUILD_DIR/check_tier1_rejected.err"
+expect_rejected() {
+  local reason="$1"
+  shift
+  local status=0
+  "$@" > /dev/null 2> "$REJECT_ERR" || status=$?
+  if [[ "$status" != 2 ]] || ! grep -q '^error: ' "$REJECT_ERR" \
+      || ! grep -qF -- "$reason" "$REJECT_ERR"; then
+    echo "check_tier1: '$*' exited with status $status; want 2 and" \
+         "'error: ... $reason' on stderr, got:" >&2
+    cat "$REJECT_ERR" >&2
+    exit 1
+  fi
+}
+QUICKSTART="$BUILD_DIR/examples/quickstart"
+expect_rejected "--threads must be >= 1, got 0" "$QUICKSTART" --threads 0
+expect_rejected "--threads must be an integer, got '2x'" \
+    "$QUICKSTART" --threads 2x
+expect_rejected "TURBFNO_THREADS must be a whole number >= 1, got '0'" \
+    env TURBFNO_THREADS=0 "$QUICKSTART"
+
 if [[ "${TURBFNO_TIER1_SANITIZE:-0}" == "1" ]]; then
   ASAN_DIR="$BUILD_DIR-asan"
   cmake -B "$ASAN_DIR" -S . -DTURBFNO_SANITIZE=ON -DTURBFNO_BUILD_BENCH=OFF \
@@ -336,4 +362,4 @@ if [[ "${TURBFNO_TIER1_SANITIZE:-0}" == "1" ]]; then
       -j "$(nproc)"
 fi
 
-echo "check_tier1: OK (tests passed at 1 and 4 threads, determinism dumps identical incl. forced-ISA and batching-off legs [${ISA_LEGS[*]}], metrics JSON valid: $METRICS, perf smoke JSON valid: $PERF_JSON, inference smoke JSON valid: $INFER_JSON, serving smoke JSON valid: $SERVE_JSON, fault-injection smoke valid: $ROBUST_METRICS)"
+echo "check_tier1: OK (tests passed at 1 and 4 threads, determinism dumps identical incl. forced-ISA and batching-off legs [${ISA_LEGS[*]}], metrics JSON valid: $METRICS, perf smoke JSON valid: $PERF_JSON, inference smoke JSON valid: $INFER_JSON, serving smoke JSON valid: $SERVE_JSON, fault-injection smoke valid: $ROBUST_METRICS, rejected inputs exit 2)"

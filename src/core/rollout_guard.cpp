@@ -1,6 +1,5 @@
 #include "core/rollout_guard.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -23,26 +22,11 @@ const char* guard_trip_name(GuardTrip trip) {
 GuardTrip RolloutGuard::check(const FieldSnapshot& snapshot,
                               const SnapshotMetrics& metrics,
                               double* offending_value) {
-  const auto report = [this, offending_value](GuardTrip trip, double value) {
+  const auto report = [offending_value](GuardTrip trip, double value) {
     if (offending_value != nullptr) *offending_value = value;
-    ++stats_.trips;
-    stats_.last_trip = trip;
-    stats_.last_value = value;
     return trip;
   };
   if (!config_.enabled) return GuardTrip::none;
-
-  ++stats_.checked;
-  if (std::isfinite(metrics.kinetic_energy)) {
-    stats_.energy_min_seen =
-        std::min(stats_.energy_min_seen, metrics.kinetic_energy);
-    stats_.energy_max_seen =
-        std::max(stats_.energy_max_seen, metrics.kinetic_energy);
-  }
-  if (std::isfinite(metrics.enstrophy)) {
-    stats_.enstrophy_max_seen =
-        std::max(stats_.enstrophy_max_seen, metrics.enstrophy);
-  }
 
   // Any NaN/inf in the fields propagates into these sums of squares, so the
   // finite check on the global diagnostics covers the whole snapshot.

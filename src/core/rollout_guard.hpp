@@ -68,39 +68,22 @@ struct GuardEvent {
   double value = 0.0;  ///< the offending metric (energy, fraction, …)
 };
 
-/// Running band statistics a guard instance accumulates across check()
-/// calls — the per-stream state the serving layer keys session health on,
-/// and the observed energy/enstrophy envelope band calibration starts from.
-struct GuardStats {
-  index_t checked = 0;            ///< snapshots inspected
-  index_t trips = 0;              ///< snapshots that tripped
-  GuardTrip last_trip = GuardTrip::none;
-  double last_value = 0.0;        ///< offending quantity of the last trip
-  double energy_min_seen = std::numeric_limits<double>::infinity();
-  double energy_max_seen = -std::numeric_limits<double>::infinity();
-  double enstrophy_max_seen = -std::numeric_limits<double>::infinity();
-};
-
-/// Copyable and resettable: the serving layer stamps out one instance per
-/// stream (a trivial value copy), and reset() returns a reused session's
-/// guard to clean band statistics without rebuilding it.
+/// Copyable: the serving layer stamps out one instance per stream (a trivial
+/// value copy).
 class RolloutGuard {
  public:
   RolloutGuard() = default;  ///< disabled guard (config.enabled = false)
-  explicit RolloutGuard(const GuardConfig& config)
-      : config_(config), base_config_(config) {}
+  explicit RolloutGuard(const GuardConfig& config) : config_(config) {}
 
   /// Verdict for one produced snapshot; `metrics` are the diagnostics the
   /// scheduler already computes per snapshot. When tripped and
   /// `offending_value` is non-null it receives the violating quantity.
-  /// Updates the running band statistics (stats()).
   [[nodiscard]] GuardTrip check(const FieldSnapshot& snapshot,
                                 const SnapshotMetrics& metrics,
                                 double* offending_value = nullptr);
 
   /// Spread-calibration write-through (serve::EnsembleSession): replace the
-  /// energy band / enstrophy ceiling for the next check() calls. reset()
-  /// restores the as-constructed limits.
+  /// energy band / enstrophy ceiling for the next check() calls.
   void set_energy_band(double energy_min, double energy_max) {
     config_.energy_min = energy_min;
     config_.energy_max = energy_max;
@@ -109,22 +92,10 @@ class RolloutGuard {
     config_.enstrophy_max = enstrophy_max;
   }
 
-  /// Clear the accumulated band statistics AND restore the as-constructed
-  /// config: a reused session must start from the configured fixed bands,
-  /// not the previous stream's calibrated (possibly razor-thin) envelope —
-  /// otherwise a healthy first window can trip on stale state.
-  void reset() {
-    stats_ = GuardStats{};
-    config_ = base_config_;
-  }
-
   [[nodiscard]] const GuardConfig& config() const { return config_; }
-  [[nodiscard]] const GuardStats& stats() const { return stats_; }
 
  private:
   GuardConfig config_;
-  GuardConfig base_config_;  ///< as constructed; reset() restores it
-  GuardStats stats_;
 };
 
 }  // namespace turb::core

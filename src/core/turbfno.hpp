@@ -4,7 +4,7 @@
 // dynamics in two-dimensional turbulence" (Atif et al., SC 2024):
 //
 //   * turb::lbm       — entropic D2Q9 lattice Boltzmann data generator
-//   * turb::ns        — spectral & finite-difference Navier–Stokes solvers
+//   * turb::ns        — pseudo-spectral Navier–Stokes solver
 //   * turb::fft       — radix-2/Bluestein real & complex FFTs
 //   * turb::nn        — training stack (layers, Adam, losses, gradcheck)
 //   * turb::fno       — FNO models (2D temporal-channels and 3D), trainer

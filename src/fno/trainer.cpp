@@ -228,9 +228,4 @@ EvalResult evaluate_fno(Fno& model, const TensorF& inputs,
   return result;
 }
 
-double evaluate_fno_error(Fno& model, const TensorF& inputs,
-                          const TensorF& targets, index_t batch_size) {
-  return evaluate_fno(model, inputs, targets, batch_size).rel_l2;
-}
-
 }  // namespace turb::fno

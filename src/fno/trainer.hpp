@@ -90,8 +90,4 @@ struct EvalResult {
 EvalResult evaluate_fno(Fno& model, const TensorF& inputs,
                         const TensorF& targets, index_t batch_size = 8);
 
-/// Compatibility wrapper returning only the error scalar.
-double evaluate_fno_error(Fno& model, const TensorF& inputs,
-                          const TensorF& targets, index_t batch_size = 8);
-
 }  // namespace turb::fno

@@ -9,6 +9,18 @@
 
 namespace turb::lbm {
 
+namespace {
+/// Entropic fast path: when every |Δᵢ|/fᵢ is below this, the entropic root
+/// is indistinguishable from α = 2 (the BGK limit) and the Newton solve is
+/// skipped.
+constexpr double kEntropicFastPathThreshold = 1e-3;
+/// MRT relaxation rates for the non-hydrodynamic moments (energy,
+/// energy-square, heat-flux). The stress rate is set by the viscosity.
+constexpr double kMrtSe = 1.4;
+constexpr double kMrtSeps = 1.4;
+constexpr double kMrtSq = 1.2;
+}  // namespace
+
 LbmSolver::LbmSolver(LbmConfig config)
     : config_(config),
       beta_(1.0 / (6.0 * config.viscosity + 1.0)),
@@ -137,9 +149,8 @@ void LbmSolver::collide_mrt() {
 
   // Stress moments relax at the viscosity rate; conserved moments at 0.
   const double s_nu = 1.0 / (3.0 * config_.viscosity + 0.5);
-  const double s[9] = {0.0,          config_.mrt_s_e, config_.mrt_s_eps,
-                       0.0,          config_.mrt_s_q, 0.0,
-                       config_.mrt_s_q, s_nu,         s_nu};
+  const double s[9] = {0.0, kMrtSe, kMrtSeps, 0.0, kMrtSq,
+                       0.0, kMrtSq, s_nu,     s_nu};
 
   parallel_for_chunked(0, cells_, [&](index_t begin, index_t end) {
     double fi[kQ], m[kQ], meq[kQ];
@@ -187,7 +198,6 @@ void LbmSolver::collide() {
   }
   const double beta = beta_;
   const bool entropic = config_.collision == Collision::kEntropic;
-  const double fast_threshold = config_.entropic_fast_path_threshold;
   const bool forced = config_.force_amplitude != 0.0;
 
   std::mutex stats_mutex;
@@ -232,7 +242,7 @@ void LbmSolver::collide() {
           delta[i] = feq[i] - fi[i];
           rel = std::max(rel, std::abs(delta[i]) / fi[i]);
         }
-        if (rel > fast_threshold) {
+        if (rel > kEntropicFastPathThreshold) {
           alpha = solve_alpha(fi, delta);
           ++local_newton;
           local_min = std::min(local_min, alpha);

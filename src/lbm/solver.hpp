@@ -36,15 +36,6 @@ struct LbmConfig {
   index_t ny = 64;
   double viscosity = 1e-3;  ///< kinematic viscosity in lattice units
   Collision collision = Collision::kEntropic;
-  /// Fast path: when every |Δᵢ|/fᵢ is below this, the entropic root is
-  /// indistinguishable from α = 2 (the BGK limit) and the Newton solve is
-  /// skipped.
-  double entropic_fast_path_threshold = 1e-3;
-  /// MRT relaxation rates for the non-hydrodynamic moments (energy,
-  /// energy-square, heat-flux). The stress rate is set by the viscosity.
-  double mrt_s_e = 1.4;
-  double mrt_s_eps = 1.4;
-  double mrt_s_q = 1.2;
   /// Kolmogorov body force Fx(y) = A sin(2π k_f y/ny) via the Guo scheme
   /// (second-order forcing with the half-force velocity shift). Zero = the
   /// paper's decaying setting.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numbers>
-#include <string>
 
 #include "fft/fftnd.hpp"
 #include "ns/gradient.hpp"
@@ -33,8 +32,6 @@ double NsSolver::suggest_dt(double u_max, double cfl) const {
   const double dt_diff = 0.25 * dx * dx / config_.viscosity;
   return std::min(dt_adv, dt_diff);
 }
-
-// --- spectral ----------------------------------------------------------------
 
 SpectralNsSolver::SpectralNsSolver(NsConfig config)
     : NsSolver(config),
@@ -209,121 +206,6 @@ void SpectralNsSolver::step_rk4(ThreadPool& pool) {
 
 TensorD SpectralNsSolver::vorticity() const {
   return fft::irfftn(what_, 2, config_.n);
-}
-
-// --- finite difference ---------------------------------------------------------
-
-FdNsSolver::FdNsSolver(NsConfig config)
-    : NsSolver(config), omega_({config.n, config.n}) {}
-
-void FdNsSolver::set_vorticity(const TensorD& omega) {
-  TURB_CHECK(omega.shape() == (Shape{config_.n, config_.n}));
-  omega_ = omega;
-  time_ = 0.0;
-}
-
-TensorD FdNsSolver::rhs(const TensorD& omega) const {
-  const index_t n = config_.n;
-  const double dx = 1.0 / static_cast<double>(n);
-
-  // Streamfunction from the spectral Poisson solve: ∇²ψ = −ω.
-  // (The paper's PR-DNS is finite-difference in space but also relies on a
-  // fast elliptic solve; reusing the FFT here keeps the Jacobian and
-  // Laplacian — the turbulence-relevant terms — strictly 2nd-order FD.)
-  const index_t nxr = n / 2 + 1;
-  Tensor<std::complex<double>> wh = fft::rfftn(omega, 2);
-  for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = kTwoPi * fft_freq(iy, n);
-    for (index_t ix = 0; ix < nxr; ++ix) {
-      const double kx = kTwoPi * static_cast<double>(ix);
-      const double k2 = kx * kx + ky * ky;
-      wh(iy, ix) = (k2 == 0.0) ? 0.0 : wh(iy, ix) / k2;
-    }
-  }
-  const TensorD psi = fft::irfftn(wh, 2, n);
-
-  TensorD out({n, n});
-  const double inv_12dx2 = 1.0 / (12.0 * dx * dx);
-  const double inv_dx2 = 1.0 / (dx * dx);
-  const auto idx = [n](index_t iy, index_t ix) {
-    return ((iy + n) % n) * n + ((ix + n) % n);
-  };
-  for (index_t iy = 0; iy < n; ++iy) {
-    for (index_t ix = 0; ix < n; ++ix) {
-      // Arakawa (1966) 9-point Jacobian J(ψ, ω): conserves mean vorticity,
-      // energy, and enstrophy in the inviscid limit.
-      const double p_e = psi[idx(iy, ix + 1)], p_w = psi[idx(iy, ix - 1)];
-      const double p_n = psi[idx(iy + 1, ix)], p_s = psi[idx(iy - 1, ix)];
-      const double p_ne = psi[idx(iy + 1, ix + 1)];
-      const double p_nw = psi[idx(iy + 1, ix - 1)];
-      const double p_se = psi[idx(iy - 1, ix + 1)];
-      const double p_sw = psi[idx(iy - 1, ix - 1)];
-      const double w_c = omega[idx(iy, ix)];
-      const double w_e = omega[idx(iy, ix + 1)], w_w = omega[idx(iy, ix - 1)];
-      const double w_n = omega[idx(iy + 1, ix)], w_s = omega[idx(iy - 1, ix)];
-      const double w_ne = omega[idx(iy + 1, ix + 1)];
-      const double w_nw = omega[idx(iy + 1, ix - 1)];
-      const double w_se = omega[idx(iy - 1, ix + 1)];
-      const double w_sw = omega[idx(iy - 1, ix - 1)];
-
-      const double jpp = (p_e - p_w) * (w_n - w_s) - (p_n - p_s) * (w_e - w_w);
-      const double jpx = p_e * (w_ne - w_se) - p_w * (w_nw - w_sw) -
-                         p_n * (w_ne - w_nw) + p_s * (w_se - w_sw);
-      const double jxp = w_n * (p_ne - p_nw) - w_s * (p_se - p_sw) -
-                         w_e * (p_ne - p_se) + w_w * (p_nw - p_sw);
-      // ∂ω/∂t = −u·∇ω = +J(ψ, ω) with u = (∂ψ/∂y, −∂ψ/∂x) and
-      // J(ψ,ω) = ψ_x ω_y − ψ_y ω_x; each sub-Jacobian carries 1/(4d²) and
-      // the Arakawa average 1/3, hence 1/(12d²) overall.
-      const double jac = (jpp + jpx + jxp) * inv_12dx2;
-
-      const double lap = (w_e + w_w + w_n + w_s - 4.0 * w_c) * inv_dx2;
-      out[idx(iy, ix)] = jac + config_.viscosity * lap;
-    }
-  }
-  if (config_.forcing_amplitude != 0.0) {
-    const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
-    for (index_t iy = 0; iy < n; ++iy) {
-      const double y = static_cast<double>(iy) * dx;
-      const double source = -config_.forcing_amplitude * kf * std::cos(kf * y);
-      for (index_t ix = 0; ix < n; ++ix) {
-        out[iy * n + ix] += source;
-      }
-    }
-  }
-  return out;
-}
-
-void FdNsSolver::step(index_t steps) {
-  TURB_TRACE_SCOPE("ns/step");
-  static obs::Counter& counter = obs::counter("ns/steps");
-  counter.add(steps);
-  const double dt = config_.dt;
-  for (index_t s = 0; s < steps; ++s) {
-    // SSP-RK3 (Shu–Osher).
-    const TensorD k1 = rhs(omega_);
-    TensorD w1 = omega_;
-    w1.add_scaled(k1, dt);
-    const TensorD k2 = rhs(w1);
-    TensorD w2({config_.n, config_.n});
-    for (index_t i = 0; i < w2.size(); ++i) {
-      w2[i] = 0.75 * omega_[i] + 0.25 * (w1[i] + dt * k2[i]);
-    }
-    const TensorD k3 = rhs(w2);
-    for (index_t i = 0; i < omega_.size(); ++i) {
-      omega_[i] = omega_[i] / 3.0 + 2.0 / 3.0 * (w2[i] + dt * k3[i]);
-    }
-    time_ += dt;
-  }
-}
-
-TensorD FdNsSolver::vorticity() const { return omega_; }
-
-std::unique_ptr<NsSolver> make_ns_solver(const std::string& scheme,
-                                         NsConfig config) {
-  if (scheme == "spectral") return std::make_unique<SpectralNsSolver>(config);
-  if (scheme == "fd") return std::make_unique<FdNsSolver>(config);
-  TURB_CHECK_MSG(false, "unknown NS scheme: " << scheme);
-  return nullptr;
 }
 
 }  // namespace turb::ns

@@ -1,22 +1,16 @@
-// Incompressible 2-D Navier–Stokes solvers (vorticity–streamfunction form)
+// Incompressible 2-D Navier–Stokes solver (vorticity–streamfunction form)
 // on the periodic unit box.
 //
 //   ∂ω/∂t + u·∇ω = ν ∇²ω,   ∇²ψ = −ω,   u = (∂ψ/∂y, −∂ψ/∂x)
 //
-// Two discretisations share one interface:
-//   * SpectralNsSolver — pseudo-spectral, 2/3-rule dealiased, RK4. The
-//     reference solution, and the PDE of the hybrid emulator; its step is
-//     planned once per grid and runs allocation-free.
-//   * FdNsSolver — 2nd-order finite differences with the Arakawa Jacobian
-//     (conserves energy and enstrophy discretely) and an FFT Poisson solve,
-//     SSP-RK3. Stands in for the paper's finite-difference PR-DNS partner;
-//     training on LBM data and coupling with this solver reproduces the
-//     paper's cross-solver generalisation setup.
+// SpectralNsSolver — pseudo-spectral, 2/3-rule dealiased, RK4 — is the one
+// discretisation: the reference solution, and the PDE of the hybrid
+// emulator. Its step is planned once per grid and runs allocation-free.
+// NsSolver is the interface core::PdePropagator steps.
 #pragma once
 
 #include <complex>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fft/fftnd.hpp"
@@ -29,8 +23,8 @@ struct NsConfig {
   index_t n = 64;           ///< grid points per side
   double viscosity = 1e-4;  ///< kinematic viscosity (unit-box units)
   double dt = 1e-3;         ///< time step
-  bool dealias = true;      ///< 2/3-rule dealiasing (spectral scheme only);
-                            ///< exposed for the aliasing ablation bench
+  bool dealias = true;      ///< 2/3-rule dealiasing; exposed for the
+                            ///< aliasing ablation bench
   /// Kolmogorov forcing f = (A sin(2π k_f y), 0), i.e. a vorticity source
   /// −A·2πk_f·cos(2π k_f y). Zero amplitude = decaying turbulence (the
   /// paper's setting); nonzero exercises the forced-turbulence extension
@@ -121,24 +115,5 @@ class SpectralNsSolver final : public NsSolver {
   std::vector<cpx> line_scratch_;
   std::size_t slots_ = 0;
 };
-
-class FdNsSolver final : public NsSolver {
- public:
-  explicit FdNsSolver(NsConfig config);
-  void set_vorticity(const TensorD& omega) override;
-  void step(index_t steps = 1) override;
-  [[nodiscard]] TensorD vorticity() const override;
-
- private:
-  /// dω/dt = −J(ψ, ω) + ν ∇²ω with the Arakawa Jacobian and the 5-point
-  /// Laplacian; ψ solved spectrally each evaluation.
-  TensorD rhs(const TensorD& omega) const;
-
-  TensorD omega_;
-};
-
-/// Factory for the scheme requested by name ("spectral" | "fd").
-std::unique_ptr<NsSolver> make_ns_solver(const std::string& scheme,
-                                         NsConfig config);
 
 }  // namespace turb::ns

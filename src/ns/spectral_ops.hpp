@@ -1,6 +1,6 @@
 // Spectral differential operators on periodic [0,1)² grids.
 //
-// Used by the Navier–Stokes solvers' state I/O (NsSolver::set_velocity's
+// Used by the Navier–Stokes solver's state I/O (NsSolver::set_velocity's
 // Leray projection and vorticity, NsSolver::velocity's Biot–Savart
 // readback) and by the analysis module (vorticity/divergence of predicted
 // velocity fields). The spectral solver's RK4 step does not call these

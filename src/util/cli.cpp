@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "obs/obs.hpp"
 #include "util/common.hpp"
@@ -39,33 +42,70 @@ std::string CliArgs::get(const std::string& key,
   return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// The whole of `value` as a T, or a CheckError naming the flag: from_chars
+/// takes no whitespace, `+` or trailing junk, and reports an out-of-range
+/// value instead of clamping it.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& value,
+              const char* kind) {
+  T v{};
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  TURB_CHECK_MSG(ec == std::errc() && ptr == last,
+                 "--" << key << " must be " << kind << ", got '" << value
+                      << "'");
+  return v;
+}
+
+}  // namespace
+
 long CliArgs::get_int(const std::string& key, long fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  TURB_CHECK_MSG(end != it->second.c_str(), "not an integer: --" << key);
-  return v;
+  return parse_whole<long>(key, it->second, "an integer");
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  TURB_CHECK_MSG(end != it->second.c_str(), "not a number: --" << key);
-  return v;
+  return parse_whole<double>(key, it->second, "a number");
 }
 
 namespace {
 
 ServeRuntimeOptions g_serve_options;
+std::terminate_handler g_default_terminate = nullptr;
+
+/// An exception no frame caught ends the driver with "error: <reason>" on
+/// stderr and status 2, not std::terminate's abort (SIGABRT, a core dump).
+/// Output already printed is flushed; no destructor or atexit hook runs, as
+/// the exception may have left another thread mid-call. Anything else
+/// (terminate without an exception, a non-std exception) keeps the default.
+[[noreturn]] void exit_on_uncaught() {
+  if (const std::exception_ptr e = std::current_exception()) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const std::exception& err) {
+      std::fflush(nullptr);
+      std::fprintf(stderr, "error: %s\n", err.what());
+      std::_Exit(2);
+    } catch (...) {
+    }
+  }
+  if (g_default_terminate != nullptr) g_default_terminate();
+  std::abort();
+}
 
 }  // namespace
 
 const ServeRuntimeOptions& serve_runtime_options() { return g_serve_options; }
 
 void apply_runtime_flags(const CliArgs& args) {
+  if (std::get_terminate() != exit_on_uncaught) {
+    g_default_terminate = std::set_terminate(exit_on_uncaught);
+  }
   if (args.has("threads")) {
     const long threads = args.get_int("threads", 0);
     TURB_CHECK_MSG(threads >= 1, "--threads must be >= 1, got " << threads);

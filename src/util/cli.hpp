@@ -17,6 +17,8 @@ class CliArgs {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
+  /// The value must parse whole and in range (`2x`, ` 2`, `1e999` throw a
+  /// CheckError naming the flag).
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
@@ -51,7 +53,10 @@ struct ServeRuntimeOptions {
 /// apply_runtime_flags sees them).
 [[nodiscard]] const ServeRuntimeOptions& serve_runtime_options();
 
-/// Apply the process-wide flags every driver (examples, benches) shares:
+/// Apply the process-wide flags every driver (examples, benches) shares,
+/// first making an uncaught exception (a rejected flag, TURBFNO_THREADS, any
+/// failed TURB_CHECK on user input) exit with status 2 and
+/// "error: <reason>" on stderr instead of aborting:
 ///   --threads N             size the global thread pool (must precede the
 ///                           first parallel region; errors otherwise)
 ///   --isa auto|scalar|avx2  force the microkernel ISA (overrides the

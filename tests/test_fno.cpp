@@ -211,8 +211,6 @@ TEST(Trainer, EvaluateMatchesManualError) {
   EXPECT_NEAR(eval.rel_l2, nn::relative_l2_error(pred, y), 1e-6);
   EXPECT_EQ(eval.n_samples, 3);
   EXPECT_GE(eval.seconds, 0.0);
-  // Thin compatibility wrapper returns the same scalar.
-  EXPECT_DOUBLE_EQ(evaluate_fno_error(model, x, y, 2), eval.rel_l2);
 }
 
 // --- rollout -------------------------------------------------------------------

@@ -134,8 +134,8 @@ TEST(Lbm, EntropicMatchesBgkWhenResolved) {
   // In a well-resolved flow the entropic root is α ≈ 2 and both operators
   // coincide.
   const index_t n = 32;
-  LbmConfig bgk_cfg{n, n, 0.02, Collision::kBgk, 1e-3};
-  LbmConfig ent_cfg{n, n, 0.02, Collision::kEntropic, 1e-3};
+  LbmConfig bgk_cfg{n, n, 0.02, Collision::kBgk};
+  LbmConfig ent_cfg{n, n, 0.02, Collision::kEntropic};
   LbmSolver bgk(bgk_cfg), ent(ent_cfg);
   const VelocityField field = taylor_green_velocity(n, n, 0.02);
   bgk.initialize(field.u1, field.u2);

@@ -178,63 +178,60 @@ TEST(SpectralOps, TaylorGreenEnergyInShellOne) {
 
 // --- solvers ------------------------------------------------------------------
 
-class NsScheme : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(NsScheme, TaylorGreenViscousDecay) {
+TEST(NsSpectral, TaylorGreenViscousDecay) {
   NsConfig cfg;
   cfg.n = 64;
   cfg.viscosity = 1e-3;
   cfg.dt = 2e-4;
-  auto solver = make_ns_solver(GetParam(), cfg);
-  solver->set_vorticity(taylor_green_vorticity(cfg.n, 1.0));
-  const double z0 = enstrophy(solver->vorticity());
+  SpectralNsSolver solver(cfg);
+  solver.set_vorticity(taylor_green_vorticity(cfg.n, 1.0));
+  const double z0 = enstrophy(solver.vorticity());
   const index_t steps = 500;
-  solver->step(steps);
-  const double z1 = enstrophy(solver->vorticity());
+  solver.step(steps);
+  const double z1 = enstrophy(solver.vorticity());
   // Enstrophy ∝ exp(−4 ν k² t), k = 2π.
   const double t = cfg.dt * static_cast<double>(steps);
   const double expected = z0 * std::exp(-4.0 * cfg.viscosity * kTwoPi * kTwoPi * t);
-  const double tol = GetParam() == "spectral" ? 1e-6 : 0.02;
-  EXPECT_NEAR(z1 / expected, 1.0, tol);
+  EXPECT_NEAR(z1 / expected, 1.0, 1e-6);
 }
 
-TEST_P(NsScheme, TaylorGreenShapePreserved) {
+TEST(NsSpectral, TaylorGreenShapePreserved) {
   // TG is a steady-shape solution: the vorticity field remains proportional
   // to its initial pattern.
   NsConfig cfg;
   cfg.n = 32;
   cfg.viscosity = 1e-3;
   cfg.dt = 2e-4;
-  auto solver = make_ns_solver(GetParam(), cfg);
+  SpectralNsSolver solver(cfg);
   const TensorD w0 = taylor_green_vorticity(cfg.n, 1.0);
-  solver->set_vorticity(w0);
-  solver->step(300);
-  const TensorD w1 = solver->vorticity();
+  solver.set_vorticity(w0);
+  solver.step(300);
+  const TensorD w1 = solver.vorticity();
   // Correlation coefficient with the initial field must stay ≈ 1.
   double dot = 0.0;
   for (index_t i = 0; i < w0.size(); ++i) dot += w0[i] * w1[i];
   const double corr = dot / (w0.norm() * w1.norm());
-  EXPECT_NEAR(corr, 1.0, GetParam() == "spectral" ? 1e-9 : 1e-4);
+  EXPECT_NEAR(corr, 1.0, 1e-9);
 }
 
-TEST_P(NsScheme, EnergyAndEnstrophyDecay) {
+TEST(NsSpectral, EnergyAndEnstrophyDecay) {
   NsConfig cfg;
   cfg.n = 48;
   cfg.viscosity = 5e-4;
   cfg.dt = 2e-4;
-  auto solver = make_ns_solver(GetParam(), cfg);
+  SpectralNsSolver solver(cfg);
   Rng rng(67);
   const auto field = lbm::random_vortex_velocity(cfg.n, cfg.n, 4.0, 1.0, rng);
-  solver->set_velocity(field.u1, field.u2);
+  solver.set_velocity(field.u1, field.u2);
   TensorD u1, u2;
-  solver->velocity(u1, u2);
+  solver.velocity(u1, u2);
   double prev_ke = u1.squared_norm() + u2.squared_norm();
-  double prev_z = enstrophy(solver->vorticity());
+  double prev_z = enstrophy(solver.vorticity());
   for (int block = 0; block < 5; ++block) {
-    solver->step(100);
-    solver->velocity(u1, u2);
+    solver.step(100);
+    solver.velocity(u1, u2);
     const double ke = u1.squared_norm() + u2.squared_norm();
-    const double z = enstrophy(solver->vorticity());
+    const double z = enstrophy(solver.vorticity());
     EXPECT_LT(ke, prev_ke * 1.0001);
     EXPECT_LT(z, prev_z * 1.0001);
     prev_ke = ke;
@@ -242,37 +239,37 @@ TEST_P(NsScheme, EnergyAndEnstrophyDecay) {
   }
 }
 
-TEST_P(NsScheme, MeanVorticityConserved) {
+TEST(NsSpectral, MeanVorticityConserved) {
   NsConfig cfg;
   cfg.n = 32;
   cfg.viscosity = 1e-3;
   cfg.dt = 5e-4;
-  auto solver = make_ns_solver(GetParam(), cfg);
+  SpectralNsSolver solver(cfg);
   Rng rng(71);
   const auto field = lbm::random_vortex_velocity(cfg.n, cfg.n, 4.0, 1.0, rng);
-  solver->set_velocity(field.u1, field.u2);
-  solver->step(200);
+  solver.set_velocity(field.u1, field.u2);
+  solver.step(200);
   // Periodic domain: ∫ω dA = 0 for velocity-derived vorticity, and stays 0.
-  EXPECT_NEAR(solver->vorticity().mean(), 0.0, 1e-10);
+  EXPECT_NEAR(solver.vorticity().mean(), 0.0, 1e-10);
 }
 
-TEST_P(NsScheme, SetVelocityProjectsDivergentInput) {
+TEST(NsSpectral, SetVelocityProjectsDivergentInput) {
   NsConfig cfg;
   cfg.n = 32;
   cfg.viscosity = 1e-3;
   cfg.dt = 5e-4;
-  auto solver = make_ns_solver(GetParam(), cfg);
+  SpectralNsSolver solver(cfg);
   Rng rng(73);
   TensorD u1({32, 32}), u2({32, 32});
   u1.fill_normal(rng, 0.0, 1.0);
   u2.fill_normal(rng, 0.0, 1.0);
-  solver->set_velocity(u1, u2);  // must not throw; projection applied
+  solver.set_velocity(u1, u2);  // must not throw; projection applied
   TensorD v1, v2;
-  solver->velocity(v1, v2);
+  solver.velocity(v1, v2);
   EXPECT_LT(divergence(v1, v2).max_abs(), 1e-8);
 }
 
-TEST_P(NsScheme, ForcingWavenumberOutsideHalfGridRejected) {
+TEST(NsSpectral, ForcingWavenumberOutsideHalfGridRejected) {
   // The spectral forcing writes spectrum rows k_f and n − k_f, so only
   // 1 ≤ k_f ≤ n/2 names a mode pair inside the (n, n/2+1) spectrum.
   NsConfig cfg;
@@ -282,20 +279,19 @@ TEST_P(NsScheme, ForcingWavenumberOutsideHalfGridRejected) {
   cfg.forcing_amplitude = 0.5;
   for (const index_t k : {index_t{0}, index_t{-1}, cfg.n / 2 + 1, cfg.n}) {
     cfg.forcing_k = k;
-    EXPECT_THROW(make_ns_solver(GetParam(), cfg), CheckError)
-        << "forcing_k=" << k;
+    EXPECT_THROW(SpectralNsSolver{cfg}, CheckError) << "forcing_k=" << k;
   }
   for (const index_t k : {index_t{1}, cfg.n / 2}) {
     cfg.forcing_k = k;
-    auto solver = make_ns_solver(GetParam(), cfg);
-    solver->set_vorticity(taylor_green_vorticity(cfg.n, 0.1));
-    solver->step(2);
-    EXPECT_TRUE(std::isfinite(solver->vorticity().max_abs()))
+    SpectralNsSolver solver(cfg);
+    solver.set_vorticity(taylor_green_vorticity(cfg.n, 0.1));
+    solver.step(2);
+    EXPECT_TRUE(std::isfinite(solver.vorticity().max_abs()))
         << "forcing_k=" << k;
   }
 }
 
-TEST_P(NsScheme, ForcingAboveTwoThirdsCutoffDrivesFlow) {
+TEST(NsSpectral, ForcingAboveTwoThirdsCutoffDrivesFlow) {
   // From rest the forced vorticity grows as −A·2πk_f·cos(2πk_f y)·t (the
   // shear flow it drives has no advection), so max|ω| ≈ A·2πk_f·t. This
   // holds for any accepted k_f, including those above the 2/3-rule cutoff
@@ -307,19 +303,15 @@ TEST_P(NsScheme, ForcingAboveTwoThirdsCutoffDrivesFlow) {
   cfg.forcing_amplitude = 0.5;
   for (const index_t k : {index_t{6}, index_t{8}}) {
     cfg.forcing_k = k;
-    auto solver = make_ns_solver(GetParam(), cfg);
-    solver->set_vorticity(TensorD({cfg.n, cfg.n}));
-    solver->step(10);
+    SpectralNsSolver solver(cfg);
+    solver.set_vorticity(TensorD({cfg.n, cfg.n}));
+    solver.step(10);
     const double expected = cfg.forcing_amplitude * kTwoPi *
-                            static_cast<double>(k) * solver->time();
-    EXPECT_NEAR(solver->vorticity().max_abs() / expected, 1.0, 0.03)
+                            static_cast<double>(k) * solver.time();
+    EXPECT_NEAR(solver.vorticity().max_abs() / expected, 1.0, 0.03)
         << "forcing_k=" << k;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Schemes, NsScheme,
-                         ::testing::Values(std::string("spectral"),
-                                           std::string("fd")));
 
 // --- bitwise oracle for the planned spectral step -----------------------------
 
@@ -740,71 +732,6 @@ TEST(NsSolver, PhaseSpansCountFourPerStepWithinStep) {
   obs::set_enabled(was_enabled);
 }
 
-TEST(NsSolver, CrossSchemeAgreementShortTime) {
-  // Both discretisations approximate the same PDE: after a short smooth
-  // evolution they must agree to truncation error.
-  NsConfig cfg;
-  cfg.n = 64;
-  cfg.viscosity = 1e-3;
-  cfg.dt = 1e-4;
-  SpectralNsSolver spectral(cfg);
-  FdNsSolver fd(cfg);
-  Rng rng(79);
-  const auto field = lbm::random_vortex_velocity(cfg.n, cfg.n, 3.0, 1.0, rng);
-  const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
-  spectral.set_vorticity(w0);
-  fd.set_vorticity(w0);
-  spectral.step(100);
-  fd.step(100);
-  const TensorD ws = spectral.vorticity();
-  const TensorD wf = fd.vorticity();
-  double num = 0.0;
-  for (index_t i = 0; i < ws.size(); ++i) {
-    const double d = ws[i] - wf[i];
-    num += d * d;
-  }
-  const double rel = std::sqrt(num / ws.squared_norm());
-  EXPECT_LT(rel, 0.02);
-}
-
-TEST(NsSolver, FdConvergesToSpectralUnderRefinement) {
-  // The FD error vs the spectral reference must shrink roughly 4× when the
-  // grid is refined 2× (2nd-order accuracy).
-  const auto run_error = [](index_t n) {
-    NsConfig cfg;
-    cfg.n = n;
-    cfg.viscosity = 2e-3;
-    cfg.dt = 5e-5;
-    SpectralNsSolver spectral(cfg);
-    FdNsSolver fd(cfg);
-    // Smooth low-mode IC defined analytically at any resolution.
-    TensorD w0({n, n});
-    for (index_t iy = 0; iy < n; ++iy) {
-      const double y = kTwoPi * static_cast<double>(iy) / n;
-      for (index_t ix = 0; ix < n; ++ix) {
-        const double x = kTwoPi * static_cast<double>(ix) / n;
-        w0(iy, ix) = std::sin(x) * std::sin(y) + 0.5 * std::cos(2.0 * x) -
-                     0.3 * std::sin(x + 2.0 * y);
-      }
-    }
-    spectral.set_vorticity(w0);
-    fd.set_vorticity(w0);
-    spectral.step(200);
-    fd.step(200);
-    const TensorD ws = spectral.vorticity();
-    const TensorD wf = fd.vorticity();
-    double num = 0.0;
-    for (index_t i = 0; i < ws.size(); ++i) {
-      const double d = ws[i] - wf[i];
-      num += d * d;
-    }
-    return std::sqrt(num / ws.squared_norm());
-  };
-  const double e32 = run_error(32);
-  const double e64 = run_error(64);
-  EXPECT_LT(e64, e32 / 2.5);  // comfortably better than 1st order
-}
-
 TEST(NsSolver, SuggestDtRespectsCflAndDiffusion) {
   NsConfig cfg;
   cfg.n = 64;
@@ -818,11 +745,6 @@ TEST(NsSolver, SuggestDtRespectsCflAndDiffusion) {
   cfg2.viscosity = 0.5;
   SpectralNsSolver solver2(cfg2);
   EXPECT_NEAR(solver2.suggest_dt(1e-6), 0.25 / (64.0 * 64.0 * 0.5), 1e-12);
-}
-
-TEST(NsSolver, UnknownSchemeRejected) {
-  NsConfig cfg;
-  EXPECT_THROW(make_ns_solver("upwind", cfg), CheckError);
 }
 
 TEST(NsSolver, TimeAccumulates) {

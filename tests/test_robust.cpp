@@ -12,7 +12,6 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -626,75 +625,6 @@ TEST(RolloutGuardTest, EnabledButUntrippedIsBitwiseIdenticalToDisabled) {
       ASSERT_EQ(plain.trajectory[k].u2[i], guarded.trajectory[k].u2[i]);
     }
   }
-}
-
-TEST(RolloutGuardTest, EnvelopeStatsSurviveCopyAndClearOnReset) {
-  core::GuardConfig cfg;
-  cfg.enabled = true;
-  core::RolloutGuard guard(cfg);
-
-  // Pristine envelope: min at +inf, maxima at -inf, so the first observed
-  // snapshot always tightens all three.
-  EXPECT_EQ(guard.stats().energy_min_seen,
-            std::numeric_limits<double>::infinity());
-  EXPECT_EQ(guard.stats().energy_max_seen,
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(guard.stats().enstrophy_max_seen,
-            -std::numeric_limits<double>::infinity());
-
-  const core::History seed = make_seed(3);
-  for (const core::FieldSnapshot& snap : seed) {
-    (void)guard.check(snap, core::compute_metrics(snap), nullptr);
-  }
-  const double e_min = guard.stats().energy_min_seen;
-  const double e_max = guard.stats().energy_max_seen;
-  const double z_max = guard.stats().enstrophy_max_seen;
-  EXPECT_TRUE(std::isfinite(e_min));
-  EXPECT_LE(e_min, e_max);
-  EXPECT_TRUE(std::isfinite(z_max));
-
-  // The observed envelope is part of the per-stream value copy...
-  const core::RolloutGuard clone = guard;
-  EXPECT_EQ(clone.stats().energy_min_seen, e_min);
-  EXPECT_EQ(clone.stats().energy_max_seen, e_max);
-  EXPECT_EQ(clone.stats().enstrophy_max_seen, z_max);
-
-  // ...and reset() returns every envelope field to its pristine state; a
-  // stale envelope would mislead the next stream's band calibration.
-  guard.reset();
-  EXPECT_EQ(guard.stats().energy_min_seen,
-            std::numeric_limits<double>::infinity());
-  EXPECT_EQ(guard.stats().energy_max_seen,
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(guard.stats().enstrophy_max_seen,
-            -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(clone.stats().energy_max_seen, e_max);  // clone unaffected
-}
-
-TEST(RolloutGuardTest, ResetRestoresConfiguredBandsAfterCalibration) {
-  core::GuardConfig cfg;
-  cfg.enabled = true;  // infinite default bands
-  core::RolloutGuard guard(cfg);
-
-  const core::FieldSnapshot snap = make_seed(1).front();
-  const core::SnapshotMetrics metrics = core::compute_metrics(snap);
-  EXPECT_EQ(guard.check(snap, metrics, nullptr), core::GuardTrip::none);
-
-  // A spread calibrator writes a razor-thin band below the actual physics.
-  guard.set_energy_band(metrics.kinetic_energy * 2.0,
-                        metrics.kinetic_energy * 3.0);
-  guard.set_enstrophy_max(metrics.enstrophy * 0.5);
-  EXPECT_EQ(guard.check(snap, metrics, nullptr), core::GuardTrip::energy_low);
-
-  // reset() must restore the as-constructed config, not keep the calibrated
-  // band: a reused guard would otherwise trip on its first healthy window
-  // from the previous stream's stale envelope.
-  guard.reset();
-  EXPECT_EQ(guard.config().energy_min, cfg.energy_min);
-  EXPECT_EQ(guard.config().energy_max, cfg.energy_max);
-  EXPECT_EQ(guard.config().enstrophy_max, cfg.enstrophy_max);
-  EXPECT_EQ(guard.check(snap, metrics, nullptr), core::GuardTrip::none);
-  EXPECT_EQ(guard.stats().trips, 0);
 }
 
 TEST(RolloutGuardTest, GuardedPureFnoWithoutCooldownDegradesForGood) {

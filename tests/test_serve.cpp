@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -200,41 +199,6 @@ TEST(RolloutApi, CooldownWindowReturnsToPrimary) {
   for (const std::string& producer : result.producer) {
     EXPECT_EQ(producer, "pde_fallback");
   }
-}
-
-TEST(RolloutGuardState, StatsAccumulateCopyAndReset) {
-  core::GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.energy_max = 1e3;
-  core::RolloutGuard guard(cfg);
-
-  core::FieldSnapshot snap = make_seed_snapshot(0.0, 29);
-  const core::SnapshotMetrics metrics = core::compute_metrics(snap);
-  EXPECT_EQ(guard.check(snap, metrics, nullptr), core::GuardTrip::none);
-  EXPECT_EQ(guard.stats().checked, 1);
-  EXPECT_EQ(guard.stats().trips, 0);
-  EXPECT_GT(guard.stats().energy_max_seen, 0.0);
-
-  snap.u1[0] = std::numeric_limits<double>::quiet_NaN();
-  // Re-derive the diagnostics: the guard keys its non-finite verdict on the
-  // metric sums the scheduler hands it, exactly as the rollout paths do.
-  EXPECT_EQ(guard.check(snap, core::compute_metrics(snap), nullptr),
-            core::GuardTrip::non_finite);
-  EXPECT_EQ(guard.stats().checked, 2);
-  EXPECT_EQ(guard.stats().trips, 1);
-  EXPECT_EQ(guard.stats().last_trip, core::GuardTrip::non_finite);
-
-  // Per-stream cloning is a plain value copy carrying the band statistics.
-  core::RolloutGuard clone = guard;
-  EXPECT_EQ(clone.stats().checked, 2);
-  EXPECT_EQ(clone.stats().trips, 1);
-
-  // A reused session starts from clean statistics.
-  guard.reset();
-  EXPECT_EQ(guard.stats().checked, 0);
-  EXPECT_EQ(guard.stats().trips, 0);
-  EXPECT_EQ(guard.stats().last_trip, core::GuardTrip::none);
-  EXPECT_EQ(clone.stats().checked, 2);  // the clone is unaffected
 }
 
 // --- concurrent serving --------------------------------------------------

@@ -311,9 +311,69 @@ TEST(Cli, DefaultsWhenMissing) {
 }
 
 TEST(Cli, RejectsNonNumeric) {
-  const char* argv[] = {"prog", "--n", "abc"};
-  CliArgs args(3, argv);
-  EXPECT_THROW(static_cast<void>(args.get_int("n", 0)), CheckError);
+  // The whole value must parse: junk, trailing junk, whitespace, an empty
+  // value and an overflow all throw, and the error names the flag.
+  const auto rejected = [](const char* key, const char* value, bool integer) {
+    const std::string flag = std::string("--") + key;
+    const char* argv[] = {"prog", flag.c_str(), value};
+    const CliArgs args(3, argv);
+    try {
+      if (integer) {
+        static_cast<void>(args.get_int(key, 0));
+      } else {
+        static_cast<void>(args.get_double(key, 0.0));
+      }
+    } catch (const CheckError& e) {
+      return std::string(e.what()).find(flag) != std::string::npos;
+    }
+    return false;
+  };
+  for (const char* bad : {"abc", "2x", "2 ", " 2", "", "+2", "1.5", "0x10",
+                          "99999999999999999999"}) {
+    EXPECT_TRUE(rejected("threads", bad, true)) << "'" << bad << "'";
+  }
+  for (const char* bad : {"abc", "40.0x", "4 0", "", " 1", "1e999"}) {
+    EXPECT_TRUE(rejected("seconds", bad, false)) << "'" << bad << "'";
+  }
+}
+
+TEST(Cli, ParsesPerfbenchArgv) {
+  // The worker command line perfbench/run.py builds: str() of each int and
+  // Python's repr() of the float --seconds.
+  const char* argv[] = {"perfbench", "--workload", "hybrid_tc", "--seed",
+                        "3",         "--seconds",  "40.0",      "--trace",
+                        "0",         "--proc",     "1",         "--procs",
+                        "3",         "--cpu",      "2"};
+  const CliArgs args(15, argv);
+  EXPECT_EQ(args.get_int("seed", 1), 3);
+  EXPECT_DOUBLE_EQ(args.get_double("seconds", 10.0), 40.0);
+  EXPECT_EQ(args.get_int("trace", 1), 0);
+  EXPECT_EQ(args.get_int("proc", 0), 1);
+  EXPECT_EQ(args.get_int("procs", 1), 3);
+  EXPECT_EQ(args.get_int("cpu", -1), 2);
+
+  const char* other[] = {"prog", "--cpu", "-1", "--seconds", "1e-05",
+                         "--dt=0.25"};
+  const CliArgs more(6, other);
+  EXPECT_EQ(more.get_int("cpu", 0), -1);
+  EXPECT_DOUBLE_EQ(more.get_double("seconds", 0.0), 1e-05);
+  EXPECT_DOUBLE_EQ(more.get_double("dt", 0.0), 0.25);
+}
+
+TEST(CliDeathTest, UncaughtErrorExitsWithStatusTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog", "--threads", "2x"};
+  EXPECT_EXIT(
+      {
+        apply_runtime_flags(CliArgs(1, argv));
+        // An exception leaving a noexcept frame reaches std::terminate as
+        // one leaving main does.
+        [&argv]() noexcept {
+          static_cast<void>(CliArgs(3, argv).get_int("threads", 1));
+        }();
+      },
+      ::testing::ExitedWithCode(2),
+      "error: .*--threads must be an integer, got '2x'");
 }
 
 TEST(Cli, ServeEnsembleKValidatesAtFlagApplyTime) {
