@@ -1,7 +1,9 @@
 // PDE propagator: wraps a Navier–Stokes solver behind the Propagator
-// interface. Initialising from a velocity snapshot applies the Leray
-// projection, which is the mechanism by which the hybrid scheme pulls FNO
-// predictions back onto the divergence-free manifold (paper Fig. 8).
+// interface. Initialising from a velocity snapshot keeps only its
+// vorticity, and every snapshot it emits is read back from the vorticity
+// by Biot–Savart, so it is divergence-free: that read-back is the
+// mechanism by which the hybrid scheme pulls FNO predictions back onto the
+// divergence-free manifold (paper Fig. 8).
 #pragma once
 
 #include <memory>

@@ -1,10 +1,10 @@
 #include "ns/solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "fft/fftnd.hpp"
-#include "ns/gradient.hpp"
 #include "ns/spectral_ops.hpp"
 #include "obs/obs.hpp"
 
@@ -15,9 +15,7 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 }
 
 void NsSolver::set_velocity(const TensorD& u1, const TensorD& u2) {
-  TensorD p1 = u1, p2 = u2;
-  leray_project(p1, p2);
-  set_vorticity(vorticity_from_velocity(p1, p2));
+  set_vorticity(vorticity_from_velocity(u1, u2));
 }
 
 void NsSolver::velocity(TensorD& u1, TensorD& u2) const {
@@ -37,8 +35,8 @@ SpectralNsSolver::SpectralNsSolver(NsConfig config)
     : NsSolver(config),
       what_({config.n, config.n / 2 + 1}),
       stage_({config.n, config.n / 2 + 1}),
-      grad_({4, config.n, config.n / 2 + 1}),
-      fields_({4, config.n, config.n}) {
+      block_({2, config.n, config.n / 2 + 1}),
+      fields_({2, config.n, config.n}) {
   const index_t n = config_.n;
   const index_t nxr = n / 2 + 1;
   for (SpecD& k : k_) k = SpecD({n, nxr});
@@ -48,11 +46,14 @@ SpectralNsSolver::SpectralNsSolver(NsConfig config)
   for (index_t ix = 0; ix < nxr; ++ix) kx_[ix] = kTwoPi * deriv_freq(ix, n);
   for (index_t iy = 0; iy < n; ++iy) ky_[iy] = kTwoPi * deriv_freq(iy, n);
 
-  // ν·k² and the 2/3 rule take the signed frequency, Nyquist included;
-  // only the derivative tables above zero the Nyquist mode. The rule keeps
-  // element (iy, ix) when |my| ≤ kcut and mx ≤ kcut: a prefix of each row.
+  // 1/k² takes the derivative tables, so it is 0 at the mean and at the
+  // Nyquist modes (whose k² they make 0). ν·k² and the 2/3 rule take the
+  // signed frequency, Nyquist included. The rule keeps element (iy, ix)
+  // when |my| < n/3 and mx < n/3, a prefix of each row: a product of two
+  // kept modes then aliases onto no kept mode (at |m| = n/3 it would).
   const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
                                       : static_cast<double>(n);
+  inv_k2_.resize(static_cast<std::size_t>(n * nxr));
   nu_k2_.resize(static_cast<std::size_t>(n * nxr));
   kept_cols_.assign(static_cast<std::size_t>(n), 0);
   for (index_t iy = 0; iy < n; ++iy) {
@@ -61,18 +62,22 @@ SpectralNsSolver::SpectralNsSolver(NsConfig config)
     for (index_t ix = 0; ix < nxr; ++ix) {
       const double mx = static_cast<double>(ix);
       const double kx = kTwoPi * mx;
+      const double dk2 = kx_[ix] * kx_[ix] + ky_[iy] * ky_[iy];
+      inv_k2_[static_cast<std::size_t>(iy * nxr + ix)] =
+          dk2 == 0.0 ? 0.0 : 1.0 / dk2;
       nu_k2_[static_cast<std::size_t>(iy * nxr + ix)] =
           config_.viscosity * (kx * kx + ky * ky);
-      if (std::abs(my) <= kcut && mx <= kcut) {
+      if (std::abs(my) < kcut && mx < kcut) {
         ++kept_cols_[static_cast<std::size_t>(iy)];
       }
     }
   }
 
   // Kolmogorov forcing enters the vorticity equation as
-  // −A·2πk_f·cos(2πk_f y): a purely real contribution at (±k_f, 0).
-  // cos(2πk_f y) has coefficients M/2 at rows ±k_f, column 0 (the rfft
-  // forward convention is unscaled sums; the irfft divides by M).
+  // −A·2πk_f·cos(2πk_f y): a purely real contribution at (±k_f, 0), inside
+  // the band (the NsSolver constructor bounds k_f). cos(2πk_f y) has
+  // coefficients M/2 at rows ±k_f, column 0 (the rfft forward convention
+  // is unscaled sums; the irfft divides by M).
   if (config_.forcing_amplitude != 0.0) {
     const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
     forcing_coeff_ = -config_.forcing_amplitude * kf *
@@ -83,13 +88,20 @@ SpectralNsSolver::SpectralNsSolver(NsConfig config)
   irfft_tw_.resize(static_cast<std::size_t>(n / 2));
   fft::fill_rfft_twiddles(rfft_tw_.data(), n);
   fft::fill_irfft_twiddles(irfft_tw_.data(), n);
-  c2c_ = fft::c2c_stages(what_.shape(), 2, nullptr)[0];
-  grad_c2c_ = fft::c2c_stages(grad_.shape(), 2, nullptr)[0];
+  block_c2c_ = fft::c2c_stages(block_.shape(), 2, nullptr)[0];
 }
 
 void SpectralNsSolver::set_vorticity(const TensorD& omega) {
   TURB_CHECK(omega.shape() == (Shape{config_.n, config_.n}));
   fft::rfftn_into(omega, 2, what_);
+  // The 2/3-rule truncation, a select: zero every mode past the row's
+  // kept prefix. The step's select then keeps the state in the band.
+  const index_t nxr = config_.n / 2 + 1;
+  for (index_t iy = 0; iy < config_.n; ++iy) {
+    cpx* row = what_.data() + iy * nxr;
+    std::fill(row + kept_cols_[static_cast<std::size_t>(iy)], row + nxr,
+              cpx(0.0));
+  }
   fit_line_scratch(ThreadPool::current());
   time_ = 0.0;
 }
@@ -112,66 +124,88 @@ void SpectralNsSolver::rhs(ThreadPool& pool, const SpecD& what, SpecD& out) {
     return fft::LineScratch<double>{z, z + z_len};
   };
 
+  const index_t plane = n * nxr;
+  cpx* u1h = block_.data();
+  cpx* u2h = u1h + plane;
+
   // Phase spans, recorded here on the calling thread around the pool
   // calls (never inside a worker).
   {
-    // Velocity and vorticity gradients in spectral space.
+    // ψ̂ = ŵ·(1/k²), then û₁ = i·ky·ψ̂ and û₂ = −i·kx·ψ̂ as real products.
     TURB_TRACE_SCOPE("ns/grad");
-    spectral_gradients(what.data(), kx_.data(), ky_.data(), n, grad_.data());
+    const cpx* w = what.data();
+    for (index_t iy = 0; iy < n; ++iy) {
+      const double ky = ky_[iy];
+      for (index_t ix = 0; ix < nxr; ++ix) {
+        const index_t i = iy * nxr + ix;
+        const double pr = w[i].real() * inv_k2_[i];
+        const double pi = w[i].imag() * inv_k2_[i];
+        u1h[i] = cpx(-(ky * pi), ky * pr);
+        u2h[i] = cpx(kx_[ix] * pi, -(kx_[ix] * pr));
+      }
+    }
   }
   {
-    // The four inverse transforms as one: the y stage over the whole
-    // block, then its 4n rows.
+    // Both inverse transforms as one: the y stage over the block, then its
+    // 2n rows.
     TURB_TRACE_SCOPE("ns/inverse_fft");
-    fft::c2c_stage(pool, grad_.data(), grad_.data(), grad_c2c_,
+    fft::c2c_stage(pool, block_.data(), block_.data(), block_c2c_,
                    /*forward=*/false, scratch);
-    fft::irfft_rows(pool, grad_.data(), fields_.data(), 4 * n, n,
+    fft::irfft_rows(pool, block_.data(), fields_.data(), 2 * n, n,
                     irfft_tw_.data(), scratch);
   }
-
-  // Nonlinear term in physical space, over u₁ (each element is read before
-  // it is written).
-  const index_t area = n * n;
-  double* adv = fields_.data();
   {
+    // The products of Basdevant's form, over u₁ and u₂.
     TURB_TRACE_SCOPE("ns/advect");
-    const double* u2 = adv + area;
-    const double* wx = u2 + area;
-    const double* wy = wx + area;
-    for (index_t i = 0; i < area; ++i) {
-      adv[i] = -(adv[i] * wx[i] + u2[i] * wy[i]);
+    double* p = fields_.data();
+    double* q = p + n * n;
+    for (index_t i = 0; i < n * n; ++i) {
+      const double u = p[i];
+      const double v = q[i];
+      p[i] = u * v;
+      q[i] = v * v - u * u;
     }
   }
   {
     TURB_TRACE_SCOPE("ns/forward_fft");
-    fft::rfft_rows(pool, adv, out.data(), n, n, nullptr, rfft_tw_.data(),
-                   scratch);
-    fft::c2c_stage(pool, out.data(), out.data(), c2c_, /*forward=*/true,
-                   scratch);
+    fft::rfft_rows(pool, fields_.data(), block_.data(), 2 * n, n, nullptr,
+                   rfft_tw_.data(), scratch);
+    fft::c2c_stage(pool, block_.data(), block_.data(), block_c2c_,
+                   /*forward=*/true, scratch);
   }
 
-  // One pass per element: the 2/3-rule select, then the forcing — after
-  // the mask, so a k_f above n/3 still drives the flow, and twice at
-  // (n/2, 0) when k_f = n/2 makes rows k_f and n − k_f one row — then the
-  // viscous term. The rule keeps a prefix of each row.
+  // One pass per element. In the band: −u·∇ω, whose factors on the
+  // spectra of uv and v² − u² are ky² − kx² and −kx·ky, negated; then the
+  // forcing, twice at (n/2, 0) when k_f = n/2 makes rows k_f and n − k_f
+  // one row; then the viscous term. Outside it, the select writes 0: ŵ is
+  // 0 there, so −νk²ŵ is too. The band is a prefix of each row, and holds
+  // every forced bin.
+  const cpx* ph = block_.data();
+  const cpx* qh = ph + plane;
   const bool forced = config_.forcing_amplitude != 0.0;
   const index_t kf = config_.forcing_k;
   for (index_t iy = 0; iy < n; ++iy) {
-    cpx* o = out.data() + iy * nxr;
-    const cpx* w = what.data() + iy * nxr;
-    const double* nu = nu_k2_.data() + iy * nxr;
+    const index_t row = iy * nxr;
+    cpx* o = out.data() + row;
+    const cpx* w = what.data() + row;
+    const double* nu = nu_k2_.data() + row;
+    const double ky = ky_[iy];
+    const double ky2 = ky * ky;
+    const auto adv = [&](index_t ix) {
+      const double kx = kx_[ix];
+      return (kx * kx - ky2) * ph[row + ix] + (kx * ky) * qh[row + ix];
+    };
     const index_t kept = kept_cols_[static_cast<std::size_t>(iy)];
     const int hits = forced ? int{iy == kf} + int{iy == n - kf} : 0;
     index_t ix = 0;
     if (hits > 0) {
-      cpx v = kept > 0 ? o[0] : cpx(0.0);
+      cpx v = adv(0);
       for (int h = 0; h < hits; ++h) v += forcing_coeff_;
-      v -= nu[0] * w[0];
-      o[0] = v;
+      o[0] = v - nu[0] * w[0];
       ix = 1;
     }
-    for (; ix < kept; ++ix) o[ix] -= nu[ix] * w[ix];
-    for (; ix < nxr; ++ix) o[ix] = cpx(0.0) - nu[ix] * w[ix];
+    for (; ix < kept; ++ix) o[ix] = adv(ix) - nu[ix] * w[ix];
+    std::fill(o + kept, o + nxr, cpx(0.0));
   }
 }
 

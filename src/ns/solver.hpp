@@ -30,7 +30,9 @@ struct NsConfig {
   /// paper's setting); nonzero exercises the forced-turbulence extension
   /// the paper names in its outlook.
   double forcing_amplitude = 0.0;
-  index_t forcing_k = 4;  ///< 1 ≤ forcing_k ≤ n/2 when forcing is on
+  /// When forcing is on: 1 ≤ forcing_k < n/3 with dealiasing, so the
+  /// forced mode lies in the band the 2/3 rule keeps; ≤ n/2 without.
+  index_t forcing_k = 4;
 };
 
 class NsSolver {
@@ -38,10 +40,16 @@ class NsSolver {
   explicit NsSolver(NsConfig config) : config_(config) {
     TURB_CHECK(config_.n >= 8 && config_.n % 2 == 0);
     TURB_CHECK(config_.viscosity > 0.0 && config_.dt > 0.0);
+    // The forced mode must lie in the band the solver keeps.
+    const index_t k_max =
+        config_.dealias ? (config_.n - 1) / 3 : config_.n / 2;
     TURB_CHECK_MSG(config_.forcing_amplitude == 0.0 ||
-                       (config_.forcing_k >= 1 &&
-                        config_.forcing_k <= config_.n / 2),
-                   "forcing_k must be in [1, n/2], got " << config_.forcing_k);
+                       (config_.forcing_k >= 1 && config_.forcing_k <= k_max),
+                   "forcing_k must be in [1, "
+                       << k_max << "] ("
+                       << (config_.dealias ? "k_f < n/3, the dealiased band"
+                                           : "n/2")
+                       << "), got " << config_.forcing_k);
   }
   virtual ~NsSolver() = default;
 
@@ -50,10 +58,10 @@ class NsSolver {
   /// Set the state from a vorticity field (ny, nx).
   virtual void set_vorticity(const TensorD& omega) = 0;
 
-  /// Set the state from a velocity field; a Leray projection is applied
-  /// first, so slightly-divergent inputs (e.g. FNO predictions) are
-  /// admissible — this is the mechanism by which the hybrid scheme restores
-  /// the divergence-free condition.
+  /// Set the state from a velocity field's vorticity ∂ₓu₂ − ∂ᵧu₁. A
+  /// gradient field has no curl, so a divergent input (e.g. an FNO
+  /// prediction) installs the vorticity of its solenoidal part, and
+  /// velocity() reads back a divergence-free field by Biot–Savart.
   void set_velocity(const TensorD& u1, const TensorD& u2);
 
   /// Advance `steps` time steps of size config().dt.
@@ -81,6 +89,8 @@ class NsSolver {
 class SpectralNsSolver final : public NsSolver {
  public:
   explicit SpectralNsSolver(NsConfig config);
+  /// Installs ω̂ with every mode outside the 2/3-rule band set to zero, so
+  /// the state is band-limited from the start and stays so.
   void set_vorticity(const TensorD& omega) override;
   void step(index_t steps = 1) override;
   [[nodiscard]] TensorD vorticity() const override;
@@ -88,7 +98,8 @@ class SpectralNsSolver final : public NsSolver {
  private:
   using cpx = std::complex<double>;
   using SpecD = Tensor<cpx>;
-  /// out = −dealias(FFT(u·∇ω)) + F̂ − νk²ω̂ for the spectrum `what`.
+  /// out = −dealias(FFT(u·∇ω)) + F̂ − νk²ω̂ for the band-limited spectrum
+  /// `what`, with u·∇ω in Basdevant's form (∂ₓₓ − ∂ᵧᵧ)(uv) + ∂ₓ∂ᵧ(v² − u²).
   void rhs(ThreadPool& pool, const SpecD& what, SpecD& out);
   void step_rk4(ThreadPool& pool);
   /// Grow the line scratch to `pool`'s slot count (never shrinks).
@@ -96,18 +107,19 @@ class SpectralNsSolver final : public NsSolver {
 
   // Plan tables, (n, n/2+1) spectrum layout.
   std::vector<double> kx_, ky_;  ///< 2π·deriv_freq per column / row
+  std::vector<double> inv_k2_;   ///< 1/k² (k from kx_, ky_), 0 where k² = 0
   std::vector<double> nu_k2_;    ///< ν·k² (k from fft_freq) per element
   std::vector<index_t> kept_cols_;  ///< per row, columns the 2/3 rule keeps
   double forcing_coeff_ = 0.0;      ///< F̂ at rows ±k_f, column 0
   std::vector<cpx> rfft_tw_, irfft_tw_;
-  fft::C2cStage c2c_;       ///< y-axis stage of one spectrum
-  fft::C2cStage grad_c2c_;  ///< y-axis stage of the gradient block
+  fft::C2cStage block_c2c_;  ///< y-axis stage of the two-plane block
 
-  SpecD what_;       ///< ω̂, the state
+  SpecD what_;       ///< ω̂, the state, zero outside the band
   SpecD k_[4];       ///< RK4 slopes k1–k4
   SpecD stage_;      ///< RK4 stage input ω̂ + c·dt·k
-  SpecD grad_;       ///< (4, n, n/2+1): û₁, û₂, ω̂ₓ, ω̂ᵧ
-  TensorD fields_;   ///< (4, n, n): u₁, u₂, ωₓ, ωᵧ; u₁ then u·∇ω
+  SpecD block_;      ///< (2, n, n/2+1): û₁, û₂, then the spectra of the
+                     ///< fields' products
+  TensorD fields_;   ///< (2, n, n): u₁, u₂, then uv, v² − u² in place
   /// fft::LineScratch per pool slot: z ((n/2)·kMaxLanes, which also holds
   /// c2c_stage's one strided line) then u ((n/2+1)·kMaxLanes). Sized for
   /// the current pool by set_vorticity and grown by step() only when a

@@ -84,37 +84,6 @@ void velocity_from_vorticity(const TensorD& omega, TensorD& u1, TensorD& u2) {
   u2 = fft::irfftn(u2h, 2, nx);
 }
 
-void leray_project(TensorD& u1, TensorD& u2) {
-  check_field(u1);
-  TURB_CHECK(u1.shape() == u2.shape());
-  const index_t ny = u1.dim(0), nx = u1.dim(1);
-  SpecD u1h = fft::rfftn(u1, 2);
-  SpecD u2h = fft::rfftn(u2, 2);
-  for (index_t iy = 0; iy < ny; ++iy) {
-    const bool ny_nyquist = (2 * iy == ny);
-    const double ky = kTwoPi * deriv_freq(iy, ny);
-    for (index_t ix = 0; ix < nx / 2 + 1; ++ix) {
-      if (ny_nyquist || 2 * ix == nx) {
-        // Nyquist modes have sign-ambiguous wavevectors; projecting them
-        // breaks Hermitian symmetry, so they are removed instead (they are
-        // pure grid-scale noise in any resolved field).
-        u1h(iy, ix) = 0.0;
-        u2h(iy, ix) = 0.0;
-        continue;
-      }
-      const double kx = kTwoPi * static_cast<double>(ix);
-      const double k2 = kx * kx + ky * ky;
-      if (k2 == 0.0) continue;  // mean flow is divergence-free already
-      // u ← u − k (k·u)/k²
-      const std::complex<double> kdotu = kx * u1h(iy, ix) + ky * u2h(iy, ix);
-      u1h(iy, ix) -= kx * kdotu / k2;
-      u2h(iy, ix) -= ky * kdotu / k2;
-    }
-  }
-  u1 = fft::irfftn(u1h, 2, nx);
-  u2 = fft::irfftn(u2h, 2, nx);
-}
-
 TensorD spectral_upsample(const TensorD& f, index_t factor) {
   check_field(f);
   TURB_CHECK(factor >= 1);

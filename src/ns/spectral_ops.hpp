@@ -1,11 +1,11 @@
 // Spectral differential operators on periodic [0,1)² grids.
 //
 // Used by the Navier–Stokes solver's state I/O (NsSolver::set_velocity's
-// Leray projection and vorticity, NsSolver::velocity's Biot–Savart
-// readback) and by the analysis module (vorticity/divergence of predicted
-// velocity fields). The spectral solver's RK4 step does not call these
-// operators: it plans its own wavenumber, ν·k² and dealias tables from
-// fft_freq / deriv_freq once per grid (DESIGN.md "Planned PDE step").
+// vorticity, NsSolver::velocity's Biot–Savart readback) and by the
+// analysis module (vorticity/divergence of predicted velocity fields). The
+// spectral solver's RK4 step does not call these operators: it plans its
+// own wavenumber, 1/k², ν·k² and dealias tables from fft_freq / deriv_freq
+// once per grid (DESIGN.md "Planned PDE step").
 // Wavenumbers are 2π·m for integer mode m; fields are (ny, nx) double
 // tensors.
 #pragma once
@@ -24,9 +24,10 @@ inline double fft_freq(index_t i, index_t n) {
 
 /// Frequency used by derivative-like operators: the Nyquist mode (whose
 /// wavevector sign is ambiguous on an even grid) is treated as derivative-
-/// free, the standard pseudo-spectral convention. Without this, operators
-/// like the Leray projection break Hermitian symmetry at k = ±N/2 and the
-/// real inverse transform silently discards the inconsistency.
+/// free, the standard pseudo-spectral convention. Without this, an odd
+/// derivative (or a product like kx·ky) breaks Hermitian symmetry at
+/// k = ±N/2 and the real inverse transform silently discards the
+/// inconsistency.
 inline double deriv_freq(index_t i, index_t n) {
   return (2 * i == n) ? 0.0 : fft_freq(i, n);
 }
@@ -47,9 +48,6 @@ TensorD divergence(const TensorD& u1, const TensorD& u2);
 /// This is the Biot–Savart reconstruction of an incompressible velocity
 /// field from its vorticity.
 void velocity_from_vorticity(const TensorD& omega, TensorD& u1, TensorD& u2);
-
-/// Project a velocity field onto its divergence-free part (Helmholtz–Leray).
-void leray_project(TensorD& u1, TensorD& u2);
 
 /// Spectrally exact upsampling by an integer factor (Fourier zero-padding).
 /// Nyquist modes of the coarse grid are dropped (sign-ambiguous). The result

@@ -19,7 +19,7 @@
 //
 // This header also owns the build-side availability macro: it defines
 // TURBFNO_HAS_AVX2_KERNELS on x86 and includes <immintrin.h> for every
-// avx2 kernel (GELU and the PDE gradient pass use the intrinsics directly).
+// avx2 kernel (GELU uses the intrinsics directly).
 #pragma once
 
 #include "util/common.hpp"

@@ -2,21 +2,19 @@
 //
 // The library ships two implementations of every hot kernel family (the GEMM
 // register panels in tensor/gemm.hpp, the radix-2 c2c butterflies in
-// fft/plan.hpp, the rfft/irfft unpack in fft/real.hpp, the GELU epilogue
-// nn::gelu_tile in nn/activation.cpp, and the spectral PDE step's gradient
-// pass ns::spectral_gradients in ns/gradient.cpp):
+// fft/plan.hpp, the rfft/irfft unpack in fft/real.hpp, and the GELU
+// epilogue nn::gelu_tile in nn/activation.cpp):
 //
 //   * scalar — the portable C++ kernels. Always available, and the
 //     reference the determinism fixture dumps are pinned to (see
 //     tests/test_determinism.cpp).
-//   * avx2   — explicit AVX2/FMA intrinsics (AVX2 without FMA for GELU and
-//     the gradient pass),
+//   * avx2   — explicit AVX2/FMA intrinsics (AVX2 without FMA for GELU),
 //     compiled with per-function target attributes so the translation
 //     units themselves stay portable. The GEMM and FFT kernels
 //     (tensor/gemm_avx2.hpp, fft/kernels_avx2.hpp) are one template per
 //     kernel for float and double, written over util/avx2.hpp's Lanes<T>
 //     traits; that header is the only per-type code and defines
-//     TURBFNO_HAS_AVX2_KERNELS for all five families.
+//     TURBFNO_HAS_AVX2_KERNELS for all four families.
 //
 // The choice is process-wide and resolved once, at the first dispatched
 // kernel call, from the TURBFNO_ISA environment variable
@@ -34,11 +32,9 @@
 //     caller.
 //   Tier B (bounded, cross-ISA) — scalar and avx2 agree within a tested
 //     relative-error bound on every kernel (tests/test_isa.cpp); they are
-//     NOT bitwise identical (FMA fuses the multiply-add rounding). GELU and
-//     the PDE gradient pass are the exceptions, bitwise equal across tiers:
-//     both GELU tiers use plain multiplies, adds and an IEEE divide, and
-//     the gradient pass's avx2 lanes give the bits of the pinned loop that
-//     its scalar tier runs (and fall back to it on NaN).
+//     NOT bitwise identical (FMA fuses the multiply-add rounding). GELU is
+//     the exception, bitwise equal across tiers: both GELU tiers use plain
+//     multiplies, adds and an IEEE divide.
 //
 // Observability: the resolved choice is exported as the `isa/active` gauge
 // (0 = scalar, 1 = avx2) and every dispatch site bumps a per-family counter

@@ -3,15 +3,12 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
-#include <limits>
 #include <numbers>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fft/fftnd.hpp"
 #include "lbm/initializer.hpp"
-#include "ns/gradient.hpp"
 #include "ns/solver.hpp"
 #include "ns/spectral_ops.hpp"
 #include "obs/obs.hpp"
@@ -40,6 +37,12 @@ TensorD taylor_green_vorticity(index_t n, double u0) {
 
 double enstrophy(const TensorD& w) {
   return w.squared_norm() / static_cast<double>(w.size());
+}
+
+double rel_l2(const TensorD& a, const TensorD& b) {
+  TensorD d = a;
+  d -= b;
+  return d.norm() / b.norm();
 }
 
 // --- spectral operators -----------------------------------------------------
@@ -98,40 +101,6 @@ TEST(SpectralOps, ReconstructedVelocityIsDivergenceFree) {
   TensorD u1, u2;
   velocity_from_vorticity(omega, u1, u2);
   EXPECT_LT(divergence(u1, u2).max_abs(), 1e-9 * omega.max_abs());
-}
-
-TEST(SpectralOps, LerayProjectionKillsDivergence) {
-  Rng rng(47);
-  TensorD u1({32, 32}), u2({32, 32});
-  u1.fill_normal(rng, 0.0, 1.0);
-  u2.fill_normal(rng, 0.0, 1.0);
-  EXPECT_GT(divergence(u1, u2).max_abs(), 1.0);  // generic field is divergent
-  leray_project(u1, u2);
-  EXPECT_LT(divergence(u1, u2).max_abs(), 1e-9);
-}
-
-TEST(SpectralOps, LerayProjectionIsIdempotent) {
-  Rng rng(53);
-  TensorD u1({16, 16}), u2({16, 16});
-  u1.fill_normal(rng, 0.0, 1.0);
-  u2.fill_normal(rng, 0.0, 1.0);
-  leray_project(u1, u2);
-  TensorD v1 = u1, v2 = u2;
-  leray_project(v1, v2);
-  for (index_t i = 0; i < u1.size(); ++i) {
-    ASSERT_NEAR(v1[i], u1[i], 1e-12);
-    ASSERT_NEAR(v2[i], u2[i], 1e-12);
-  }
-}
-
-TEST(SpectralOps, LerayPreservesSolenoidalFields) {
-  Rng rng(59);
-  const auto field = lbm::random_vortex_velocity(32, 32, 4.0, 1.0, rng);
-  TensorD u1 = field.u1, u2 = field.u2;
-  leray_project(u1, u2);
-  for (index_t i = 0; i < u1.size(); ++i) {
-    ASSERT_NEAR(u1[i], field.u1[i], 1e-10);
-  }
 }
 
 TEST(SpectralOps, SpectralUpsampleInterpolatesExactly) {
@@ -269,37 +238,111 @@ TEST(NsSpectral, SetVelocityProjectsDivergentInput) {
   EXPECT_LT(divergence(v1, v2).max_abs(), 1e-8);
 }
 
+TEST(NsSpectral, SetVelocityIgnoresGradientFields) {
+  // A gradient field has no curl, so set_velocity(u + ∇φ) installs the
+  // vorticity of set_velocity(u): a divergent input (an FNO prediction)
+  // enters the PDE through its solenoidal part alone.
+  for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
+    NsConfig cfg;
+    cfg.n = n;
+    cfg.viscosity = 1e-3;
+    cfg.dt = 1e-3;
+    Rng rng(79 + static_cast<std::uint64_t>(n));
+    const auto field = lbm::random_vortex_velocity(n, n, 3.0, 1.0, rng);
+    const TensorD phi = lbm::random_vortex_velocity(n, n, 4.0, 1.0, rng).u1;
+    TensorD v1 = field.u1, v2 = field.u2;
+    v1 += derivative_x(phi);
+    v2 += derivative_y(phi);
+    ASSERT_GT(divergence(v1, v2).max_abs(), 1.0) << "n=" << n;
+    SpectralNsSolver plain(cfg), divergent(cfg);
+    plain.set_velocity(field.u1, field.u2);
+    divergent.set_velocity(v1, v2);
+    EXPECT_LE(rel_l2(divergent.vorticity(), plain.vorticity()), 1e-13)
+        << "n=" << n;
+  }
+}
+
+TEST(NsSpectral, InviscidInvariantsConservedOnBroadbandFields) {
+  // The 2/3-rule truncated system conserves energy and enstrophy as ν → 0.
+  // That holds only if the state is band-limited: a broadband input whose
+  // content above n/3 stayed in the state would feed aliased products
+  // into the kept band. Between RK4's O(dt⁴) error and rounding, 500 steps
+  // drift by about 1e-11.
+  for (const double k_peak : {8.0, 12.0}) {
+    NsConfig cfg;
+    cfg.n = 32;
+    cfg.viscosity = 1e-14;
+    cfg.dt = 2e-4;
+    SpectralNsSolver solver(cfg);
+    Rng rng(11);
+    const auto field = lbm::random_vortex_velocity(32, 32, k_peak, 1.0, rng);
+    solver.set_velocity(field.u1, field.u2);
+    TensorD u1, u2;
+    solver.velocity(u1, u2);
+    const double e0 = u1.squared_norm() + u2.squared_norm();
+    const double z0 = enstrophy(solver.vorticity());
+    solver.step(500);
+    solver.velocity(u1, u2);
+    const double e1 = u1.squared_norm() + u2.squared_norm();
+    const double z1 = enstrophy(solver.vorticity());
+    EXPECT_LE(std::abs(e1 - e0) / e0, 1e-10) << "k_peak=" << k_peak;
+    EXPECT_LE(std::abs(z1 - z0) / z0, 1e-10) << "k_peak=" << k_peak;
+  }
+}
+
 TEST(NsSpectral, ForcingWavenumberOutsideHalfGridRejected) {
-  // The spectral forcing writes spectrum rows k_f and n − k_f, so only
-  // 1 ≤ k_f ≤ n/2 names a mode pair inside the (n, n/2+1) spectrum.
+  // The forced mode must lie in the band the solver keeps: 1 ≤ k_f < n/3
+  // with dealiasing (at n = 16 the first k_f rejected is ⌊n/3⌋ + 1 = 6; at
+  // n = 48 it is n/3 itself), 1 ≤ k_f ≤ n/2 (rows k_f and n − k_f of the
+  // (n, n/2+1) spectrum) without.
   NsConfig cfg;
-  cfg.n = 16;
   cfg.viscosity = 1e-3;
   cfg.dt = 1e-3;
   cfg.forcing_amplitude = 0.5;
-  for (const index_t k : {index_t{0}, index_t{-1}, cfg.n / 2 + 1, cfg.n}) {
-    cfg.forcing_k = k;
-    EXPECT_THROW(SpectralNsSolver{cfg}, CheckError) << "forcing_k=" << k;
+  for (const index_t n : {index_t{16}, index_t{48}}) {
+    cfg.n = n;
+    for (const bool dealias : {true, false}) {
+      cfg.dealias = dealias;
+      const index_t k_max = dealias ? (n - 1) / 3 : n / 2;
+      for (const index_t k : {index_t{0}, index_t{-1}, k_max + 1, n}) {
+        cfg.forcing_k = k;
+        EXPECT_THROW(SpectralNsSolver{cfg}, CheckError)
+            << "n=" << n << " forcing_k=" << k << " dealias=" << dealias;
+      }
+      for (const index_t k : {index_t{1}, k_max}) {
+        cfg.forcing_k = k;
+        SpectralNsSolver solver(cfg);
+        solver.set_vorticity(taylor_green_vorticity(n, 0.1));
+        solver.step(2);
+        EXPECT_TRUE(std::isfinite(solver.vorticity().max_abs()))
+            << "n=" << n << " forcing_k=" << k << " dealias=" << dealias;
+      }
+    }
   }
-  for (const index_t k : {index_t{1}, cfg.n / 2}) {
-    cfg.forcing_k = k;
+  // The error names the bound.
+  cfg.n = 16;
+  cfg.dealias = true;
+  cfg.forcing_k = 6;
+  try {
     SpectralNsSolver solver(cfg);
-    solver.set_vorticity(taylor_green_vorticity(cfg.n, 0.1));
-    solver.step(2);
-    EXPECT_TRUE(std::isfinite(solver.vorticity().max_abs()))
-        << "forcing_k=" << k;
+    ADD_FAILURE() << "forcing_k=6 accepted at n=16";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("must be in [1, 5]"),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST(NsSpectral, ForcingAboveTwoThirdsCutoffDrivesFlow) {
   // From rest the forced vorticity grows as −A·2πk_f·cos(2πk_f y)·t (the
   // shear flow it drives has no advection), so max|ω| ≈ A·2πk_f·t. This
-  // holds for any accepted k_f, including those above the 2/3-rule cutoff
-  // n/3 that dealiasing removes from the advection term.
+  // holds for any accepted k_f: above the 2/3-rule cutoff n/3 that means
+  // dealiasing off.
   NsConfig cfg;
   cfg.n = 16;
   cfg.viscosity = 1e-3;
   cfg.dt = 1e-3;
+  cfg.dealias = false;
   cfg.forcing_amplitude = 0.5;
   for (const index_t k : {index_t{6}, index_t{8}}) {
     cfg.forcing_k = k;
@@ -313,27 +356,37 @@ TEST(NsSpectral, ForcingAboveTwoThirdsCutoffDrivesFlow) {
   }
 }
 
-// --- bitwise oracle for the planned spectral step -----------------------------
+// --- reference steps for the planned spectral step --------------------------
 
-/// Where ReferenceSpectralStep adds the forcing: before the 2/3-rule mask,
-/// as the pre-plan step did (the verbatim default), or after it, the
-/// solver's mask → forcing → viscous order.
-enum class ForcingOrder { kBeforeMask, kAfterMask };
+/// The form in which ReferenceSpectralStep evaluates u·∇ω.
+enum class Form {
+  /// (∂ₓₓ − ∂ᵧᵧ)(uv) + ∂ₓ∂ᵧ(v² − u²), SpectralNsSolver's form.
+  kBasdevant,
+  /// u·ωₓ + v·ωᵧ, from four inverse transforms.
+  kJacobian,
+};
 
-/// The spectral RK4 step as it was before the solver planned its grid: every
-/// stage builds fresh tensors and runs fft::rfftn / fft::irfftn. Kept
-/// verbatim (per-element expressions, their order, the forcing added before
-/// the 2/3-rule mask) as the byte-level reference for SpectralNsSolver.
-/// Because of that forcing order it agrees with the solver only while
-/// k_f ≤ n/3 or dealiasing is off; ForcingOrder::kAfterMask moves the
-/// forcing block after the mask and covers the rest.
+/// SpectralNsSolver's step on fresh tensors and fft::rfftn / fft::irfftn:
+/// set_vorticity truncates ω̂ to the 2/3-rule band, ψ̂ is ŵ times a 1/k²
+/// table, the velocity spectra are real products, and the epilogue runs
+/// the select, the forcing and the viscous term in that order. With
+/// Form::kBasdevant every per-element expression is the solver's, so its
+/// bytes are the solver's reference; Form::kJacobian checks Basdevant's
+/// identity on the same band-limited state.
 class ReferenceSpectralStep {
  public:
   explicit ReferenceSpectralStep(NsConfig config,
-                                 ForcingOrder order = ForcingOrder::kBeforeMask)
-      : config_(config), order_(order), what_({config.n, config.n / 2 + 1}) {}
+                                 Form form = Form::kBasdevant)
+      : config_(config), form_(form), what_({config.n, config.n / 2 + 1}) {}
 
-  void set_vorticity(const TensorD& omega) { what_ = fft::rfftn(omega, 2); }
+  void set_vorticity(const TensorD& omega) {
+    what_ = fft::rfftn(omega, 2);
+    for (index_t iy = 0; iy < config_.n; ++iy) {
+      for (index_t ix = 0; ix < config_.n / 2 + 1; ++ix) {
+        if (!in_band(iy, ix)) what_(iy, ix) = 0.0;
+      }
+    }
+  }
 
   void step(index_t steps) {
     for (index_t s = 0; s < steps; ++s) step_rk4();
@@ -346,6 +399,15 @@ class ReferenceSpectralStep {
  private:
   using SpecD = Tensor<std::complex<double>>;
 
+  bool in_band(index_t iy, index_t ix) const {
+    const index_t n = config_.n;
+    const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
+                                        : static_cast<double>(n);
+    return std::abs(fft_freq(iy, n)) < kcut &&
+           static_cast<double>(ix) < kcut;
+  }
+
+  /// −FFT(u·∇ω), not yet masked.
   SpecD nonlinear(const SpecD& what) const {
     const index_t n = config_.n;
     const index_t nxr = n / 2 + 1;
@@ -355,55 +417,64 @@ class ReferenceSpectralStep {
       for (index_t ix = 0; ix < nxr; ++ix) {
         const double kx = kTwoPi * deriv_freq(ix, n);
         const double k2 = kx * kx + ky * ky;
+        const double inv_k2 = k2 == 0.0 ? 0.0 : 1.0 / k2;
         const std::complex<double> w = what(iy, ix);
-        const std::complex<double> psi = (k2 == 0.0) ? 0.0 : w / k2;
-        u1h(iy, ix) = std::complex<double>(0.0, ky) * psi;
-        u2h(iy, ix) = std::complex<double>(0.0, -kx) * psi;
-        wxh(iy, ix) = std::complex<double>(0.0, kx) * w;
-        wyh(iy, ix) = std::complex<double>(0.0, ky) * w;
+        const double pr = w.real() * inv_k2;
+        const double pi = w.imag() * inv_k2;
+        u1h(iy, ix) = {-(ky * pi), ky * pr};
+        u2h(iy, ix) = {kx * pi, -(kx * pr)};
+        wxh(iy, ix) = {-(kx * w.imag()), kx * w.real()};
+        wyh(iy, ix) = {-(ky * w.imag()), ky * w.real()};
       }
     }
     const TensorD u1 = fft::irfftn(u1h, 2, n);
     const TensorD u2 = fft::irfftn(u2h, 2, n);
-    const TensorD wx = fft::irfftn(wxh, 2, n);
-    const TensorD wy = fft::irfftn(wyh, 2, n);
 
-    TensorD adv({n, n});
-    for (index_t i = 0; i < adv.size(); ++i) {
-      adv[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
-    }
-    SpecD advh = fft::rfftn(adv, 2);
-
-    const auto add_forcing = [&] {
-      if (config_.forcing_amplitude != 0.0) {
-        const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
-        const double coeff = -config_.forcing_amplitude * kf *
-                             static_cast<double>(n) * static_cast<double>(n) /
-                             2.0;
-        advh(config_.forcing_k, index_t{0}) += coeff;
-        advh(n - config_.forcing_k, index_t{0}) += coeff;
+    if (form_ == Form::kJacobian) {
+      const TensorD wx = fft::irfftn(wxh, 2, n);
+      const TensorD wy = fft::irfftn(wyh, 2, n);
+      TensorD adv({n, n});
+      for (index_t i = 0; i < adv.size(); ++i) {
+        adv[i] = -(u1[i] * wx[i] + u2[i] * wy[i]);
       }
-    };
-    if (order_ == ForcingOrder::kBeforeMask) add_forcing();
+      return fft::rfftn(adv, 2);
+    }
 
-    const double kcut = config_.dealias ? static_cast<double>(n) / 3.0
-                                        : static_cast<double>(n);
+    TensorD uv({n, n}), vv_uu({n, n});
+    for (index_t i = 0; i < uv.size(); ++i) {
+      uv[i] = u1[i] * u2[i];
+      vv_uu[i] = u2[i] * u2[i] - u1[i] * u1[i];
+    }
+    const SpecD ph = fft::rfftn(uv, 2);
+    const SpecD qh = fft::rfftn(vv_uu, 2);
+    SpecD advh({n, nxr});
     for (index_t iy = 0; iy < n; ++iy) {
-      const double my = fft_freq(iy, n);
+      const double ky = kTwoPi * deriv_freq(iy, n);
       for (index_t ix = 0; ix < nxr; ++ix) {
-        const double mx = static_cast<double>(ix);
-        if (std::abs(my) > kcut || mx > kcut) {
-          advh(iy, ix) = 0.0;
-        }
+        const double kx = kTwoPi * deriv_freq(ix, n);
+        advh(iy, ix) =
+            (kx * kx - ky * ky) * ph(iy, ix) + (kx * ky) * qh(iy, ix);
       }
     }
-    if (order_ == ForcingOrder::kAfterMask) add_forcing();
     return advh;
   }
 
   SpecD rhs(const SpecD& what) const {
     const index_t n = config_.n;
     SpecD out = nonlinear(what);
+    for (index_t iy = 0; iy < n; ++iy) {
+      for (index_t ix = 0; ix < n / 2 + 1; ++ix) {
+        if (!in_band(iy, ix)) out(iy, ix) = 0.0;
+      }
+    }
+    if (config_.forcing_amplitude != 0.0) {
+      const double kf = kTwoPi * static_cast<double>(config_.forcing_k);
+      const double coeff = -config_.forcing_amplitude * kf *
+                           static_cast<double>(n) * static_cast<double>(n) /
+                           2.0;
+      out(config_.forcing_k, index_t{0}) += coeff;
+      out(n - config_.forcing_k, index_t{0}) += coeff;
+    }
     for (index_t iy = 0; iy < n; ++iy) {
       const double ky = kTwoPi * fft_freq(iy, n);
       for (index_t ix = 0; ix < n / 2 + 1; ++ix) {
@@ -432,7 +503,7 @@ class ReferenceSpectralStep {
   }
 
   NsConfig config_;
-  ForcingOrder order_;
+  Form form_;
   SpecD what_;
 };
 
@@ -450,34 +521,12 @@ bool same_bytes(const TensorD& a, const TensorD& b) {
                                                  a.size())) == 0;
 }
 
-/// Runs SpectralNsSolver from `w0` for `steps` steps with lane batching on
-/// and off at pool widths 1 and 4, and compares its vorticity bytes with
-/// `expected`.
-void expect_planned_step_bytes(const NsConfig& cfg, const TensorD& w0,
-                               index_t steps, const TensorD& expected,
-                               const std::string& label) {
-  for (const bool batching : {true, false}) {
-    fft::ScopedLineBatching lanes(batching);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-      ThreadPool::Scope scope(width);
-      SpectralNsSolver solver(cfg);
-      solver.set_vorticity(w0);
-      solver.step(steps);
-      EXPECT_TRUE(same_bytes(solver.vorticity(), expected))
-          << label << " batching=" << batching << " width=" << width;
-    }
-  }
-}
-
 TEST(NsSolver, PlannedStepMatchesReferenceBitwise) {
   // Trajectory bytes of the spectral solver are pinned to the reference
   // step above: every runnable ISA, lane batching on and off, pool widths 1
   // and 4, power-of-two grids and a Bluestein one (n = 48), both dealias
   // settings, forcing off and on at k_f = 4 ≤ n/3, and with dealiasing off
   // at k_f = n/2, where rows k_f and n − k_f are one row and take F̂ twice.
-  // The fields are finite, so the gradient kernel never falls back.
-  obs::Counter& fallbacks = obs::counter("ns/grad_fallbacks");
-  const std::int64_t fallbacks0 = fallbacks.value();
   for (const util::Isa isa : runnable_isas()) {
     util::ScopedIsa forced(isa);
     for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
@@ -499,194 +548,47 @@ TEST(NsSolver, PlannedStepMatchesReferenceBitwise) {
           ReferenceSpectralStep reference(cfg);
           reference.set_vorticity(w0);
           reference.step(50);
-          std::ostringstream label;
-          label << util::isa_name(isa) << " n=" << n << " dealias=" << dealias
-                << " forcing=" << amplitude << " k_f=" << kf;
-          expect_planned_step_bytes(cfg, w0, 50, reference.vorticity(),
-                                    label.str());
-        }
-      }
-    }
-  }
-  EXPECT_EQ(fallbacks.value() - fallbacks0, 0);
-}
-
-TEST(NsSolver, PlannedStepMatchesMaskFirstOracleAboveCutoff) {
-  // With dealiasing on, a k_f above n/3 sits in the masked band, where the
-  // verbatim reference zeroes its forcing. The mask-first oracle (the
-  // select, then F̂, then −νk²ŵ) pins the solver's one-pass epilogue there:
-  // at k_f = n/3 + 1, and at k_f = n/2, where F̂ lands twice on row n/2.
-  for (const util::Isa isa : runnable_isas()) {
-    util::ScopedIsa forced(isa);
-    for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
-      Rng rng(201 + static_cast<std::uint64_t>(n));
-      const auto field = lbm::random_vortex_velocity(n, n, 3.0, 1.0, rng);
-      const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
-      for (const index_t kf : {n / 3 + 1, n / 2}) {
-        NsConfig cfg;
-        cfg.n = n;
-        cfg.viscosity = 1e-3;
-        cfg.dt = 1e-3;
-        cfg.forcing_amplitude = 0.5;
-        cfg.forcing_k = kf;
-        ReferenceSpectralStep oracle(cfg, ForcingOrder::kAfterMask);
-        oracle.set_vorticity(w0);
-        oracle.step(50);
-        std::ostringstream label;
-        label << util::isa_name(isa) << " n=" << n << " k_f=" << kf;
-        expect_planned_step_bytes(cfg, w0, 50, oracle.vorticity(),
-                                  label.str());
-      }
-    }
-  }
-}
-
-// --- the gradient kernel ------------------------------------------------------
-
-using cpx = std::complex<double>;
-
-/// The gradient loop as SpectralNsSolver ran it before the lane kernel,
-/// verbatim: GCC's complex products, __muldc3 branch included.
-void pinned_gradient_loop(const cpx* what, const double* kx_tab,
-                          const double* ky_tab, index_t n, cpx* grad) {
-  const index_t nxr = n / 2 + 1;
-  const index_t plane = n * nxr;
-  cpx* u1h = grad;
-  cpx* u2h = u1h + plane;
-  cpx* wxh = u2h + plane;
-  cpx* wyh = wxh + plane;
-  for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = ky_tab[iy];
-    for (index_t ix = 0; ix < nxr; ++ix) {
-      const double kx = kx_tab[ix];
-      const double k2 = kx * kx + ky * ky;
-      const index_t i = iy * nxr + ix;
-      const cpx w = what[i];
-      const cpx psi = (k2 == 0.0) ? 0.0 : w / k2;
-      u1h[i] = cpx(0.0, ky) * psi;
-      u2h[i] = cpx(0.0, -kx) * psi;
-      wxh[i] = cpx(0.0, kx) * w;
-      wyh[i] = cpx(0.0, ky) * w;
-    }
-  }
-}
-
-/// Whether the fast path of those products, as plain real arithmetic
-/// ((0·zr − b·zi, 0·zi + b·zr), ψ as two real divisions), holds a NaN on
-/// the columns the avx2 lanes cover: each row's whole pairs.
-bool lane_gradients_hold_nan(const cpx* what, const double* kx_tab,
-                             const double* ky_tab, index_t n) {
-  const index_t nxr = n / 2 + 1;
-  const auto times_i = [](double b, cpx z) {
-    return cpx(0.0 * z.real() - b * z.imag(), 0.0 * z.imag() + b * z.real());
-  };
-  const auto nan = [](cpx z) {
-    return std::isnan(z.real()) || std::isnan(z.imag());
-  };
-  for (index_t iy = 0; iy < n; ++iy) {
-    const double ky = ky_tab[iy];
-    for (index_t ix = 0; ix < nxr - nxr % 2; ++ix) {
-      const double kx = kx_tab[ix];
-      const double k2 = kx * kx + ky * ky;
-      const cpx w = what[iy * nxr + ix];
-      const cpx psi = (k2 == 0.0) ? cpx(0.0, 0.0)
-                                  : cpx(w.real() / k2, w.imag() / k2);
-      if (nan(times_i(ky, psi)) || nan(times_i(-kx, psi)) ||
-          nan(times_i(kx, w)) || nan(times_i(ky, w))) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-TEST(NsGradient, KernelMatchesPinnedLoopBitwise) {
-  // spectral_gradients against the pinned loop, byte for byte, on every
-  // runnable ISA. n/2+1 is 6 (whole pairs), 9 and 17 (a row tail). Each
-  // special value goes into the real part, the imaginary part or both, at
-  // both lane positions of the first pairs (column 0 of rows 0 and n/2 is
-  // k² = 0), the last pair and the tail, of the first, the Nyquist and the
-  // last row. On avx2 the fallback counter must advance exactly when the
-  // lanes' plain arithmetic would hold a NaN; the scalar tier runs the
-  // pinned loop and never counts.
-  const double inf = std::numeric_limits<double>::infinity();
-  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
-                             inf,
-                             -inf,
-                             0.0,
-                             -0.0,
-                             std::numeric_limits<double>::denorm_min(),
-                             -3.0e-310,
-                             std::numeric_limits<double>::max(),
-                             -1.0e300};
-  obs::Counter& fallbacks = obs::counter("ns/grad_fallbacks");
-  for (const util::Isa isa : runnable_isas()) {
-    util::ScopedIsa forced(isa);
-    std::int64_t fallback_cases = 0, recovered_cases = 0;
-    for (const index_t n : {index_t{10}, index_t{16}, index_t{32}}) {
-      const index_t nxr = n / 2 + 1;
-      const index_t plane = n * nxr;
-      std::vector<double> kx(static_cast<std::size_t>(nxr));
-      std::vector<double> ky(static_cast<std::size_t>(n));
-      for (index_t ix = 0; ix < nxr; ++ix) kx[ix] = kTwoPi * deriv_freq(ix, n);
-      for (index_t iy = 0; iy < n; ++iy) ky[iy] = kTwoPi * deriv_freq(iy, n);
-      Rng rng(300 + static_cast<std::uint64_t>(n));
-      std::vector<cpx> base(static_cast<std::size_t>(plane));
-      for (cpx& v : base) v = {10.0 * rng.normal(), 10.0 * rng.normal()};
-      std::vector<cpx> got(static_cast<std::size_t>(4 * plane));
-      std::vector<cpx> want(got.size());
-
-      const auto check = [&](const std::vector<cpx>& what,
-                             const std::string& label) {
-        const bool lane_nan =
-            isa == util::Isa::kAvx2 &&
-            lane_gradients_hold_nan(what.data(), kx.data(), ky.data(), n);
-        const std::int64_t before = fallbacks.value();
-        spectral_gradients(what.data(), kx.data(), ky.data(), n, got.data());
-        pinned_gradient_loop(what.data(), kx.data(), ky.data(), n,
-                             want.data());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              sizeof(cpx) * got.size()),
-                  0)
-            << util::isa_name(isa) << " n=" << n << " " << label;
-        EXPECT_EQ(fallbacks.value() - before, lane_nan ? 1 : 0)
-            << util::isa_name(isa) << " n=" << n << " " << label;
-        if (lane_nan) {
-          ++fallback_cases;
-          bool pinned_nan = false;
-          for (const cpx& v : want) {
-            pinned_nan |= std::isnan(v.real()) || std::isnan(v.imag());
-          }
-          if (!pinned_nan) ++recovered_cases;
-        }
-      };
-
-      check(base, "finite");
-      const index_t cols[] = {0, 1, 2, 3, nxr - 2, nxr - 1};
-      const index_t rows[] = {0, n / 2, n - 1};
-      for (const double v : specials) {
-        for (int part = 0; part < 3; ++part) {
-          for (const index_t iy : rows) {
-            for (const index_t ix : cols) {
-              std::vector<cpx> what = base;
-              cpx& z = what[static_cast<std::size_t>(iy * nxr + ix)];
-              z = {part == 1 ? z.real() : v, part == 0 ? z.imag() : v};
-              std::ostringstream label;
-              label << "value=" << v << " part=" << part << " row=" << iy
-                    << " col=" << ix;
-              check(what, label.str());
+          const TensorD expected = reference.vorticity();
+          for (const bool batching : {true, false}) {
+            fft::ScopedLineBatching lanes(batching);
+            for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+              ThreadPool::Scope scope(width);
+              SpectralNsSolver solver(cfg);
+              solver.set_vorticity(w0);
+              solver.step(50);
+              EXPECT_TRUE(same_bytes(solver.vorticity(), expected))
+                  << util::isa_name(isa) << " n=" << n
+                  << " dealias=" << dealias << " forcing=" << amplitude
+                  << " k_f=" << kf << " batching=" << batching
+                  << " width=" << width;
             }
           }
         }
       }
     }
-    // On avx2, non-finite inputs do reach the fallback, and (z = (±inf,
-    // ±inf), where __muldc3 recovers infinities from the fast path's NaN)
-    // it changes bits there.
-    if (isa == util::Isa::kAvx2) {
-      EXPECT_GT(fallback_cases, 0);
-      EXPECT_GT(recovered_cases, 0);
-    }
+  }
+}
+
+TEST(NsSolver, BasdevantStepMatchesJacobianForm) {
+  // On a band-limited state both forms of u·∇ω compute the same 2/3-rule
+  // Galerkin sum, so the solver and a Jacobian-form step differ only by
+  // rounding.
+  for (const index_t n : {index_t{16}, index_t{32}, index_t{48}}) {
+    NsConfig cfg;
+    cfg.n = n;
+    cfg.viscosity = 1e-3;
+    cfg.dt = 1e-3;
+    Rng rng(151 + static_cast<std::uint64_t>(n));
+    const auto field = lbm::random_vortex_velocity(n, n, 3.0, 1.0, rng);
+    const TensorD w0 = vorticity_from_velocity(field.u1, field.u2);
+    ReferenceSpectralStep jacobian(cfg, Form::kJacobian);
+    jacobian.set_vorticity(w0);
+    jacobian.step(1000);
+    SpectralNsSolver solver(cfg);
+    solver.set_vorticity(w0);
+    solver.step(1000);
+    EXPECT_LE(rel_l2(solver.vorticity(), jacobian.vorticity()), 1e-13)
+        << "n=" << n;
   }
 }
 
