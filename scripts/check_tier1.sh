@@ -19,16 +19,19 @@
 #     fixed ISA (Tier A); across ISAs the contract is the bounded Tier B
 #     agreement tested by tests/test_isa.cpp. The avx2 leg is skipped with
 #     a notice on hosts whose /proc/cpuinfo lacks avx2+fma. Within each ISA
-#     the suite also runs with lane batching off (TURBFNO_FFT_BATCH=0, the
-#     line drivers' per-line reference arm) at width 4, and its dumps must
-#     equal the batched width-1 dumps byte-for-byte.
+#     the suite also runs with lane batching off (TURBFNO_FFT_BATCH=0: the
+#     row drivers run one-row batches of the same row cores, and c2c_stage
+#     runs its per-line arm) at width 4, and its dumps must equal the
+#     batched width-1 dumps byte-for-byte.
 #  2. One bench with --metrics-out, asserting the exported JSON contains the
 #     fft/*, nn/*, and train/* spans plus the mode-pruning coverage counters.
 #  3. A perf-harness smoke: bench_perf_train at a tiny measurement budget,
 #     asserting it produces a well-formed BENCH_spectral.json (the recorded
 #     numbers are non-gating; only the schema is checked here) and that the
-#     batched line-FFT path engaged (fft/batched_lines > 0) and, on avx2+fma
-#     hosts, ran strided c2c stages as in-place column runs
+#     batched line-FFT path engaged (fft/batched_lines > 0), that every row
+#     sweep of the training shapes was a whole lane batch
+#     (fft/batch_tail_lines == 0, as step 4 asserts for the engine) and, on
+#     avx2+fma hosts, that it ran strided c2c stages as in-place column runs
 #     (fft/column_lines > 0).
 #  4. An inference-engine smoke: bench_perf_infer at a tiny budget with
 #     --metrics-out, asserting the nn/infer_* spans are exported, the
@@ -201,7 +204,10 @@ assert "fft/pruned_lines_skipped" in d["counters"], "pruning counter missing"
 assert "fft/lines_total" in d["counters"], "lines_total counter missing"
 assert d["counters"]["fft/batched_lines"] > 0, \
     "batched line-FFT path never engaged"
-assert "fft/batch_tail_lines" in d["counters"], "batch tail counter missing"
+# The training shapes' row counts are multiples of the lane count, so no
+# row sweep is ragged or a lone row.
+assert d["counters"]["fft/batch_tail_lines"] == 0, \
+    "the training row sweeps were cut below a whole lane batch"
 if sys.argv[2] == "1":
     assert d["counters"]["fft/column_lines"] > 0, \
         "strided c2c stages never ran as column runs on an avx2+fma host"

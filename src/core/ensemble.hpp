@@ -110,9 +110,6 @@ class SpreadCalibrator {
   void discard_round();
 
   [[nodiscard]] double energy_spread_envelope() const { return env_energy_; }
-  [[nodiscard]] double enstrophy_spread_envelope() const {
-    return env_enstrophy_;
-  }
 
  private:
   GuardConfig config_;

@@ -9,13 +9,13 @@
 // Line drivers: rfft_rows / irfft_rows (the real stage, over contiguous
 // rows) and c2c_stage (one complex axis, its geometry from c2c_stages) are
 // the only code that walks FFT lines. They own the line partition, the lane
-// batching (lane count from the live util::active_isa(); the per-line
-// reference arm under TURBFNO_FFT_BATCH=0), the mode pruning and the fft/*
-// line counters. Callers supply only a pool and memory: the Tensor entry
-// points below pass thread-local workspace and a per-call twiddle table,
-// the inference engine (infer/engine.hpp) its plan-time arena slices. Both
-// therefore run one implementation, which keeps the two paths bitwise equal
-// by construction (DESIGN.md "Spectral path performance").
+// batching (lane count from the live util::active_isa(); one-row sweeps and
+// the per-line c2c arm under TURBFNO_FFT_BATCH=0), the mode pruning and the
+// fft/* line counters. Callers supply only a pool and memory: the Tensor
+// entry points below pass thread-local workspace and a per-call twiddle
+// table, the inference engine (infer/engine.hpp) its plan-time arena
+// slices. Both therefore run one implementation, which keeps the two paths
+// bitwise equal by construction (DESIGN.md "Spectral path performance").
 //
 // Mode-pruned transforms: callers that only consume (forward) or only
 // populate (inverse) a subset of spectrum coordinates — the FNO spectral
@@ -141,8 +141,8 @@ inline void validate_mask(const ModeMask* mask, const Shape& spec_shape,
   }
 }
 
-/// Lanes per batched row sweep: one per the live ISA, or 1 — the per-line
-/// reference arm — with line batching off.
+/// Lanes per batched row sweep: one per the live ISA, or 1 with line
+/// batching off (one-row sweeps of the same row core).
 inline index_t row_lanes() {
   return line_batching_enabled() ? lane_count(util::active_isa()) : 1;
 }
@@ -228,8 +228,8 @@ void rfft_rows(ThreadPool& pool, const T* in, std::complex<T>* out,
   lines_total.add(rows);
   util::fft_dispatch_counter(util::active_isa()).add(1);
   const index_t out_row = n / 2 + 1;
-  // Consecutive rows go through the lane-batched kernel B at a time; a
-  // batch of one (the per-line arm) is the single-line kernel.
+  // Consecutive rows go through the row core B at a time; with batching off
+  // each row is a one-lane batch of the same core.
   detail::for_each_row_batch(
       pool, rows, scratch,
       [&](const LineScratch<T>& s, index_t r, index_t nl) {

@@ -1,6 +1,6 @@
 // AVX2/FMA kernels for the radix-2 butterfly stages (fft/plan.hpp) and the
-// rfft/irfft half-length unpack loops (fft/real.hpp), behind util::isa
-// runtime dispatch.
+// lane-batched rfft/irfft half-length unpack and pack (fft/real.hpp), behind
+// util::isa runtime dispatch.
 //
 // Per-function target attributes keep the including TUs portable; callers
 // must only reach these when util::active_isa() == Isa::kAvx2 (which implies
@@ -25,25 +25,22 @@
 //     expression (butterfly_lanes, shared with radix2_stage_lanes) and
 //     stage order; only the rows' round trip to memory between the two
 //     stages is gone, so a pair has the bits of two single stages.
-//   * rfft unpack: every bin k in [1, h-1] is computed by the same code
-//     regardless of the ModeMask — the vector body evaluates all lanes and
-//     the masked store writes only the kept bins, leaving skipped slots
-//     untouched. Pruned and full transforms therefore stay bitwise
-//     identical on the kept bins, the same load-bearing property the scalar
-//     path has.
-//   * Stages/bins too narrow for a full register (half < kCplx, edge bins
-//     0 and h, tail bins near h) run an in-function scalar loop; they are
-//     part of the avx2 kernel's fixed operation order, not a dispatch
-//     decision.
+//   * rfft unpack: a bin masked out by the ModeMask is skipped outright and
+//     every kept bin runs the same code with or without the mask, so
+//     pruned and full transforms stay bitwise identical on the kept bins,
+//     the same load-bearing property the scalar path has.
+//   * Stages too narrow for a full register (half < kCplx) and lanes past
+//     the last full register run in-function scalar code; they are part of
+//     the avx2 kernel's fixed operation order, not a dispatch decision.
 //   * Canonical fused arithmetic: every complex product on the avx2 tier —
 //     vector bodies and in-kernel scalar edges alike — rounds as
 //     re = fl(a·c − fl(b·d)), im = fl(a·d + fl(b·c)) (fmaddsub in vector
 //     code, cmul_fused below in scalar code). This makes a value's bits
 //     independent of which code shape computed it, which is what lets the
 //     lane-batched kernels (element j of lane l at x[j*stride + l], same
-//     broadcast twiddle for every lane) reproduce the within-line kernels
-//     bit-for-bit on full batches, ragged lane tails, in-place column runs
-//     and single lines.
+//     broadcast twiddle for every lane) reproduce the within-line
+//     butterflies bit-for-bit, and a row's rfft/irfft bins come out the same
+//     on full batches, ragged lane tails and one-lane batches.
 #pragma once
 
 #include <complex>
@@ -66,8 +63,9 @@ template <typename T>
           std::fma(a.real(), b.imag(), a.imag() * b.real())};
 }
 
-// The scalar edges of the unpack and pack kernels, one bin each; zc and xc
-// arrive conjugated. Unpack: E + w·O with E = (zk+zc)/2, O = −i/2·(zk−zc).
+// The scalar lane tails of the unpack and pack kernels, one bin of one lane
+// each; zc and xc arrive conjugated. Unpack: E + w·O with E = (zk+zc)/2,
+// O = −i/2·(zk−zc).
 template <typename T>
 [[gnu::target("avx2,fma")]] inline std::complex<T> unpack_bin(
     std::complex<T> zk, std::complex<T> zc, std::complex<T> w) {
@@ -137,112 +135,24 @@ template <typename T>
   }
 }
 
-// ---- rfft unpack ----------------------------------------------------------
-//
-// out[k] = E_k + w_k · O_k from the half-length spectrum z (h = n/2):
-//   zk = z[k % h]; zc = conj(z[(h−k) % h]); E = (zk+zc)/2;
-//   O = −i/2·(zk−zc); w = tw[k].
-// Bins masked out by keep (ModeMask) are computed but not stored.
-
-template <typename T>
-[[gnu::target("avx2,fma")]] inline void rfft_unpack(
-    const std::complex<T>* z, std::complex<T>* out, index_t h,
-    const std::uint8_t* keep, const std::complex<T>* tw) {
-  using L = util::Lanes<T>;
-  const auto scalar_bin = [&](index_t k) {
-    if (keep != nullptr && keep[k] == 0) return;
-    out[k] = unpack_bin(z[k % h], std::conj(z[(h - k) % h]), tw[k]);
-  };
-  scalar_bin(0);
-  const auto conj_mask = L::conj_mask();
-  const auto half = L::set1(T{0.5});
-  const auto half_alt = L::set_pair(T{0.5}, T{-0.5});
-  const T* zs = reinterpret_cast<const T*>(z);
-  const T* tws = reinterpret_cast<const T*>(tw);
-  T* outs = reinterpret_cast<T*>(out);
-  index_t k = 1;
-  for (; k + L::kCplx <= h; k += L::kCplx) {
-    const auto zk = L::load(zs + 2 * k);
-    // Mirror bins z[h−k−kCplx+1 .. h−k], reversed to line up with lanes
-    // k..k+kCplx−1, then conjugated.
-    auto zc = L::load(zs + 2 * (h - k - (L::kCplx - 1)));
-    zc = L::reverse(zc);
-    zc = L::bit_xor(zc, conj_mask);
-    const auto e = L::mul(L::add(zk, zc), half);
-    const auto d = L::sub(zk, zc);
-    // O = (0.5·d.im, −0.5·d.re)
-    const auto o = L::mul(L::swap(d), half_alt);
-    const auto w = L::load(tws + 2 * k);
-    const auto wr = L::dup_re(w);
-    const auto wi = L::dup_im(w);
-    const auto os = L::swap(o);
-    const auto wo = L::fmaddsub(wr, o, L::mul(wi, os));
-    const auto res = L::add(e, wo);
-    if (keep == nullptr) {
-      L::store(outs + 2 * k, res);
-    } else {
-      L::maskstore(outs + 2 * k, L::keep_mask(keep + k), res);
-    }
-  }
-  for (; k <= h; ++k) scalar_bin(k);
-}
-
-// ---- irfft pack -----------------------------------------------------------
-//
-// z[k] = E_k + i·O_k with E = (xk+xc)/2, O = (xk−xc)/2 · w_k,
-// xk = in[k], xc = conj(in[h−k]) (DC/Nyquist imaginary parts dropped at
-// k = 0, matching the C2R convention of the scalar path).
-
-template <typename T>
-[[gnu::target("avx2,fma")]] inline void irfft_pack(
-    const std::complex<T>* in, std::complex<T>* z, index_t h,
-    const std::complex<T>* tw) {
-  using L = util::Lanes<T>;
-  using cpx = std::complex<T>;
-  z[0] = pack_bin(cpx(in[0].real(), T{0}), cpx(in[h].real(), T{0}), tw[0]);
-  const auto conj_mask = L::conj_mask();
-  const auto half = L::set1(T{0.5});
-  const T* ins = reinterpret_cast<const T*>(in);
-  const T* tws = reinterpret_cast<const T*>(tw);
-  T* zs = reinterpret_cast<T*>(z);
-  index_t k = 1;
-  for (; k + L::kCplx <= h; k += L::kCplx) {
-    const auto xk = L::load(ins + 2 * k);
-    auto xc = L::load(ins + 2 * (h - k - (L::kCplx - 1)));
-    xc = L::reverse(xc);
-    xc = L::bit_xor(xc, conj_mask);
-    const auto e = L::mul(L::add(xk, xc), half);
-    const auto d = L::mul(L::sub(xk, xc), half);
-    // o = d * w (complex)
-    const auto w = L::load(tws + 2 * k);
-    const auto dr = L::dup_re(d);
-    const auto di = L::dup_im(d);
-    const auto ws = L::swap(w);
-    const auto o = L::fmaddsub(dr, w, L::mul(di, ws));
-    // z = (e.re − o.im, e.im + o.re)
-    const auto res = L::addsub(e, L::swap(o));
-    L::store(zs + 2 * k, res);
-  }
-  for (; k < h; ++k) z[k] = pack_bin(in[k], std::conj(in[h - k]), tw[k]);
-}
-
 // ---- Lane-batched kernels -------------------------------------------------
 //
-// Batched variants over `nl` independent lines held side by side. The rfft
+// Batched kernels over `nl` independent lines held side by side. The rfft
 // unpack and irfft pack take a lane-interleaved scratch block (element j of
 // lane l at x[j*nl + l]); the butterfly stage takes a row stride, element j
 // of lane l at x[j*stride + l], so the same kernel runs a scratch block
 // (stride = nl) and a run of adjacent columns of a row-major array
 // transformed in place (stride = row length). Each bin/butterfly broadcasts
-// its twiddle across lanes and evaluates the same fused expressions as the
-// within-line kernels above, vectorizing over lanes (kCplx complex per
-// register) — so a lane's bits are independent of batch occupancy and
-// identical to the single-line avx2 result. Ragged lane tails run one
-// masked vector in the butterflies (the masked-off lanes compute on zeros
-// and are never stored) and a cmul_fused scalar loop in the unpack/pack.
-// PlanC2C::execute_batch runs the butterfly stages as fused pairs
-// (radix2_pair_lanes, below), then one radix2_stage_lanes stage when
-// log2 n is odd.
+// its twiddle across lanes and evaluates the fused expressions of the
+// within-line butterflies and of unpack_bin / pack_bin, vectorizing over
+// lanes (kCplx complex per register) — so a lane's bits are independent of
+// batch occupancy. Ragged lane tails run one masked vector in the
+// butterflies (the masked-off lanes compute on zeros and are never stored)
+// and a cmul_fused scalar loop in the unpack/pack, which is all a one-lane
+// batch (a lone row) runs there. PlanC2C::execute_batch runs the butterfly
+// stages as fused pairs (radix2_pair_lanes, below), then one
+// radix2_stage_lanes stage when log2 n is odd; a one-lane contiguous block
+// runs the within-line radix2_stage instead.
 
 // w (conjugated when inverse) as broadcast real and imaginary parts.
 template <typename T>
@@ -358,11 +268,13 @@ template <typename T>
   }
 }
 
-// Batched rfft unpack: z and out are lane-interleaved (h resp. h+1 rows of
-// nl lanes); bins masked out by keep are skipped outright (their out rows
-// are left untouched). Unlike the within-line kernel there are no edge-bin
-// special cases — the wrap indices (k % h) handle bins 0 and h with the
-// same fused formulas, vectorized across lanes.
+// Batched rfft unpack: out[k] = E_k + w_k · O_k from the half-length
+// spectrum z (h = n/2), with zk = z[k % h], zc = conj(z[(h−k) % h]),
+// E = (zk+zc)/2, O = −i/2·(zk−zc), w = tw[k]. z and out are
+// lane-interleaved (h resp. h+1 rows of nl lanes); bins masked out by keep
+// are skipped outright (their out rows are left untouched). There are no
+// edge-bin special cases — the wrap indices (k % h) handle bins 0 and h
+// with the same fused formulas, vectorized across lanes.
 
 template <typename T>
 [[gnu::target("avx2,fma")]] inline void rfft_unpack_lanes(
@@ -400,9 +312,11 @@ template <typename T>
   }
 }
 
-// Batched irfft pack: in (h+1 lane-interleaved rows) → z (h rows). Bin 0
-// zeroes the DC/Nyquist imaginary parts across lanes (real_mask) instead of
-// conjugating, matching the C2R convention of the scalar path.
+// Batched irfft pack: z[k] = E_k + i·O_k with E = (xk+xc)/2,
+// O = (xk−xc)/2 · w_k, xk = in[k], xc = conj(in[h−k]); in holds h+1
+// lane-interleaved rows, z h rows. Bin 0 zeroes the DC/Nyquist imaginary
+// parts across lanes (real_mask) instead of conjugating, matching the C2R
+// convention of the scalar path.
 
 template <typename T>
 [[gnu::target("avx2,fma")]] inline void irfft_pack_lanes(

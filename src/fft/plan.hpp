@@ -71,8 +71,8 @@ inline constexpr index_t kMaxLanes = 32;
 
 /// Lanes per batched row sweep on the given ISA tier: kMaxLanes rows on
 /// avx2 (eight f32 / sixteen f64 registers of lanes per twiddle
-/// broadcast), a fixed 4-row block on the scalar tier, which runs the
-/// single-line kernel row by row either way.
+/// broadcast), a fixed 4-row block on the scalar tier, which runs
+/// rfft_scratch / irfft_scratch row by row either way.
 inline index_t lane_count(util::Isa isa) {
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
   if (isa == util::Isa::kAvx2) return kMaxLanes;
@@ -95,8 +95,9 @@ inline std::atomic<int>& line_batching_flag() {
 }  // namespace detail
 
 /// Whether the lane-per-line batched FFT path is active (default on; set
-/// TURBFNO_FFT_BATCH=0 or call set_line_batching(false) to force the
-/// per-line reference path, e.g. for baseline benchmarking).
+/// TURBFNO_FFT_BATCH=0 or call set_line_batching(false) to force one line
+/// per batch — one-row sweeps of the row cores and the per-line c2c arm —
+/// e.g. for baseline benchmarking).
 inline bool line_batching_enabled() {
   return detail::line_batching_flag().load(std::memory_order_relaxed) != 0;
 }

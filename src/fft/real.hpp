@@ -1,4 +1,5 @@
-// Real ↔ complex 1-D transforms via the half-length complex FFT trick.
+// Real ↔ complex transforms of contiguous rows via the half-length complex
+// FFT trick.
 //
 // rfft maps n reals to n/2+1 complex coefficients (non-negative
 // frequencies); irfft inverts with the 1/n normalisation so that
@@ -7,21 +8,22 @@
 //
 // The unpack twiddles e^(±2πik/n) are read from a caller-provided table so
 // the inference engine can compute them once at plan time; the Tensor
-// transforms fill one per call and the 1-D rfft/irfft wrappers one per row.
-// All run the one shared _scratch instantiation on identical table values,
-// so their outputs are bitwise identical by construction.
+// transforms fill one per call. Both reach the row cores below through the
+// line drivers (fft/fftnd.hpp), on identical table values, so their outputs
+// are bitwise identical by construction.
 //
-// The unpack/pack loops dispatch per call on util::active_isa() between the
-// scalar reference loops below and the AVX2/FMA kernels in
-// fft/kernels_avx2.hpp; dispatch sits inside the shared instantiation, so
-// the training/engine bitwise identity above holds under either ISA.
+// The row cores dispatch per call on util::active_isa(): the scalar tier
+// runs the reference loops of rfft_scratch / irfft_scratch row by row, the
+// AVX2/FMA tier the lane kernels of fft/kernels_avx2.hpp at any lane count
+// from 1 to kMaxLanes, so a lone row is a one-lane batch. Dispatch sits
+// inside the shared instantiation, so the training/engine bitwise identity
+// above holds under either ISA.
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <numbers>
 #include <type_traits>
-#include <vector>
 
 #include "fft/kernels_avx2.hpp"
 #include "fft/plan_cache.hpp"
@@ -56,12 +58,14 @@ void fill_irfft_twiddles(std::complex<T>* tw, index_t n) {
   }
 }
 
-/// rfft core with caller-provided scratch `z` (n/2 elements) and twiddle
-/// table `tw` (n/2+1 elements, see fill_rfft_twiddles). The line drivers
-/// (fft/fftnd.hpp) hand in their callers' scratch here; the thread_local
-/// wrapper below keeps the original signature for everyone else. Both run
-/// the exact same instructions, so results are bitwise identical between
-/// the two entry points.
+/// Scalar reference rfft of one row, with caller-provided scratch `z` (n/2
+/// elements) and twiddle table `tw` (n/2+1 elements, see
+/// fill_rfft_twiddles). `keep_bins` (optional, length n/2+1) marks the
+/// output bins the caller will read; unmarked bins are skipped and their
+/// slots left untouched. Each bin's unpack is an independent function of
+/// the shared half-length complex FFT, so skipping a bin cannot perturb any
+/// other bin and the kept bins stay bitwise identical to the unmasked
+/// transform.
 template <typename T>
 void rfft_scratch(const T* in, std::complex<T>* out, index_t n,
                   const std::uint8_t* keep_bins, std::complex<T>* z,
@@ -73,15 +77,6 @@ void rfft_scratch(const T* in, std::complex<T>* out, index_t n,
     z[k] = cpx(in[2 * k], in[2 * k + 1]);
   }
   plan<T>(h).forward(z);
-
-#if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (util::active_isa() == util::Isa::kAvx2) {
-      avx2::rfft_unpack(z, out, h, keep_bins, tw);
-      return;
-    }
-  }
-#endif
   for (index_t k = 0; k <= h; ++k) {
     if (keep_bins != nullptr && keep_bins[k] == 0) continue;
     const cpx zk = z[k % h];
@@ -95,27 +90,16 @@ void rfft_scratch(const T* in, std::complex<T>* out, index_t n,
   }
 }
 
-/// irfft core with caller-provided scratch `z` (n/2 elements) and twiddle
-/// table `tw` (n/2 elements, see fill_irfft_twiddles).
+/// Scalar reference irfft of one row (1/n scaling): `in` holds n/2+1
+/// elements, the non-negative-frequency half of a Hermitian spectrum.
+/// Caller-provided scratch `z` (n/2 elements) and twiddle table `tw` (n/2
+/// elements, see fill_irfft_twiddles).
 template <typename T>
 void irfft_scratch(const std::complex<T>* in, T* out, index_t n,
                    std::complex<T>* z, const std::complex<T>* tw) {
   using cpx = std::complex<T>;
   TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
   const index_t h = n / 2;
-#if defined(TURBFNO_HAS_AVX2_KERNELS)
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (util::active_isa() == util::Isa::kAvx2) {
-      avx2::irfft_pack(in, z, h, tw);
-      plan<T>(h).inverse(z);
-      for (index_t k = 0; k < h; ++k) {
-        out[2 * k] = z[k].real();
-        out[2 * k + 1] = z[k].imag();
-      }
-      return;
-    }
-  }
-#endif
   for (index_t k = 0; k < h; ++k) {
     // The DC and Nyquist coefficients of a real signal are real; like cuFFT's
     // C2R, ignore any imaginary part there so the transform is exactly the
@@ -141,29 +125,24 @@ void irfft_scratch(const std::complex<T>* in, T* out, index_t n,
 /// Lane-batched rfft over `nl` rows (nl in [1, kMaxLanes]): input row l at
 /// in + l*in_stride, output row l at out + l*out_stride. z_li (n/2 · nl) and
 /// u_li ((n/2+1) · nl) are caller-provided lane-interleaved scratch; tw is
-/// the fill_rfft_twiddles table. Per row the result is bitwise identical to
-/// rfft_scratch on that row alone under the same ISA tier: on the AVX2 tier
-/// the gather/scatter are exact copies and the transform/unpack run
-/// intrinsics lane kernels with fixed per-lane arithmetic; on the scalar
-/// tier the rows (already contiguous) run the pinned single-line kernel one
-/// lane at a time — no compiler-generated per-lane FP loops anywhere (see
-/// fft/plan.hpp on batch occupancy invariance). Bins masked out by
-/// keep_bins are skipped and their output slots left untouched.
+/// the fill_rfft_twiddles table. Bins masked out by keep_bins are skipped
+/// and their output slots left untouched (see rfft_scratch). On the AVX2
+/// tier the gather/scatter are exact copies and the transform/unpack run
+/// intrinsics lane kernels with fixed per-lane arithmetic, so a row's bits
+/// do not depend on nl; on the scalar tier the rows (already contiguous) run
+/// rfft_scratch one at a time — no compiler-generated per-lane FP loops
+/// anywhere (see fft/plan.hpp on batch occupancy invariance).
 template <typename T>
 void rfft_batch_scratch(const T* in, index_t in_stride, std::complex<T>* out,
                         index_t out_stride, index_t n, index_t nl,
                         const std::uint8_t* keep_bins, std::complex<T>* z_li,
                         std::complex<T>* u_li, const std::complex<T>* tw) {
-  using cpx = std::complex<T>;
   TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "rfft length must be even, got " << n);
-  const index_t h = n / 2;
-  if (nl == 1) {
-    rfft_scratch(in, out, n, keep_bins, z_li, tw);
-    return;
-  }
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
   if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
     if (util::active_isa() == util::Isa::kAvx2) {
+      using cpx = std::complex<T>;
+      const index_t h = n / 2;
       for (index_t l = 0; l < nl; ++l) {
         const T* row = in + l * in_stride;
         for (index_t k = 0; k < h; ++k) {
@@ -183,10 +162,8 @@ void rfft_batch_scratch(const T* in, index_t in_stride, std::complex<T>* out,
     }
   }
 #endif
-  // Scalar tier: each row is contiguous in memory already, so run the
-  // single-line kernel per lane (z_li's first h slots serve as the per-row
-  // scratch). The batch still amortises the caller's twiddle fill and
-  // chunk bookkeeping.
+  // Scalar tier: z_li's first n/2 slots serve as the per-row scratch. The
+  // batch still amortises the caller's twiddle fill and chunk bookkeeping.
   (void)u_li;
   for (index_t l = 0; l < nl; ++l) {
     rfft_scratch(in + l * in_stride, out + l * out_stride, n, keep_bins, z_li,
@@ -194,26 +171,22 @@ void rfft_batch_scratch(const T* in, index_t in_stride, std::complex<T>* out,
   }
 }
 
-/// Lane-batched irfft over `nl` rows: spectrum row l at in + l*in_stride
-/// (n/2+1 elements), real output row l at out + l*out_stride. u_li holds
-/// (n/2+1) · nl and z_li n/2 · nl lane-interleaved scratch; tw is the
-/// fill_irfft_twiddles table. Bitwise identical per row to irfft_scratch
-/// under the same ISA tier.
+/// Lane-batched irfft over `nl` rows (nl in [1, kMaxLanes]): spectrum row l
+/// at in + l*in_stride (n/2+1 elements), real output row l at
+/// out + l*out_stride. u_li holds (n/2+1) · nl and z_li n/2 · nl
+/// lane-interleaved scratch; tw is the fill_irfft_twiddles table. Tiers as
+/// rfft_batch_scratch.
 template <typename T>
 void irfft_batch_scratch(const std::complex<T>* in, index_t in_stride, T* out,
                          index_t out_stride, index_t n, index_t nl,
                          std::complex<T>* z_li, std::complex<T>* u_li,
                          const std::complex<T>* tw) {
-  using cpx = std::complex<T>;
   TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
-  const index_t h = n / 2;
-  if (nl == 1) {
-    irfft_scratch(in, out, n, z_li, tw);
-    return;
-  }
 #if defined(TURBFNO_HAS_AVX2_KERNELS)
   if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
     if (util::active_isa() == util::Isa::kAvx2) {
+      using cpx = std::complex<T>;
+      const index_t h = n / 2;
       for (index_t l = 0; l < nl; ++l) {
         const cpx* row = in + l * in_stride;
         for (index_t k = 0; k <= h; ++k) u_li[k * nl + l] = row[k];
@@ -231,44 +204,11 @@ void irfft_batch_scratch(const std::complex<T>* in, index_t in_stride, T* out,
     }
   }
 #endif
-  // Scalar tier: run the pinned single-line kernel per lane (see
-  // rfft_batch_scratch for the rationale).
+  // Scalar tier: irfft_scratch per row (see rfft_batch_scratch).
   (void)u_li;
   for (index_t l = 0; l < nl; ++l) {
     irfft_scratch(in + l * in_stride, out + l * out_stride, n, z_li, tw);
   }
-}
-
-/// Forward real-to-complex DFT. `out` must hold n/2+1 elements.
-///
-/// `keep_bins` (optional, length n/2+1) marks which output bins the caller
-/// will read; unmarked bins are skipped — their slots are left untouched.
-/// Each bin's unpack is an independent function of the shared half-length
-/// complex FFT, so skipping a bin cannot perturb any other bin and the kept
-/// bins stay bitwise identical to the unmasked transform.
-template <typename T>
-void rfft(const T* in, std::complex<T>* out, index_t n,
-          const std::uint8_t* keep_bins = nullptr) {
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "rfft length must be even, got " << n);
-  thread_local std::vector<std::complex<T>> z;
-  thread_local std::vector<std::complex<T>> tw;
-  z.resize(static_cast<std::size_t>(n / 2));
-  tw.resize(static_cast<std::size_t>(n / 2 + 1));
-  fill_rfft_twiddles(tw.data(), n);
-  rfft_scratch(in, out, n, keep_bins, z.data(), tw.data());
-}
-
-/// Inverse complex-to-real DFT (1/n scaling). `in` holds n/2+1 elements and
-/// is treated as the non-negative-frequency half of a Hermitian spectrum.
-template <typename T>
-void irfft(const std::complex<T>* in, T* out, index_t n) {
-  TURB_CHECK_MSG(n >= 2 && n % 2 == 0, "irfft length must be even, got " << n);
-  thread_local std::vector<std::complex<T>> z;
-  thread_local std::vector<std::complex<T>> tw;
-  z.resize(static_cast<std::size_t>(n / 2));
-  tw.resize(static_cast<std::size_t>(n / 2));
-  fill_irfft_twiddles(tw.data(), n);
-  irfft_scratch(in, out, n, z.data(), tw.data());
 }
 
 }  // namespace turb::fft

@@ -170,8 +170,8 @@ void InferenceEngine::plan(const Shape& in_shape) {
   arena_gauge_.set(static_cast<double>(arena_.bytes()));
 
   // Twiddle tables, computed once here instead of per rfft/irfft call — the
-  // fill helpers evaluate the exact expressions the per-call wrappers use,
-  // so table-fed transforms stay bitwise identical to the training path.
+  // Tensor transforms call the same fill helpers per call, so table-fed
+  // transforms stay bitwise identical to the training path.
   fft::fill_rfft_twiddles(arena_.at<cpxf>(off_twf_), n_last_);
   fft::fill_irfft_twiddles(arena_.at<cpxf>(off_twi_), n_last_);
 

@@ -113,8 +113,6 @@ class InferenceEngine {
   /// Bytes of prepacked spectral-weight storage (the contraction's working
   /// set; linear weights are excluded).
   [[nodiscard]] std::size_t spectral_weight_bytes() const;
-  [[nodiscard]] bool planned() const { return planned_; }
-  [[nodiscard]] const Shape& planned_shape() const { return in_shape_; }
 
  private:
   using cpxf = std::complex<float>;

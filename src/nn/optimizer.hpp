@@ -29,7 +29,6 @@ class Adam {
 
   [[nodiscard]] double lr() const { return config_.lr; }
   void set_lr(double lr) { config_.lr = lr; }
-  [[nodiscard]] long step_count() const { return t_; }
 
   /// Full optimizer state (moments + step count) for exact restore after a
   /// fault — the trainer snapshots this alongside the weights so recovery

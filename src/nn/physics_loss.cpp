@@ -1,10 +1,11 @@
 #include "nn/physics_loss.hpp"
 
 #include <cmath>
-#include <mutex>
 #include <numbers>
+#include <vector>
 
 #include "fft/fftnd.hpp"
+#include "ns/spectral_ops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace turb::nn {
@@ -15,12 +16,6 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 using cpxf = std::complex<float>;
 
-double deriv_freq(index_t i, index_t n) {
-  if (2 * i == n) return 0.0;  // Nyquist is derivative-free (see ns ops)
-  return (i <= n / 2) ? static_cast<double>(i)
-                      : static_cast<double>(i) - static_cast<double>(n);
-}
-
 /// d = ∂x u1 + ∂y u2 for one (H, W) pair, float spectral derivatives.
 TensorF pair_divergence(const float* u1, const float* u2, index_t h,
                         index_t w) {
@@ -30,9 +25,9 @@ TensorF pair_divergence(const float* u1, const float* u2, index_t h,
   Tensor<cpxf> s1 = fft::rfftn(f1, 2);
   Tensor<cpxf> s2 = fft::rfftn(f2, 2);
   for (index_t iy = 0; iy < h; ++iy) {
-    const auto ky = static_cast<float>(kTwoPi * deriv_freq(iy, h));
+    const auto ky = static_cast<float>(kTwoPi * ns::deriv_freq(iy, h));
     for (index_t ix = 0; ix < w / 2 + 1; ++ix) {
-      const auto kx = static_cast<float>(kTwoPi * deriv_freq(ix, w));
+      const auto kx = static_cast<float>(kTwoPi * ns::deriv_freq(ix, w));
       // i·kx·û1 + i·ky·û2
       s1(iy, ix) = cpxf(0.0f, kx) * s1(iy, ix) + cpxf(0.0f, ky) * s2(iy, ix);
     }
@@ -47,9 +42,9 @@ void accumulate_adjoint(const TensorF& d, float scale, float* g1, float* g2,
   Tensor<cpxf> sd = fft::rfftn(d, 2);
   Tensor<cpxf> s1({h, w / 2 + 1}), s2({h, w / 2 + 1});
   for (index_t iy = 0; iy < h; ++iy) {
-    const auto ky = static_cast<float>(kTwoPi * deriv_freq(iy, h));
+    const auto ky = static_cast<float>(kTwoPi * ns::deriv_freq(iy, h));
     for (index_t ix = 0; ix < w / 2 + 1; ++ix) {
-      const auto kx = static_cast<float>(kTwoPi * deriv_freq(ix, w));
+      const auto kx = static_cast<float>(kTwoPi * ns::deriv_freq(ix, w));
       s1(iy, ix) = cpxf(0.0f, kx) * sd(iy, ix);
       s2(iy, ix) = cpxf(0.0f, ky) * sd(iy, ix);
     }
@@ -82,23 +77,23 @@ LossResult divergence_penalty(const TensorF& pred, index_t k_steps) {
 
   LossResult res;
   res.grad = TensorF(pred.shape());
-  double total = 0.0;
-  std::mutex total_mutex;
+  // Per-task values, summed in index order after the region: the value's
+  // bits do not depend on the order in which the pool finishes tasks.
+  std::vector<double> values(static_cast<std::size_t>(batch * k_steps));
   parallel_for(0, batch * k_steps, [&](index_t t) {
     const index_t n = t / k_steps;
     const index_t k = t % k_steps;
     const float* u1 = pred.data() + ((n * 2 * k_steps) + k) * frame;
     const float* u2 = pred.data() + ((n * 2 * k_steps) + k_steps + k) * frame;
     const TensorF d = pair_divergence(u1, u2, h, w);
-    const double local = d.squared_norm() * norm;
+    values[static_cast<std::size_t>(t)] = d.squared_norm() * norm;
     float* g1 = res.grad.data() + ((n * 2 * k_steps) + k) * frame;
     float* g2 =
         res.grad.data() + ((n * 2 * k_steps) + k_steps + k) * frame;
     accumulate_adjoint(d, static_cast<float>(2.0 * norm), g1, g2, h, w);
-    std::lock_guard lock(total_mutex);
-    total += local;
   });
-  res.value = total;
+  res.value = 0.0;
+  for (const double v : values) res.value += v;
   return res;
 }
 

@@ -3,17 +3,13 @@
 #include <cmath>
 
 #include "fft/fftnd.hpp"
+#include "ns/spectral_ops.hpp"
 
 namespace turb::nn {
 
 namespace {
 
 using cpxf = std::complex<float>;
-
-double signed_freq(index_t i, index_t n) {
-  return (i <= n / 2) ? static_cast<double>(i)
-                      : static_cast<double>(i) - static_cast<double>(n);
-}
 
 /// Weighted spectral energy Σ_k m_k w_k |f̂_k|² / M of one (H, W) channel,
 /// and optionally the physical-space image of ΛᵀΛ f (for the gradient).
@@ -25,7 +21,7 @@ double weighted_energy(const float* f, index_t h, index_t w, double s,
   const double inv_m = 1.0 / static_cast<double>(h * w);
   double energy = 0.0;
   for (index_t iy = 0; iy < h; ++iy) {
-    const double ky = signed_freq(iy, h);
+    const double ky = ns::fft_freq(iy, h);
     for (index_t ix = 0; ix < w / 2 + 1; ++ix) {
       const double kx = static_cast<double>(ix);
       const double weight = 1.0 + s * (kx * kx + ky * ky);

@@ -66,7 +66,6 @@ class SpectralConv final : public Module {
   [[nodiscard]] const std::vector<index_t>& spec_offsets() const {
     return spec_offsets_;
   }
-  [[nodiscard]] index_t spec_slab() const { return spec_slab_; }
   [[nodiscard]] const fft::ModeMask& mode_mask() const { return mode_mask_; }
 
  private:

@@ -124,9 +124,8 @@ void EnsembleSession::commit_round() {
     }
     core::anchored_mean_spread(energies.data(), k, &energy_mean,
                                &energy_spread);
-    last_energy_rel_spread_ =
-        energy_mean != 0.0 ? energy_spread / std::abs(energy_mean) : 0.0;
-    energy_rel_spread.set(last_energy_rel_spread_);
+    energy_rel_spread.set(
+        energy_mean != 0.0 ? energy_spread / std::abs(energy_mean) : 0.0);
     for (index_t m = 0; m < k; ++m) {
       // Hand over the metrics judged above — the member stream must not
       // recompute (spectral diagnostics included) what the round already

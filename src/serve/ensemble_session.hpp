@@ -61,11 +61,6 @@ class EnsembleSession {
   [[nodiscard]] index_t guard_trips() const {
     return static_cast<index_t>(guard_events_.size());
   }
-  /// Energy relative spread (spread / |mean|) of the last committed
-  /// snapshot — the cheap per-round trustworthiness gauge.
-  [[nodiscard]] double last_energy_rel_spread() const {
-    return last_energy_rel_spread_;
-  }
 
   /// Stage member m's freshly produced primary window for this round.
   void stage_window(index_t m, std::vector<core::FieldSnapshot>&& window);
@@ -90,7 +85,6 @@ class EnsembleSession {
   std::vector<std::vector<core::FieldSnapshot>> staged_;
   index_t staged_count_ = 0;
   std::vector<core::GuardEvent> guard_events_;
-  double last_energy_rel_spread_ = 0.0;
 };
 
 }  // namespace turb::serve

@@ -82,11 +82,6 @@ struct Lanes<float> {
   TURBFNO_LANE_OP reg dup_re(reg v) { return _mm256_moveldup_ps(v); }
   TURBFNO_LANE_OP reg dup_im(reg v) { return _mm256_movehdup_ps(v); }
   TURBFNO_LANE_OP reg swap(reg v) { return _mm256_permute_ps(v, 0xB1); }
-  /// The complex slots in reverse order.
-  TURBFNO_LANE_OP reg reverse(reg v) {
-    v = _mm256_permute2f128_ps(v, v, 0x01);
-    return _mm256_permute_ps(v, 0x4E);
-  }
 
   /// Sign bit of every imaginary part (xor conjugates).
   TURBFNO_LANE_OP reg conj_mask() {
@@ -102,13 +97,6 @@ struct Lanes<float> {
   TURBFNO_LANE_OP __m256i tail_mask(index_t cplx) {
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(2 * cplx)),
                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  }
-  /// The slots of bins k .. k+3 whose keep flag is set.
-  TURBFNO_LANE_OP __m256i keep_mask(const std::uint8_t* keep) {
-    return _mm256_setr_epi32(keep[0] ? -1 : 0, keep[0] ? -1 : 0,
-                             keep[1] ? -1 : 0, keep[1] ? -1 : 0,
-                             keep[2] ? -1 : 0, keep[2] ? -1 : 0,
-                             keep[3] ? -1 : 0, keep[3] ? -1 : 0);
   }
 
   /// Sum of the lanes, folded in a fixed order.
@@ -161,9 +149,6 @@ struct Lanes<double> {
   TURBFNO_LANE_OP reg dup_re(reg v) { return _mm256_movedup_pd(v); }
   TURBFNO_LANE_OP reg dup_im(reg v) { return _mm256_permute_pd(v, 0xF); }
   TURBFNO_LANE_OP reg swap(reg v) { return _mm256_permute_pd(v, 0x5); }
-  TURBFNO_LANE_OP reg reverse(reg v) {
-    return _mm256_permute2f128_pd(v, v, 0x01);
-  }
 
   TURBFNO_LANE_OP reg conj_mask() {
     return _mm256_castsi256_pd(_mm256_setr_epi64x(0, INT64_MIN, 0, INT64_MIN));
@@ -174,10 +159,6 @@ struct Lanes<double> {
   /// A ragged double tail is always one complex slot (nl mod 2).
   TURBFNO_LANE_OP __m256i tail_mask(index_t /*cplx*/) {
     return _mm256_setr_epi64x(-1, -1, 0, 0);
-  }
-  TURBFNO_LANE_OP __m256i keep_mask(const std::uint8_t* keep) {
-    return _mm256_setr_epi64x(keep[0] ? -1 : 0, keep[0] ? -1 : 0,
-                              keep[1] ? -1 : 0, keep[1] ? -1 : 0);
   }
 
   TURBFNO_LANE_OP double hsum(reg v) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "data/windows.hpp"
@@ -14,6 +15,7 @@
 #include "ns/solver.hpp"
 #include "ns/spectral_ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace turb {
 namespace {
@@ -112,6 +114,27 @@ TEST(PhysicsLoss, ZeroWeightReducesToDataTerm) {
 TEST(PhysicsLoss, RejectsBadChannelCount) {
   TensorF pred({1, 3, 8, 8});
   EXPECT_THROW(nn::divergence_penalty(pred, 2), CheckError);
+}
+
+TEST(PhysicsLoss, DivergencePenaltyValueSameBitsAtEveryWidth) {
+  // The (sample, step) tasks finish in any order at width 4; their values
+  // are summed in index order, so the value keeps the width-1 bits. A
+  // completion-order sum differed from the width-1 value in ~6 % of calls
+  // on a 4-vCPU host, so 200 calls all but always catch one.
+  Rng rng(11);
+  TensorF pred({8, 4, 32, 32});  // N = 8, K = 2 velocity pairs
+  pred.fill_normal(rng, 0.0, 1.0);
+  double want = 0.0;
+  {
+    ThreadPool::Scope scope(1);
+    want = nn::divergence_penalty(pred, 2).value;
+  }
+  ThreadPool::Scope scope(4);
+  for (int call = 0; call < 200; ++call) {
+    const double got = nn::divergence_penalty(pred, 2).value;
+    ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(double)))
+        << "width-4 call " << call << ": " << got << " vs width 1 " << want;
+  }
 }
 
 // --- velocity-pair windows ------------------------------------------------------

@@ -161,25 +161,26 @@ TEST(Fft, FloatPrecisionAcceptable) {
 }
 
 // --- real transforms -------------------------------------------------------
+//
+// One-row transforms go through the Tensor entry points at ndim 1: a rank-1
+// tensor is a single rfft/irfft row.
 
 class RfftLengths : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(RfftLengths, MatchesNaiveRealDft) {
   const index_t n = GetParam();
   Rng rng(400 + static_cast<std::uint64_t>(n));
-  std::vector<double> x(static_cast<std::size_t>(n));
+  TensorD x({n});
   std::vector<cpxd> xc(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
-    x[static_cast<std::size_t>(i)] = rng.normal();
-    xc[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
+    x[i] = rng.normal();
+    xc[static_cast<std::size_t>(i)] = x[i];
   }
   const auto ref = naive_dft(xc);
-  std::vector<cpxd> out(static_cast<std::size_t>(n / 2 + 1));
-  rfft(x.data(), out.data(), n);
+  const Tensor<cpxd> out = rfftn(x, 1);
   for (index_t k = 0; k <= n / 2; ++k) {
-    ASSERT_NEAR(std::abs(out[static_cast<std::size_t>(k)] -
-                         ref[static_cast<std::size_t>(k)]),
-                0.0, 1e-9 * static_cast<double>(n))
+    ASSERT_NEAR(std::abs(out[k] - ref[static_cast<std::size_t>(k)]), 0.0,
+                1e-9 * static_cast<double>(n))
         << "k=" << k;
   }
 }
@@ -187,13 +188,10 @@ TEST_P(RfftLengths, MatchesNaiveRealDft) {
 TEST_P(RfftLengths, RoundTripIsIdentity) {
   const index_t n = GetParam();
   Rng rng(500 + static_cast<std::uint64_t>(n));
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.normal();
-  std::vector<cpxd> spec(static_cast<std::size_t>(n / 2 + 1));
-  rfft(x.data(), spec.data(), n);
-  std::vector<double> back(static_cast<std::size_t>(n));
-  irfft(spec.data(), back.data(), n);
-  for (std::size_t i = 0; i < x.size(); ++i) {
+  TensorD x({n});
+  for (index_t i = 0; i < n; ++i) x[i] = rng.normal();
+  const TensorD back = irfftn(rfftn(x, 1), 1, n);
+  for (index_t i = 0; i < n; ++i) {
     ASSERT_NEAR(back[i], x[i], 1e-10 * static_cast<double>(n));
   }
 }
@@ -202,18 +200,16 @@ INSTANTIATE_TEST_SUITE_P(EvenLengths, RfftLengths,
                          ::testing::Values(2, 4, 6, 8, 10, 16, 20, 64, 256));
 
 TEST(Rfft, OddLengthRejected) {
-  std::vector<double> x(5, 0.0);
-  std::vector<cpxd> out(3);
-  EXPECT_THROW(rfft(x.data(), out.data(), 5), CheckError);
+  const TensorD x({5}, 0.0);
+  EXPECT_THROW(rfftn(x, 1), CheckError);
 }
 
 TEST(Rfft, DcBinIsMean) {
   const index_t n = 32;
-  std::vector<double> x(static_cast<std::size_t>(n), 3.25);
-  std::vector<cpxd> out(static_cast<std::size_t>(n / 2 + 1));
-  rfft(x.data(), out.data(), n);
+  const TensorD x({n}, 3.25);
+  const Tensor<cpxd> out = rfftn(x, 1);
   EXPECT_NEAR(out[0].real(), 3.25 * static_cast<double>(n), 1e-10);
-  for (std::size_t k = 1; k < out.size(); ++k) {
+  for (index_t k = 1; k < out.size(); ++k) {
     ASSERT_NEAR(std::abs(out[k]), 0.0, 1e-10);
   }
 }
@@ -221,17 +217,15 @@ TEST(Rfft, DcBinIsMean) {
 TEST(Rfft, CosineHitsSymmetricBins) {
   const index_t n = 64;
   const index_t mode = 7;
-  std::vector<double> x(static_cast<std::size_t>(n));
+  TensorD x({n});
   for (index_t j = 0; j < n; ++j) {
-    x[static_cast<std::size_t>(j)] =
-        std::cos(2.0 * std::numbers::pi * static_cast<double>(mode * j) /
-                 static_cast<double>(n));
+    x[j] = std::cos(2.0 * std::numbers::pi * static_cast<double>(mode * j) /
+                    static_cast<double>(n));
   }
-  std::vector<cpxd> out(static_cast<std::size_t>(n / 2 + 1));
-  rfft(x.data(), out.data(), n);
+  const Tensor<cpxd> out = rfftn(x, 1);
   for (index_t k = 0; k <= n / 2; ++k) {
     const double expected = (k == mode) ? static_cast<double>(n) / 2.0 : 0.0;
-    ASSERT_NEAR(std::abs(out[static_cast<std::size_t>(k)]), expected, 1e-9);
+    ASSERT_NEAR(std::abs(out[k]), expected, 1e-9);
   }
 }
 
@@ -616,7 +610,10 @@ TEST(FftPruned, MaskShapeMismatchRejected) {
 // pruned and unpruned, pool widths 1/2/4; c2c_stage's in-place column runs
 // at run widths 1–68 with gapped keep patterns and src != dst; the row
 // drivers at 1, B-1, B, B+1, 3B+2 rows), for f32 and f64, on every ISA tier
-// the host supports. B is the tier's lane count.
+// the host supports. B is the tier's lane count. With batching off the row
+// drivers run one-lane batches of the same row core, so the real-stage
+// checks compare B-lane with one-lane sweeps of one kernel: the avx2 lane
+// kernels, or rfft_scratch / irfft_scratch row by row on the scalar tier.
 
 /// Line counts that exercise full batches and every ragged-tail shape.
 template <typename T>
@@ -777,6 +774,8 @@ TEST(FftBatched, C2cAxisBatchedMatchesPerLineBitwiseAvx2) {
   expect_c2c_batch_bitwise<double>();
 }
 
+/// rfftn/irfftn with batching on (B-lane row sweeps) against batching off
+/// (one-lane row sweeps of the same row core, per-line c2c arm).
 template <typename T>
 void expect_real_batch_bitwise() {
   using cpx = std::complex<T>;
@@ -985,6 +984,8 @@ TEST(FftBatched, ColumnStageMatchesPerLineBitwiseAvx2) {
   expect_column_stage_bitwise<double>();
 }
 
+/// rfft_rows/irfft_rows with batching on (B-lane sweeps) against batching
+/// off (one-lane sweeps of the same row core).
 template <typename T>
 void expect_row_drivers_bitwise() {
   using cpx = std::complex<T>;

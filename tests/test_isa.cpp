@@ -309,11 +309,11 @@ TEST_P(RealFftIsaEquivalence, RfftAndIrfftWithinTierB) {
   const index_t n = GetParam();
   const index_t h = n / 2;
   Rng rng(9000 + static_cast<std::uint64_t>(n));
-  std::vector<float> in(static_cast<std::size_t>(n));
+  TensorF in({n});
   double sum_abs = 0.0;
-  for (auto& v : in) {
-    v = static_cast<float>(rng.normal());
-    sum_abs += std::abs(static_cast<double>(v));
+  for (index_t i = 0; i < n; ++i) {
+    in[i] = static_cast<float>(rng.normal());
+    sum_abs += std::abs(static_cast<double>(in[i]));
   }
   const index_t m = (h == 0 || fft::is_pow2(h)) ? std::max<index_t>(h, 1)
                                                 : fft::next_pow2(2 * h - 1);
@@ -322,11 +322,10 @@ TEST_P(RealFftIsaEquivalence, RfftAndIrfftWithinTierB) {
   const double eps = std::numeric_limits<float>::epsilon();
   const double bound = 4.0 * eps * depth * sum_abs;
 
+  // One row: a rank-1 tensor at ndim 1.
   const auto run_rfft = [&](util::Isa isa) {
     util::ScopedIsa forced(isa);
-    std::vector<std::complex<float>> out(static_cast<std::size_t>(h + 1));
-    fft::rfft(in.data(), out.data(), n);
-    return out;
+    return fft::rfftn(in, 1);
   };
   const auto spec_scalar = run_rfft(util::Isa::kScalar);
   const auto spec_avx2 = run_rfft(util::Isa::kAvx2);
@@ -341,9 +340,7 @@ TEST_P(RealFftIsaEquivalence, RfftAndIrfftWithinTierB) {
   // O(Σ|x|) per bin, and the inverse renormalises by 1/n.
   const auto run_irfft = [&](util::Isa isa) {
     util::ScopedIsa forced(isa);
-    std::vector<float> out(static_cast<std::size_t>(n));
-    fft::irfft(spec_scalar.data(), out.data(), n);
-    return out;
+    return fft::irfftn(spec_scalar, 1, n);
   };
   const auto time_scalar = run_irfft(util::Isa::kScalar);
   const auto time_avx2 = run_irfft(util::Isa::kAvx2);
@@ -367,29 +364,27 @@ void check_masked_rfft_bitwise(util::Isa isa) {
   for (const index_t n : {index_t{16}, index_t{64}, index_t{20}}) {
     const index_t h = n / 2;
     Rng rng(1300 + static_cast<std::uint64_t>(n));
-    std::vector<float> in(static_cast<std::size_t>(n));
-    for (auto& v : in) v = static_cast<float>(rng.normal());
-    std::vector<std::complex<float>> full(static_cast<std::size_t>(h + 1));
-    fft::rfft(in.data(), full.data(), n);
+    TensorF in({n});
+    for (index_t i = 0; i < n; ++i) in[i] = static_cast<float>(rng.normal());
+    // One row: a rank-1 tensor at ndim 1.
+    const Tensor<std::complex<float>> full = fft::rfftn(in, 1);
     // Keep a ragged subset: bins 0, odd bins, and the Nyquist bin.
-    std::vector<std::uint8_t> keep(static_cast<std::size_t>(h + 1), 0);
+    fft::ModeMask keep(1, std::vector<std::uint8_t>(
+                              static_cast<std::size_t>(h + 1), 0));
     for (index_t k = 0; k <= h; ++k) {
-      keep[static_cast<std::size_t>(k)] =
+      keep[0][static_cast<std::size_t>(k)] =
           (k == 0 || k == h || (k % 2) == 1) ? 1 : 0;
     }
     const std::complex<float> sentinel(1e30f, -1e30f);
-    std::vector<std::complex<float>> masked(static_cast<std::size_t>(h + 1),
-                                            sentinel);
-    fft::rfft(in.data(), masked.data(), n, keep.data());
+    Tensor<std::complex<float>> masked({h + 1}, sentinel);
+    fft::rfftn_into(in, 1, masked, &keep);
     for (index_t k = 0; k <= h; ++k) {
-      if (keep[static_cast<std::size_t>(k)]) {
-        EXPECT_EQ(0, std::memcmp(&full[static_cast<std::size_t>(k)],
-                                 &masked[static_cast<std::size_t>(k)],
+      if (keep[0][static_cast<std::size_t>(k)]) {
+        EXPECT_EQ(0, std::memcmp(&full[k], &masked[k],
                                  sizeof(std::complex<float>)))
             << util::isa_name(isa) << " n=" << n << " kept bin " << k;
       } else {
-        EXPECT_EQ(0, std::memcmp(&sentinel,
-                                 &masked[static_cast<std::size_t>(k)],
+        EXPECT_EQ(0, std::memcmp(&sentinel, &masked[k],
                                  sizeof(std::complex<float>)))
             << util::isa_name(isa) << " n=" << n << " skipped bin " << k
             << " was written";
@@ -561,10 +556,12 @@ void fingerprint_real(util::Crc32& crc) {
       std::vector<cpx> u(static_cast<std::size_t>((h + 1) * nl));
       const std::uint8_t* const masks[] = {nullptr, keep.data()};
       for (const std::uint8_t* mask : masks) {
+        // Row by row: one-lane row-core calls.
         std::vector<cpx> rows(static_cast<std::size_t>(nl * cs), sentinel);
         for (index_t l = 0; l < nl; ++l) {
-          fft::rfft_scratch(real_in.data() + l * rs, rows.data() + l * cs, n,
-                            mask, z.data(), tw_r.data());
+          fft::rfft_batch_scratch(real_in.data() + l * rs, rs,
+                                  rows.data() + l * cs, cs, n, 1, mask,
+                                  z.data(), u.data(), tw_r.data());
         }
         feed(crc, rows);
         std::vector<cpx> batch(static_cast<std::size_t>(nl * cs), sentinel);
@@ -574,8 +571,9 @@ void fingerprint_real(util::Crc32& crc) {
       }
       std::vector<T> rows(static_cast<std::size_t>(nl * rs), T{0});
       for (index_t l = 0; l < nl; ++l) {
-        fft::irfft_scratch(spec_in.data() + l * cs, rows.data() + l * rs, n,
-                           z.data(), tw_i.data());
+        fft::irfft_batch_scratch(spec_in.data() + l * cs, cs,
+                                 rows.data() + l * rs, rs, n, 1, z.data(),
+                                 u.data(), tw_i.data());
       }
       feed(crc, rows);
       std::vector<T> batch(static_cast<std::size_t>(nl * rs), T{0});
